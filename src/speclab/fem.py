@@ -2,11 +2,17 @@
 
 Assembly produces the standard piecewise-linear stiffness and consistent
 mass matrices.  The generalized eigenproblem is solved for the smallest
-modes by shift-invert Lanczos with a direct sparse factorization: Dirichlet
-degrees of freedom are eliminated by row/column deletion, and the pure
-Neumann zero mode is handled by solving with K + sigma*M (sigma =
-1e-3 trace(K)/trace(M)) and back-transforming.  Iteration starts from a
-fixed deterministic vector, so repeated runs give bit-identical results.
+modes by shift-invert Lanczos with a direct sparse factorization (systems
+of at most 400 unknowns go to a dense solver instead).  Dirichlet degrees
+of freedom are eliminated by row/column deletion.  Both the pure Neumann
+zero mode and the constrained problems are handled by solving with the
+definite pencil K + sigma*M, sigma = 1/|Omega| with |Omega| = 1^T M 1 the
+domain area, and back-transforming.  This shift is the natural eigenvalue
+scale of the domain and does not grow under refinement, so the wanted
+modes stay well separated from the rest of the spectrum on fine meshes and
+subtracting the shift from the computed eigenvalues cancels few digits.
+Iteration starts from a fixed deterministic vector, so repeated runs give
+bit-identical results.
 
 Discrete eigenvalues of the conforming method approach the continuum from
 above at rate O(h^2); the refinement drivers solve on meshes h, h/2, h/4
@@ -82,13 +88,9 @@ def assemble(mesh: Mesh):
 
 
 def dirichlet_dofs(mesh: Mesh) -> np.ndarray:
-    """Vertex indices lying on any Dirichlet-marked boundary edge."""
-    marked = set()
-    for (a, b), m in zip(mesh.boundary_edges, mesh.boundary_markers):
-        if m == geometry.DIRICHLET:
-            marked.add(int(a))
-            marked.add(int(b))
-    return np.array(sorted(marked), dtype=np.int64)
+    """Sorted vertex indices lying on any Dirichlet-marked boundary edge."""
+    marked = np.asarray(mesh.boundary_markers) == geometry.DIRICHLET
+    return np.unique(mesh.boundary_edges[marked])
 
 
 @dataclass
@@ -125,16 +127,20 @@ def solve_smallest(
 ) -> EigResult:
     """n_eigs smallest generalized eigenvalues of the constrained pencil.
 
-    constrained_dofs are eliminated by row/column deletion; the remaining
-    system is shifted by sigma = 1e-3 trace(K)/trace(M) to make the operator
-    definite, solved by shift-invert about zero, and back-transformed.
-    Residuals ||K u - mu M u|| / ||u||_M are computed for every pair and
-    must not exceed tol.
+    constrained_dofs are eliminated by row/column deletion.  The remaining
+    pencil is shifted to (K + sigma M, M) with sigma = 1/|Omega|, where
+    |Omega| = 1^T M 1 sums the full mass matrix before elimination; the
+    shifted operator is definite for Neumann and constrained problems alike.
+    Up to 400 unknowns, the n_eigs smallest pairs come from a dense solve;
+    larger systems are factorized once and solved by shift-invert Lanczos
+    about zero.  Either way one Rayleigh-Ritz pass refines the pairs before
+    the shift is removed.  Residuals ||K u - mu M u|| / ||u||_M are computed
+    for every pair and must not exceed tol.
     """
     if n_eigs < 1 or n_eigs > N_EIGS_MAX:
         raise ValueError(f"n_eigs must be 1..{N_EIGS_MAX}")
     n_full = K.shape[0]
-    constrained = np.asarray(sorted(set(map(int, constrained_dofs))), dtype=np.int64)
+    constrained = np.unique(np.asarray(constrained_dofs, dtype=np.int64))
     keep = np.setdiff1d(np.arange(n_full), constrained)
     if keep.size == 0:
         raise ValueError("constraint elimination left an empty system")
@@ -142,21 +148,16 @@ def solve_smallest(
         raise ValueError(
             f"system of dimension {keep.size} cannot deliver {n_eigs} eigenpairs"
         )
+    sigma = 1.0 / M.sum()
     Kc = K[keep][:, keep].tocsc()
     Mc = M[keep][:, keep].tocsc()
-
-    trace_k = Kc.diagonal().sum()
-    trace_m = Mc.diagonal().sum()
-    sigma = 1e-3 * trace_k / trace_m
     A = (Kc + sigma * Mc).tocsc()
 
     dim = keep.size
     if dim <= _DENSE_CUTOFF:
         Ad = A.toarray()
         Md = Mc.toarray()
-        dense_vals, dense_vecs = scipy.linalg.eigh(Ad, Md)
-        vals = dense_vals[:n_eigs]
-        vecs = dense_vecs[:, :n_eigs]
+        vals, vecs = scipy.linalg.eigh(Ad, Md, subset_by_index=[0, n_eigs - 1])
         solve = lambda rhs: scipy.linalg.solve(Ad, rhs, assume_a="sym")
         vals, vecs = _rayleigh_ritz_refine(solve, A, Mc, vals, vecs)
     else:
@@ -230,20 +231,11 @@ def solve_mesh(mesh: Mesh, n_eigs: int, tol: float = DEFAULT_TOL) -> EigResult:
     K, M = assemble(mesh)
     constrained = dirichlet_dofs(mesh)
     n_d = len(constrained)
-    bc = "dirichlet" if n_d and n_d == len(_boundary_vertices(mesh)) else (
-        "mixed" if n_d else "neumann"
-    )
+    n_boundary = len(np.unique(mesh.boundary_edges))
+    bc = "dirichlet" if n_d and n_d == n_boundary else ("mixed" if n_d else "neumann")
     return solve_smallest(
         K, M, constrained, n_eigs, tol, h=mesh.h, bc_summary=bc
     )
-
-
-def _boundary_vertices(mesh: Mesh):
-    out = set()
-    for a, b in mesh.boundary_edges:
-        out.add(int(a))
-        out.add(int(b))
-    return out
 
 
 @dataclass

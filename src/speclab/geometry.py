@@ -575,38 +575,39 @@ def refine_mesh(mesh: Mesh) -> Mesh:
     """Uniform refinement: every triangle into 4 via edge midpoints.
 
     h halves exactly and the triangle count quadruples; boundary sub-edges
-    inherit their parent's marker.
+    inherit their parent's marker.  Midpoints are numbered after the old
+    vertices in order of first visit: triangle by triangle (edges ab, bc,
+    ca), then the boundary edges.
     """
-    verts = [tuple(v) for v in mesh.vertices]
-    midpoint: dict = {}
+    verts = mesh.vertices
+    tris = mesh.triangles.astype(np.int64, copy=False)
+    edges = mesh.boundary_edges.astype(np.int64, copy=False).reshape(-1, 2)
+    nt = len(tris)
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    visits = np.concatenate([np.stack([a, b, b, c, c, a], axis=1).reshape(-1, 2), edges])
+    lo = visits.min(axis=1)
+    hi = visits.max(axis=1)
+    _, first, inverse = np.unique(
+        lo * len(verts) + hi, return_index=True, return_inverse=True
+    )
+    by_visit = np.argsort(first)
+    rank = np.empty_like(by_visit)
+    rank[by_visit] = np.arange(len(by_visit))
+    mid = len(verts) + rank[inverse]
+    firsts = first[by_visit]
+    vertices = np.vstack([verts, (verts[lo[firsts]] + verts[hi[firsts]]) * 0.5])
 
-    def mid(a: int, b: int) -> int:
-        key = (a, b) if a < b else (b, a)
-        if key not in midpoint:
-            midpoint[key] = len(verts)
-            va, vb = verts[a], verts[b]
-            verts.append(((va[0] + vb[0]) * 0.5, (va[1] + vb[1]) * 0.5))
-        return midpoint[key]
-
-    tris = []
-    for a, b, c in mesh.triangles:
-        ab, bc, ca = mid(int(a), int(b)), mid(int(b), int(c)), mid(int(c), int(a))
-        tris.extend([[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]])
-
-    edges = []
-    markers = []
-    for (a, b), marker in zip(mesh.boundary_edges, mesh.boundary_markers):
-        m = mid(int(a), int(b))
-        edges.extend([(int(a), m), (m, int(b))])
-        markers.extend([marker, marker])
-
-    vertices = np.array(verts)
-    triangles = np.array(tris, dtype=np.int64)
+    ab, bc, ca = mid[: 3 * nt].reshape(nt, 3).T
+    triangles = np.stack(
+        [a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1
+    ).reshape(-1, 3)
+    m = mid[3 * nt :]
+    boundary = np.stack([edges[:, 0], m, m, edges[:, 1]], axis=1).reshape(-1, 2)
     return Mesh(
         vertices=vertices,
         triangles=triangles,
-        boundary_edges=np.array(edges, dtype=np.int64),
-        boundary_markers=markers,
+        boundary_edges=boundary,
+        boundary_markers=[marker for marker in mesh.boundary_markers for _ in range(2)],
         h=_max_edge(vertices, triangles),
     )
 

@@ -13,6 +13,7 @@ is 3.8317... (the first positive stationary point).
 from __future__ import annotations
 
 import math
+import threading
 
 from scipy import special as _special
 
@@ -132,7 +133,12 @@ def _refine_root(f, fprime, lo: float, hi: float, flo: float) -> float:
             hi = mid
 
 
+# Per-order lists of the zeros found so far by the sequential march.  Each
+# list only grows, one zero at a time from its last entry, so the march runs
+# under _zero_lock: two threads extending the same list would append the
+# same zero twice.
 _zero_cache: dict[float, list[float]] = {}
+_zero_lock = threading.Lock()
 
 
 def _march_bracket(f, start: float, step: float, fstart: float):
@@ -175,17 +181,19 @@ def bessel_j_zero(nu: float, k: int) -> float:
             return _refine_root(f, fp, lo, hi, flo)
         # fall through to the sequential path on the rare bracket failure
 
-    zeros = _zero_cache.setdefault(nu, [])
-    while len(zeros) < k:
-        if zeros:
-            start = zeros[-1] + 0.25
-        else:
-            start = nu + 1e-3 if nu > 0 else 0.5
-        lo, hi, flo = _march_bracket(f, start, 0.5 * math.pi, f(start))
-        zeros.append(_refine_root(f, fp, lo, hi, flo))
-    return zeros[k - 1]
+    with _zero_lock:
+        zeros = _zero_cache.setdefault(nu, [])
+        while len(zeros) < k:
+            if zeros:
+                start = zeros[-1] + 0.25
+            else:
+                start = nu + 1e-3 if nu > 0 else 0.5
+            lo, hi, flo = _march_bracket(f, start, 0.5 * math.pi, f(start))
+            zeros.append(_refine_root(f, fp, lo, hi, flo))
+        return zeros[k - 1]
 
 
+# Keyed by index, not appended to: a race only stores the same root twice.
 _prime_zero_cache: dict[float, dict[int, float]] = {}
 
 

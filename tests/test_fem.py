@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from speclab import constants, fem, geometry as geo, spectra
 
@@ -106,6 +107,48 @@ def test_solver_determinism():
     a = fem.solve_mesh(mesh, 3)
     b = fem.solve_mesh(mesh, 3)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
+
+
+def test_dense_path_matches_full_dense_solve():
+    # at most 400 unknowns: only the wanted pairs are computed, and they must
+    # agree with the full generalized spectrum of the unshifted pencil
+    for spec, dirichlet in ((geo.Sector(1.0, 1.0, 16), None), (geo.Square(1.0), frozenset("*"))):
+        mesh = geo.refine_mesh(geo.triangulate(spec, dirichlet_classes=dirichlet))
+        K, M = fem.assemble(mesh)
+        constrained = fem.dirichlet_dofs(mesh)
+        keep = np.setdiff1d(np.arange(K.shape[0]), constrained)
+        assert keep.size <= 400
+        full = scipy.linalg.eigh(
+            K[keep][:, keep].toarray(), M[keep][:, keep].toarray(), eigvals_only=True
+        )
+        res = fem.solve_smallest(K, M, constrained, 4)
+        assert np.allclose(res.eigenvalues, full[:4], rtol=1e-12, atol=1e-12 * full[3])
+
+
+class _CountingFactor:
+    """splu result whose solve counts right-hand sides."""
+
+    def __init__(self, lu, counts):
+        self._lu = lu
+        self._counts = counts
+        counts.append(0)
+
+    def solve(self, rhs, *args, **kwargs):
+        self._counts[-1] += 1 if np.ndim(rhs) == 1 else np.shape(rhs)[1]
+        return self._lu.solve(rhs, *args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "spec", [geo.Rhombus(2.0, math.radians(5.0)), geo.RegularPolygon(256, 1.0)]
+)
+def test_linear_solves_per_factorization_bounded(monkeypatch, spec):
+    # the shift-invert iteration converges in a few dozen solves on every
+    # mesh of the ladder; a mesh-dependent shift needs more as h shrinks
+    counts = []
+    splu = fem.splu
+    monkeypatch.setattr(fem, "splu", lambda A: _CountingFactor(splu(A), counts))
+    fem.mu_k(spec, 1, refinements=3)
+    assert counts and max(counts) <= 45
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,61 @@ def test_refinement_halves_h_quadruples_triangles():
     assert fine.h == pytest.approx(mesh.h / 2.0, rel=1e-12)
 
 
+def reference_refine(mesh):
+    """Midpoint refinement one edge at a time (oracle for refine_mesh)."""
+    verts = [tuple(v) for v in mesh.vertices]
+    midpoint = {}
+
+    def mid(a, b):
+        key = (a, b) if a < b else (b, a)
+        if key not in midpoint:
+            midpoint[key] = len(verts)
+            va, vb = verts[a], verts[b]
+            verts.append(((va[0] + vb[0]) * 0.5, (va[1] + vb[1]) * 0.5))
+        return midpoint[key]
+
+    tris = []
+    for a, b, c in mesh.triangles:
+        ab, bc, ca = mid(int(a), int(b)), mid(int(b), int(c)), mid(int(c), int(a))
+        tris.extend([[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]])
+    edges = []
+    markers = []
+    for (a, b), marker in zip(mesh.boundary_edges, mesh.boundary_markers):
+        m = mid(int(a), int(b))
+        edges.extend([(int(a), m), (m, int(b))])
+        markers.extend([marker, marker])
+    vertices = np.array(verts)
+    triangles = np.array(tris, dtype=np.int64)
+    return geo.Mesh(
+        vertices=vertices,
+        triangles=triangles,
+        boundary_edges=np.array(edges, dtype=np.int64),
+        boundary_markers=markers,
+        h=geo._max_edge(vertices, triangles),
+    )
+
+
+@pytest.mark.parametrize(
+    "spec,dirichlet",
+    [
+        (geo.RegularPolygon(256, 1.0), None),
+        (geo.Rhombus(2.0, math.radians(5.0)), None),
+        (geo.HalfRhombus(2.0, 0.3), None),
+        (geo.Square(1.0), frozenset({"left"})),
+        (geo.Sector(1.0, math.pi / 3, 32), frozenset({"arc"})),
+    ],
+)
+def test_refine_mesh_matches_reference(spec, dirichlet):
+    mesh = ref = geo.triangulate(spec, dirichlet_classes=dirichlet)
+    for _ in range(3):
+        mesh, ref = geo.refine_mesh(mesh), reference_refine(ref)
+        for field in ("vertices", "triangles", "boundary_edges"):
+            got, want = getattr(mesh, field), getattr(ref, field)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert mesh.boundary_markers == ref.boundary_markers
+        assert mesh.h == ref.h
+
+
 def test_inscribed_vertices_stay_inside():
     # sector and constant-width meshes keep vertices in the true domain
     mesh = geo.triangulate(geo.Sector(1.0, 1.654, 32), target_h=0.2)

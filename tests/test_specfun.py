@@ -6,6 +6,8 @@ arbitrary-precision zero finder.
 """
 
 import math
+import sys
+import threading
 
 import mpmath
 import pytest
@@ -177,6 +179,42 @@ def test_zero_range_errors():
         specfun.bessel_j_zero(1.0, 10_001)
     with pytest.raises(ValueError):
         specfun.bessel_j_zero(1.0, 2.5)
+
+
+def _clear_zero_caches():
+    specfun._zero_cache.clear()
+    specfun._prime_zero_cache.clear()
+
+
+def test_zero_cache_concurrent_fill():
+    # orders >= 20 at indices <= 4 miss McMahon's window and fill the shared
+    # per-order cache by the sequential march; a tiny switch interval makes
+    # two threads that start together interleave inside it
+    orders = [20.0 + i for i in range(30)]
+    _clear_zero_caches()
+    expected = {nu: [specfun.bessel_j_zero(nu, k) for k in (4, 1, 2, 3)] for nu in orders}
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for nu in orders:
+            _clear_zero_caches()
+            barrier = threading.Barrier(2)
+            results = [None, None]
+
+            def worker(slot):
+                barrier.wait(timeout=10)
+                results[slot] = [specfun.bessel_j_zero(nu, k) for k in (4, 1, 2, 3)]
+
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert results == [expected[nu], expected[nu]], f"order {nu}"
+    finally:
+        sys.setswitchinterval(old_interval)
+        _clear_zero_caches()
 
 
 # ---------------------------------------------------------------------------
