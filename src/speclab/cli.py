@@ -89,10 +89,6 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
     out: Path = Path("speclab_out")
 
-    @property
-    def seed(self):
-        return self.params.get("seed")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(

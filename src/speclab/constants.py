@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import specfun
 
@@ -238,10 +237,3 @@ def emit_constant_table(k_max: int, d_max: int) -> list[ConstantRecord]:
     records.sort(key=lambda r: (r.name, r.k, r.d))
     return records
 
-
-def write_constant_csv(records: Sequence[ConstantRecord], path) -> None:
-    """CSV emission: columns name,k,d,value,formula; 15 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("name,k,d,value,formula\n")
-        for r in records:
-            fh.write(f"{r.name},{r.k},{r.d},{r.value:.15g},{r.formula}\n")

@@ -855,9 +855,7 @@ def cmd_counterexamples() -> ExperimentReport:
 
     for j in (2, 3):
         n_parts = j * j
-        part = spectra.Spectrum(
-            np.array([0.0, spectra.disk_mu1(1.0 / j)]), "analytic", f"disk(1/{j})"
-        )
+        part = spectra.Spectrum(np.array([0.0, spectra.disk_mu1(1.0 / j)]), f"disk(1/{j})")
         union = spectra.disjoint_union_spectrum([part] * n_parts, n_parts + 1)
         mu_last_zero = union.values[n_parts - 1]
         mu_first_pos = union.values[n_parts]

@@ -16,12 +16,13 @@ bit-identical results.
 
 Discrete eigenvalues of the conforming method approach the continuum from
 above at rate O(h^2); the refinement drivers solve on meshes h, h/2, h/4
-and Richardson-extrapolate assuming that exact order.
+and Richardson-extrapolate assuming that exact order.  They share one
+indexing rule: eigenvalues of a pure Neumann boundary are indexed from
+k = 0 (mu_0 = 0), those of a problem with any Dirichlet edge from k = 1.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -103,24 +104,12 @@ class EigResult:
     dof_count: int
     bc_summary: str
 
-    def to_record(self, domain: str, k: int) -> dict:
-        return {
-            "domain": domain,
-            "k": k,
-            "h": self.h,
-            "dofs": self.dof_count,
-            "value": float(self.eigenvalues[k] if k < len(self.eigenvalues) else math.nan),
-            "residual": float(self.residuals.max()),
-            "error_estimate": None,  # single-mesh solve carries no extrapolation estimate
-        }
-
 
 def solve_smallest(
     K,
     M,
     constrained_dofs,
     n_eigs: int,
-    tol: float = DEFAULT_TOL,
     *,
     h: float = math.nan,
     bc_summary: str = "",
@@ -135,7 +124,7 @@ def solve_smallest(
     larger systems are factorized once and solved by shift-invert Lanczos
     about zero.  Either way one Rayleigh-Ritz pass refines the pairs before
     the shift is removed.  Residuals ||K u - mu M u|| / ||u||_M are computed
-    for every pair and must not exceed tol.
+    for every pair and must not exceed DEFAULT_TOL.
     """
     if n_eigs < 1 or n_eigs > N_EIGS_MAX:
         raise ValueError(f"n_eigs must be 1..{N_EIGS_MAX}")
@@ -192,9 +181,9 @@ def solve_smallest(
         u = vecs[:, i]
         r = Kc @ u - mu[i] * (Mc @ u)
         residuals[i] = np.linalg.norm(r) / math.sqrt(abs(u @ (Mc @ u)))
-    if np.any(residuals > tol):
+    if np.any(residuals > DEFAULT_TOL):
         raise NonConvergenceError(
-            f"eigenpair residual {residuals.max():.3e} exceeds tolerance {tol:.1e}"
+            f"eigenpair residual {residuals.max():.3e} exceeds tolerance {DEFAULT_TOL:.1e}"
         )
     return EigResult(
         eigenvalues=mu,
@@ -226,16 +215,14 @@ def _rayleigh_ritz_refine(solve, A, Mc, vals, vecs):
         return vals, vecs  # keep the unrefined pairs
 
 
-def solve_mesh(mesh: Mesh, n_eigs: int, tol: float = DEFAULT_TOL) -> EigResult:
+def solve_mesh(mesh: Mesh, n_eigs: int) -> EigResult:
     """Assemble and solve one mesh, honoring its boundary markers."""
     K, M = assemble(mesh)
     constrained = dirichlet_dofs(mesh)
     n_d = len(constrained)
     n_boundary = len(np.unique(mesh.boundary_edges))
     bc = "dirichlet" if n_d and n_d == n_boundary else ("mixed" if n_d else "neumann")
-    return solve_smallest(
-        K, M, constrained, n_eigs, tol, h=mesh.h, bc_summary=bc
-    )
+    return solve_smallest(K, M, constrained, n_eigs, h=mesh.h, bc_summary=bc)
 
 
 @dataclass
@@ -252,22 +239,17 @@ class ExtrapolationResult:
     monotone: bool
     bc_summary: str
 
-    def __iter__(self):  # allows `value, err = mu_k(...)`
-        return iter((self.value, self.error_estimate))
 
-    def to_record(self, domain: str, k: int) -> dict:
-        return {
-            "domain": domain,
-            "k": k,
-            "h": self.hs[-1],
-            "dofs": self.dofs[-1],
-            "value": self.value,
-            "residual": self.residual,
-            "error_estimate": self.error_estimate,
-        }
+_ALL_DIRICHLET = frozenset({geometry.ALL_CLASSES})
 
 
-def _mesh_ladder(spec: DomainSpec, refinements: int, dirichlet_classes):
+def _extrapolate(spec: DomainSpec, ks, refinements: int, dirichlet_classes) -> list:
+    """Extrapolated k-th eigenvalues, k in ks, from one mesh ladder.
+
+    The ladder is triangulated first: its markers decide whether k counts
+    from 0 (pure Neumann) or from 1 (any Dirichlet edge), and every mesh is
+    solved for exactly the pairs up to the largest k.
+    """
     if refinements < 2:
         raise ValueError("need at least 2 refinements for h, h/2, h/4 meshes")
     mesh = geometry.triangulate(spec, dirichlet_classes=dirichlet_classes)
@@ -276,15 +258,17 @@ def _mesh_ladder(spec: DomainSpec, refinements: int, dirichlet_classes):
     ladder = [mesh]
     for _ in range(2):
         ladder.append(geometry.refine_mesh(ladder[-1]))
-    return ladder
-
-
-def _extrapolate_ladder(spec, indices, n_eigs: int, refinements: int, dirichlet_classes, tol):
-    ladder = _mesh_ladder(spec, refinements, dirichlet_classes)
-    results = [solve_mesh(m, n_eigs, tol) for m in ladder]
+    offset = int(geometry.DIRICHLET in mesh.boundary_markers)
+    ks = list(ks)
+    if not ks or min(ks) < offset:
+        raise ValueError(
+            f"eigenvalue indices {ks} must start at {offset}: Neumann problems "
+            "index from k = 0, constrained problems from k = 1"
+        )
+    results = [solve_mesh(m, max(ks) + 1 - offset) for m in ladder]
     out = []
-    for index in indices:
-        vals = tuple(float(r.eigenvalues[index]) for r in results)
+    for k in ks:
+        vals = tuple(float(r.eigenvalues[k - offset]) for r in results)
         v0, v1, v2 = vals
         extrapolated = v2 + (v2 - v1) / 3.0
         err = abs(extrapolated - v2)
@@ -313,77 +297,25 @@ def mu_k(
     k: int,
     refinements: int = 3,
     dirichlet_classes: Optional[frozenset] = None,
-    tol: float = DEFAULT_TOL,
 ) -> ExtrapolationResult:
-    """Extrapolated k-th eigenvalue (mu_0 = 0 for a pure Neumann boundary).
-
-    With mixed markers (e.g. a Dirichlet base on a half rhombus) the k-th
-    eigenvalue of the constrained problem is returned, indexed from k = 1.
-    """
-    if k < 0:
-        raise ValueError("eigenvalue index must be >= 0")
-    has_dirichlet = bool(dirichlet_classes) or (
-        isinstance(spec, geometry.HalfRhombus) and spec.base_marker == "dirichlet"
-    )
-    if has_dirichlet:
-        if k < 1:
-            raise ValueError("constrained problems index eigenvalues from k = 1")
-        index, n_eigs = k - 1, k
-    else:
-        index, n_eigs = k, k + 1
-    return _extrapolate_ladder(spec, [index], n_eigs, refinements, dirichlet_classes, tol)[0]
+    """Extrapolated k-th eigenvalue: from k = 0 (mu_0 = 0) for a pure
+    Neumann boundary, from k = 1 once any edge is Dirichlet (by
+    dirichlet_classes or by the domain, as the base of a half rhombus)."""
+    return _extrapolate(spec, [k], refinements, dirichlet_classes)[0]
 
 
-def mu_spectrum(
-    spec: DomainSpec,
-    k_max: int,
-    refinements: int = 3,
-    dirichlet_classes: Optional[frozenset] = None,
-    tol: float = DEFAULT_TOL,
-) -> list:
-    """Extrapolated mu_1..mu_k_max from a single mesh ladder (Neumann)."""
-    if dirichlet_classes:
-        raise ValueError("mu_spectrum is for the pure Neumann problem")
-    results = _extrapolate_ladder(
-        spec, list(range(1, k_max + 1)), k_max + 1, refinements, None, tol
-    )
-    return results
+def mu_spectrum(spec: DomainSpec, k_max: int, refinements: int = 3) -> list:
+    """Extrapolated k = 1..k_max eigenvalues from a single mesh ladder:
+    mu_1..mu_k_max for a pure Neumann boundary (mu_0 = 0 is skipped), the
+    first k_max constrained eigenvalues when the domain has a Dirichlet edge."""
+    return _extrapolate(spec, range(1, k_max + 1), refinements, None)
 
 
-def dirichlet_lambda_k(
-    spec: DomainSpec,
-    k: int,
-    refinements: int = 3,
-    tol: float = DEFAULT_TOL,
-) -> ExtrapolationResult:
+def dirichlet_lambda_k(spec: DomainSpec, k: int, refinements: int = 3) -> ExtrapolationResult:
     """Extrapolated k-th Dirichlet eigenvalue (k >= 1), all markers Dirichlet."""
-    if k < 1:
-        raise ValueError("Dirichlet eigenvalues index from k = 1")
-    return _extrapolate_ladder(
-        spec, [k - 1], k, refinements, frozenset({geometry.ALL_CLASSES}), tol
-    )[0]
+    return _extrapolate(spec, [k], refinements, _ALL_DIRICHLET)[0]
 
 
-def dirichlet_spectrum(
-    spec: DomainSpec,
-    k_max: int,
-    refinements: int = 3,
-    tol: float = DEFAULT_TOL,
-) -> list:
+def dirichlet_spectrum(spec: DomainSpec, k_max: int, refinements: int = 3) -> list:
     """Extrapolated lambda_1..lambda_k_max from a single mesh ladder."""
-    return _extrapolate_ladder(
-        spec,
-        list(range(0, k_max)),
-        k_max,
-        refinements,
-        frozenset({geometry.ALL_CLASSES}),
-        tol,
-    )
-
-
-def write_json_records(records, path) -> None:
-    """Serialize eigenvalue records ({domain, k, h, dofs, value, residual,
-    error_estimate}) as a JSON array."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(list(records), fh, indent=2)
-        fh.write("\n")
+    return _extrapolate(spec, range(1, k_max + 1), refinements, _ALL_DIRICHLET)

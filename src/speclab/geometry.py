@@ -5,12 +5,16 @@ boundaries (sector arcs, constant-width arcs) are approximated by inscribed
 chords, so the polygon is always a subset of the true domain and mesh
 vertices never leave it.
 
+Each spec describes itself by its `outline()`: the polygon, a class for
+each edge ('side', 'base', 'arc', 'radial', ...) and the classes that are
+Dirichlet by definition (the base of a half rhombus).
+
 Meshing: rhombi, half rhombi and rectangles are meshed as affine images of
 a structured triangulated reference square (quality is preserved under the
 anisotropy of thin rhombi, where fan meshing degrades); generic convex
 polygons are fan-triangulated from the centroid and uniformly refined.
-Boundary edges carry condition markers ('N' or 'D') assigned from named
-edge classes ('side', 'base', 'arc', 'radial') by a dirichlet class set.
+Boundary edges take the class of the outline edge they lie on and carry
+condition markers ('N' or 'D') assigned by a dirichlet class set.
 
 Random inclusion pairs use an explicit 64-bit shift-register generator
 (xorshift64*, published constants) so ratio scans reproduce across
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,6 +36,16 @@ ALL_CLASSES = "*"
 
 # ---------------------------------------------------------------------------
 # domain specifications
+
+
+class Outline(NamedTuple):
+    """What a domain spec says about itself: a counterclockwise convex polygon
+    (inscribed in the domain), the class of each edge i -> i+1, and the edge
+    classes that are Dirichlet by definition of the domain."""
+
+    polygon: np.ndarray
+    classes: tuple
+    dirichlet: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
@@ -47,26 +61,21 @@ class Rhombus:
         if not 0 < self.theta < math.pi / 2:
             raise ValueError("rhombus half-opening must lie in (0, pi/2)")
 
+    def outline(self) -> Outline:
+        h = 0.5 * self.D * math.tan(self.theta)
+        poly = np.array([(-0.5 * self.D, 0.0), (0.0, -h), (0.5 * self.D, 0.0), (0.0, h)])
+        return Outline(poly, ("side",) * 4)
+
 
 @dataclass(frozen=True)
-class HalfRhombus:
-    """Upper half of the rhombus, cut along the long diagonal.
+class HalfRhombus(Rhombus):
+    """Upper half of the rhombus, cut along the long diagonal.  The cut is
+    Dirichlet: the half rhombus carries the antisymmetric nodal mode."""
 
-    base_marker is the boundary condition for the cut ('dirichlet' realizes
-    the antisymmetric nodal configuration, 'neumann' the symmetric one).
-    """
-
-    D: float
-    theta: float
-    base_marker: str = "dirichlet"
-
-    def __post_init__(self):
-        if not self.D > 0:
-            raise ValueError("rhombus diagonal must be positive")
-        if not 0 < self.theta < math.pi / 2:
-            raise ValueError("rhombus half-opening must lie in (0, pi/2)")
-        if self.base_marker not in ("neumann", "dirichlet"):
-            raise ValueError(f"unknown base marker {self.base_marker!r}")
+    def outline(self) -> Outline:
+        h = 0.5 * self.D * math.tan(self.theta)
+        poly = np.array([(-0.5 * self.D, 0.0), (0.5 * self.D, 0.0), (0.0, h)])
+        return Outline(poly, ("base", "side", "side"), frozenset({"base"}))
 
 
 @dataclass(frozen=True)
@@ -78,6 +87,11 @@ class Rectangle:
         if not (self.a > 0 and self.b > 0):
             raise ValueError("rectangle sides must be positive")
 
+    def outline(self) -> Outline:
+        a, b = self.a, self.b
+        poly = np.array([(0.0, 0.0), (a, 0.0), (a, b), (0.0, b)])
+        return Outline(poly, ("bottom", "right", "top", "left"))
+
 
 @dataclass(frozen=True)
 class Square:
@@ -87,6 +101,9 @@ class Square:
         if not self.side > 0:
             raise ValueError("square side must be positive")
 
+    def outline(self) -> Outline:
+        return Rectangle(self.side, self.side).outline()
+
 
 @dataclass(frozen=True)
 class EquilateralTriangle:
@@ -95,6 +112,11 @@ class EquilateralTriangle:
     def __post_init__(self):
         if not self.side > 0:
             raise ValueError("triangle side must be positive")
+
+    def outline(self) -> Outline:
+        s = self.side
+        poly = np.array([(0.0, 0.0), (s, 0.0), (0.5 * s, 0.5 * math.sqrt(3.0) * s)])
+        return Outline(poly, ("side",) * 3)
 
 
 @dataclass(frozen=True)
@@ -107,6 +129,12 @@ class RegularPolygon:
             raise ValueError("need at least 3 vertices")
         if not self.circumradius > 0:
             raise ValueError("circumradius must be positive")
+
+    def outline(self) -> Outline:
+        n, R = self.n_vertices, self.circumradius
+        ang = 2.0 * math.pi * np.arange(n) / n
+        poly = np.column_stack([R * np.cos(ang), R * np.sin(ang)])
+        return Outline(poly, ("side",) * n)
 
 
 @dataclass(frozen=True)
@@ -126,6 +154,13 @@ class Sector:
         if self.n_arc < 1:
             raise ValueError("need at least one arc chord")
 
+    def outline(self) -> Outline:
+        half = 0.5 * self.opening
+        ang = np.linspace(-half, half, self.n_arc + 1)
+        arc = np.column_stack([self.R * np.cos(ang), self.R * np.sin(ang)])
+        poly = np.vstack([[0.0, 0.0], arc])
+        return Outline(poly, ("radial",) + ("arc",) * self.n_arc + ("radial",))
+
 
 @dataclass(frozen=True)
 class ReuleauxTriangle:
@@ -139,6 +174,21 @@ class ReuleauxTriangle:
             raise ValueError("width must be positive")
         if self.n_arc < 1:
             raise ValueError("need at least one arc chord")
+
+    def outline(self) -> Outline:
+        w = self.width
+        corners = np.array(
+            [(0.0, 0.0), (w, 0.0), (0.5 * w, 0.5 * math.sqrt(3.0) * w)]
+        )
+        pts = []
+        for i in range(3):
+            center = corners[i]
+            start = corners[(i + 1) % 3]
+            a0 = math.atan2(start[1] - center[1], start[0] - center[0])
+            for t in range(self.n_arc):
+                a = a0 + (t / self.n_arc) * (math.pi / 3.0)
+                pts.append(center + w * np.array([math.cos(a), math.sin(a)]))
+        return Outline(np.array(pts), ("arc",) * (3 * self.n_arc))
 
 
 @dataclass(frozen=True)
@@ -160,6 +210,9 @@ class ConvexHullPolygon:
             a, b, c = arr[i], arr[(i + 1) % n], arr[(i + 2) % n]
             if _cross(b - a, c - b) < 0:
                 raise ValueError("polygon vertices must be in convex position")
+
+    def outline(self) -> Outline:
+        return Outline(np.array(self.vertices), ("side",) * len(self.vertices))
 
 
 DomainSpec = Union[
@@ -184,61 +237,9 @@ def _signed_area(poly: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def _build_with_classes(spec: DomainSpec):
-    """Vertices (ccw) and the class label of each polygon edge i -> i+1."""
-    if isinstance(spec, Rhombus):
-        h = 0.5 * spec.D * math.tan(spec.theta)
-        poly = np.array([(-0.5 * spec.D, 0.0), (0.0, -h), (0.5 * spec.D, 0.0), (0.0, h)])
-        return poly, ["side"] * 4
-    if isinstance(spec, HalfRhombus):
-        h = 0.5 * spec.D * math.tan(spec.theta)
-        poly = np.array([(-0.5 * spec.D, 0.0), (0.5 * spec.D, 0.0), (0.0, h)])
-        return poly, ["base", "side", "side"]
-    if isinstance(spec, Square):
-        spec = Rectangle(spec.side, spec.side)
-    if isinstance(spec, Rectangle):
-        a, b = spec.a, spec.b
-        poly = np.array([(0.0, 0.0), (a, 0.0), (a, b), (0.0, b)])
-        return poly, ["bottom", "right", "top", "left"]
-    if isinstance(spec, EquilateralTriangle):
-        s = spec.side
-        poly = np.array([(0.0, 0.0), (s, 0.0), (0.5 * s, 0.5 * math.sqrt(3.0) * s)])
-        return poly, ["side"] * 3
-    if isinstance(spec, RegularPolygon):
-        n, R = spec.n_vertices, spec.circumradius
-        ang = 2.0 * math.pi * np.arange(n) / n
-        poly = np.column_stack([R * np.cos(ang), R * np.sin(ang)])
-        return poly, ["side"] * n
-    if isinstance(spec, Sector):
-        half = 0.5 * spec.opening
-        ang = np.linspace(-half, half, spec.n_arc + 1)
-        arc = np.column_stack([spec.R * np.cos(ang), spec.R * np.sin(ang)])
-        poly = np.vstack([[0.0, 0.0], arc])
-        classes = ["radial"] + ["arc"] * spec.n_arc + ["radial"]
-        return poly, classes
-    if isinstance(spec, ReuleauxTriangle):
-        w = spec.width
-        corners = np.array(
-            [(0.0, 0.0), (w, 0.0), (0.5 * w, 0.5 * math.sqrt(3.0) * w)]
-        )
-        pts = []
-        for i in range(3):
-            center = corners[i]
-            start = corners[(i + 1) % 3]
-            a0 = math.atan2(start[1] - center[1], start[0] - center[0])
-            for t in range(spec.n_arc):
-                a = a0 + (t / spec.n_arc) * (math.pi / 3.0)
-                pts.append(center + w * np.array([math.cos(a), math.sin(a)]))
-        return np.array(pts), ["arc"] * (3 * spec.n_arc)
-    if isinstance(spec, ConvexHullPolygon):
-        poly = np.array(spec.vertices)
-        return poly, ["side"] * len(poly)
-    raise TypeError(f"unknown domain spec {spec!r}")
-
-
 def build(spec: DomainSpec) -> np.ndarray:
     """Counterclockwise convex polygon approximating the domain (inscribed)."""
-    return _build_with_classes(spec)[0]
+    return spec.outline().polygon
 
 
 def diameter(polygon: np.ndarray) -> float:
@@ -259,56 +260,6 @@ def area(polygon: np.ndarray) -> float:
     if a == 0.0:
         raise ValueError("degenerate polygon")
     return a
-
-
-def scale_spec(spec: DomainSpec, c: float) -> DomainSpec:
-    """The same domain scaled by a factor c > 0."""
-    if not c > 0:
-        raise ValueError("scale factor must be positive")
-    if isinstance(spec, Rhombus):
-        return Rhombus(spec.D * c, spec.theta)
-    if isinstance(spec, HalfRhombus):
-        return HalfRhombus(spec.D * c, spec.theta, spec.base_marker)
-    if isinstance(spec, Rectangle):
-        return Rectangle(spec.a * c, spec.b * c)
-    if isinstance(spec, Square):
-        return Square(spec.side * c)
-    if isinstance(spec, EquilateralTriangle):
-        return EquilateralTriangle(spec.side * c)
-    if isinstance(spec, RegularPolygon):
-        return RegularPolygon(spec.n_vertices, spec.circumradius * c)
-    if isinstance(spec, Sector):
-        return Sector(spec.R * c, spec.opening, spec.n_arc)
-    if isinstance(spec, ReuleauxTriangle):
-        return ReuleauxTriangle(spec.width * c, spec.n_arc)
-    if isinstance(spec, ConvexHullPolygon):
-        return ConvexHullPolygon(tuple((x * c, y * c) for x, y in spec.vertices))
-    raise TypeError(f"unknown domain spec {spec!r}")
-
-
-def domain_label(spec: DomainSpec) -> str:
-    if isinstance(spec, Rhombus):
-        return f"rhombus(D={spec.D:g},theta={math.degrees(spec.theta):.4g}deg)"
-    if isinstance(spec, HalfRhombus):
-        return (
-            f"half_rhombus(D={spec.D:g},theta={math.degrees(spec.theta):.4g}deg,"
-            f"base={spec.base_marker})"
-        )
-    if isinstance(spec, Rectangle):
-        return f"rectangle({spec.a:g}x{spec.b:g})"
-    if isinstance(spec, Square):
-        return f"square({spec.side:g})"
-    if isinstance(spec, EquilateralTriangle):
-        return f"equilateral_triangle({spec.side:g})"
-    if isinstance(spec, RegularPolygon):
-        return f"regular_polygon(n={spec.n_vertices},R={spec.circumradius:g})"
-    if isinstance(spec, Sector):
-        return f"sector(R={spec.R:g},opening={spec.opening:g})"
-    if isinstance(spec, ReuleauxTriangle):
-        return f"reuleaux_triangle(w={spec.width:g})"
-    if isinstance(spec, ConvexHullPolygon):
-        return f"hull_polygon({len(spec.vertices)} vertices)"
-    return repr(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -449,22 +400,14 @@ class Mesh:
         )
         if np.any(areas <= 0):
             raise ValueError("mesh has non-positive triangle orientation")
-        edge_count: dict = {}
-        for tri in t:
-            for i in range(3):
-                key = tuple(sorted((int(tri[i]), int(tri[(i + 1) % 3]))))
-                edge_count[key] = edge_count.get(key, 0) + 1
-        boundary = {k for k, c in edge_count.items() if c == 1}
-        marked = {tuple(sorted(map(int, e))) for e in self.boundary_edges}
-        if boundary != marked:
+        boundary = _boundary_edges_of(t)
+        marked = np.sort(np.asarray(self.boundary_edges, dtype=np.int64).reshape(-1, 2), axis=1)
+        if set(map(tuple, boundary.tolist())) != set(map(tuple, marked.tolist())):
             raise ValueError("boundary markers do not cover the boundary edges")
         if len(self.boundary_markers) != len(self.boundary_edges):
             raise ValueError("marker count mismatch")
-        degree: dict = {}
-        for a, b in boundary:
-            degree[a] = degree.get(a, 0) + 1
-            degree[b] = degree.get(b, 0) + 1
-        if any(dg != 2 for dg in degree.values()):
+        degree = np.bincount(boundary.ravel())
+        if np.any(degree[degree > 0] != 2):
             raise ValueError("boundary edges do not form closed loops")
 
 
@@ -476,14 +419,15 @@ def _max_edge(vertices: np.ndarray, triangles: np.ndarray) -> float:
     return float(max(lengths))
 
 
-def _boundary_edges_of(triangles: np.ndarray):
-    count: dict = {}
-    for tri in triangles:
-        for i in range(3):
-            a, b = int(tri[i]), int(tri[(i + 1) % 3])
-            key = (a, b) if a < b else (b, a)
-            count[key] = count.get(key, 0) + 1
-    return [k for k, c in count.items() if c == 1]
+def _boundary_edges_of(triangles: np.ndarray) -> np.ndarray:
+    """Edges of exactly one triangle, as (low, high) vertex pairs in order of
+    first visit (edges ab, bc, ca of each triangle in turn)."""
+    tris = np.asarray(triangles, dtype=np.int64)
+    edges = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    _, first, count = np.unique(
+        edges[:, 0] * (tris.max() + 1) + edges[:, 1], return_index=True, return_counts=True
+    )
+    return edges[np.sort(first[count == 1])]
 
 
 def _structured_grid(nx: int, ny: int):
@@ -493,82 +437,54 @@ def _structured_grid(nx: int, ny: int):
     vs = np.linspace(0.0, 1.0, ny + 1)
     U, V = np.meshgrid(us, vs, indexing="ij")
     verts = np.column_stack([U.ravel(), V.ravel()])
-    idx = np.arange((nx + 1) * (ny + 1)).reshape(nx + 1, ny + 1)
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            a, b = idx[i, j], idx[i + 1, j]
-            c, d = idx[i + 1, j + 1], idx[i, j + 1]
-            tris.append([a, b, d])
-            tris.append([b, c, d])
-    return verts, np.array(tris, dtype=np.int64)
+    idx = np.arange((nx + 1) * (ny + 1), dtype=np.int64).reshape(nx + 1, ny + 1)
+    a, b, c, d = idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:], idx[:-1, 1:]
+    # cell (i, j) in row-major order gives triangles abd, bcd
+    return verts, np.stack([a, b, d, b, c, d], axis=-1).reshape(-1, 3)
 
 
-def _affine_mesh(spec, n_cells: int, half: bool):
-    """Rhombus (or its upper half) as the affine image of the unit square."""
-    D, theta = spec.D, spec.theta
-    h = 0.5 * D * math.tan(theta)
+def _rhombus_grid(spec, poly: np.ndarray, target_h: Optional[float]):
+    """The rhombus (D, theta) as the affine image of the unit-square grid,
+    keeping the triangles whose centroid lies in poly (for a half rhombus,
+    those above the long diagonal, which the grid resolves)."""
+    D = spec.D
+    h = 0.5 * D * math.tan(spec.theta)
+    if target_h is None:
+        n_cells = 8
+    else:
+        # longest edge of the 1-cell mesh: the long diagonal (chopped into
+        # n segments) or, for wide openings, the mapped grid edge
+        n_cells = max(1, int(math.ceil(max(D, math.hypot(0.5 * D, h)) / target_h)))
     uv, tris = _structured_grid(n_cells, n_cells)
-    x = (uv[:, 0] - uv[:, 1]) * (0.5 * D)
-    y = (uv[:, 0] + uv[:, 1] - 1.0) * h
-    verts = np.column_stack([x, y])
-    if half:
-        keep = []
-        s = uv[:, 0] + uv[:, 1]
-        for tri in tris:
-            if s[tri].sum() >= 3.0 - 1e-12:  # centroid on or above u+v=1
-                keep.append(tri)
-        tris = np.array(keep, dtype=np.int64)
-        used = np.unique(tris)
-        remap = -np.ones(len(verts), dtype=np.int64)
-        remap[used] = np.arange(len(used))
-        verts = verts[used]
-        tris = remap[tris]
-    classes = {}
-    for a, b in _boundary_edges_of(tris):
-        ya, yb = verts[a, 1], verts[b, 1]
-        if half and abs(ya) < 1e-12 * D and abs(yb) < 1e-12 * D:
-            classes[(a, b)] = "base"
-        else:
-            classes[(a, b)] = "side"
-    return verts, tris, classes
+    verts = np.column_stack([(uv[:, 0] - uv[:, 1]) * (0.5 * D), (uv[:, 0] + uv[:, 1] - 1.0) * h])
+    edge = np.roll(poly, -1, axis=0) - poly
+    rel = verts[tris].mean(axis=1)[:, None, :] - poly[None]
+    inside = np.all(edge[:, 0] * rel[..., 1] - edge[:, 1] * rel[..., 0] > 0, axis=1)
+    tris = tris[inside]
+    used = np.unique(tris)
+    remap = np.empty(len(verts), dtype=np.int64)
+    remap[used] = np.arange(len(used))
+    return verts[used], remap[tris]
 
 
-def _rectangle_mesh(a: float, b: float, target_h: Optional[float]):
-    """Aspect-aware structured grid on [0,a]x[0,b]."""
+def _rectangle_grid(spec, poly: np.ndarray, target_h: Optional[float]):
+    """Aspect-aware structured grid on [0,a]x[0,b], (a, b) the corner poly[2]."""
+    a, b = map(float, poly[2])
     if target_h is None:
         target_h = 0.25 * max(a, b)
     nx = max(1, int(math.ceil(a / target_h)))
     ny = max(1, int(math.ceil(b / target_h)))
     uv, tris = _structured_grid(nx, ny)
-    verts = np.column_stack([uv[:, 0] * a, uv[:, 1] * b])
-    classes = {}
-    for i, j in _boundary_edges_of(tris):
-        x0, y0 = verts[i]
-        x1, y1 = verts[j]
-        if y0 == 0.0 and y1 == 0.0:
-            classes[(i, j)] = "bottom"
-        elif y0 == b and y1 == b:
-            classes[(i, j)] = "top"
-        elif x0 == 0.0 and x1 == 0.0:
-            classes[(i, j)] = "left"
-        else:
-            classes[(i, j)] = "right"
-    return verts, tris, classes
+    return np.column_stack([uv[:, 0] * a, uv[:, 1] * b]), tris
 
 
-def _fan_mesh(poly: np.ndarray, edge_classes):
-    """Fan triangulation from the centroid; edge i inherits class i."""
-    n = len(poly)
-    centroid = poly.mean(axis=0)
-    verts = np.vstack([poly, centroid])
-    tris = np.array([[i, (i + 1) % n, n] for i in range(n)], dtype=np.int64)
-    classes = {}
-    for i in range(n):
-        a, b = i, (i + 1) % n
-        key = (a, b) if a < b else (b, a)
-        classes[key] = edge_classes[i]
-    return verts, tris, classes
+def _nearest_outline_edge(poly: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Index of the polygon edge i -> i+1 nearest to each point."""
+    ex, ey = (np.concatenate([poly[1:], poly[:1]]) - poly).T
+    dx = points[:, :1] - poly[:, 0]
+    dy = points[:, 1:] - poly[:, 1]
+    t = np.clip((dx * ex + dy * ey) / (ex * ex + ey * ey), 0.0, 1.0)
+    return ((dx - t * ex) ** 2 + (dy - t * ey) ** 2).argmin(axis=1)
 
 
 def refine_mesh(mesh: Mesh) -> Mesh:
@@ -612,6 +528,16 @@ def refine_mesh(mesh: Mesh) -> Mesh:
     )
 
 
+# Structured grids keep their quality under the anisotropy of thin rhombi and
+# rectangles; every spec type not listed is fan-triangulated and refined.
+_GRID_MESHES = {
+    Rhombus: _rhombus_grid,
+    HalfRhombus: _rhombus_grid,
+    Rectangle: _rectangle_grid,
+    Square: _rectangle_grid,
+}
+
+
 def triangulate(
     spec: DomainSpec,
     target_h: Optional[float] = None,
@@ -619,61 +545,43 @@ def triangulate(
 ) -> Mesh:
     """Mesh the domain with boundary markers.
 
-    target_h=None builds the minimal base mesh of the variant's family.
+    target_h=None builds the minimal base mesh of the spec's family.  Each
+    boundary edge takes the class of the outline edge it lies on.
     dirichlet_classes marks matching edge classes 'D' ('*' matches every
-    class); the default is a pure Neumann boundary.  Requesting a class
-    that matches no edge is an error.
+    class), on top of the classes the outline makes Dirichlet; the default
+    is otherwise a pure Neumann boundary.  Requesting a class that matches
+    no edge is an error.
     """
-    dirichlet = set(dirichlet_classes or ())
-    if isinstance(spec, HalfRhombus) and spec.base_marker == "dirichlet":
-        dirichlet.add("base")
-
-    if isinstance(spec, (Rhombus, HalfRhombus)):
-        # longest edge of the 1-cell mesh: the long diagonal (chopped into
-        # n segments) or, for wide openings, the mapped grid edge
-        edge1 = max(spec.D, math.hypot(0.5 * spec.D, 0.5 * spec.D * math.tan(spec.theta)))
-        if target_h is None:
-            n_cells = 8
-        else:
-            n_cells = max(1, int(math.ceil(edge1 / target_h)))
-        verts, tris, classes = _affine_mesh(spec, n_cells, isinstance(spec, HalfRhombus))
-        mesh = _finalize(verts, tris, classes, dirichlet)
-    elif isinstance(spec, (Rectangle, Square)):
-        a, b = (spec.a, spec.b) if isinstance(spec, Rectangle) else (spec.side, spec.side)
-        verts, tris, classes = _rectangle_mesh(a, b, target_h)
-        mesh = _finalize(verts, tris, classes, dirichlet)
+    outline = spec.outline()
+    poly = outline.polygon
+    grid = _GRID_MESHES.get(type(spec))
+    if grid is None:
+        n = len(poly)
+        i = np.arange(n)
+        verts = np.vstack([poly, poly.mean(axis=0)])
+        tris = np.column_stack([i, (i + 1) % n, np.full(n, n)])
     else:
-        poly, edge_classes = _build_with_classes(spec)
-        verts, tris, classes = _fan_mesh(poly, edge_classes)
-        mesh = _finalize(verts, tris, classes, dirichlet)
-        if target_h is not None:
-            while mesh.h > target_h:
-                mesh = refine_mesh(mesh)
-    return mesh
-
-
-def _finalize(verts, tris, classes, dirichlet):
-    edges = []
-    markers = []
-    matched_any = not dirichlet
-    for (a, b), cls in classes.items():
-        edges.append((a, b))
-        if ALL_CLASSES in dirichlet or cls in dirichlet:
-            markers.append(DIRICHLET)
-            matched_any = True
-        else:
-            markers.append(NEUMANN)
-    if not matched_any:
+        verts, tris = grid(spec, poly, target_h)
+    edges = _boundary_edges_of(tris)
+    nearest = _nearest_outline_edge(poly, 0.5 * (verts[edges[:, 0]] + verts[edges[:, 1]]))
+    dirichlet = set(dirichlet_classes or ()) | outline.dirichlet
+    markers = [
+        DIRICHLET if ALL_CLASSES in dirichlet or outline.classes[i] in dirichlet else NEUMANN
+        for i in nearest
+    ]
+    if dirichlet and DIRICHLET not in markers:
         raise ValueError(f"dirichlet classes {sorted(dirichlet)} matched no boundary edge")
-    vertices = np.asarray(verts, dtype=float)
-    triangles = np.asarray(tris, dtype=np.int64)
-    return Mesh(
-        vertices=vertices,
-        triangles=triangles,
-        boundary_edges=np.array(edges, dtype=np.int64),
+    mesh = Mesh(
+        vertices=verts,
+        triangles=tris,
+        boundary_edges=edges,
         boundary_markers=markers,
-        h=_max_edge(vertices, triangles),
+        h=_max_edge(verts, tris),
     )
+    if grid is None and target_h is not None:
+        while mesh.h > target_h:
+            mesh = refine_mesh(mesh)
+    return mesh
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import specfun
 
-SOURCES = ("analytic", "fem", "extrapolated")
 BOX_DIM_MAX = 6
 BOX_COUNT_MAX = 10**6
 RECT_INDEX_MAX = 10**7
@@ -33,17 +32,14 @@ class MergeCertificationError(ValueError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending eigenvalue sequence with multiplicity and provenance."""
+    """Ascending eigenvalue sequence with multiplicity and the domain it belongs to."""
 
     values: np.ndarray
-    source: str
     domain_label: str = ""
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
-        if self.source not in SOURCES:
-            raise ValueError(f"unknown spectrum source {self.source!r}")
         if vals.ndim != 1 or vals.size == 0:
             raise ValueError("spectrum must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(vals)):
@@ -83,7 +79,7 @@ def segment_spectrum(D: float, bc: str, n: int) -> Spectrum:
         vals = (math.pi * (2 * ks - 1) / (2.0 * D)) ** 2
     else:
         raise ValueError(f"unknown boundary condition {bc!r}")
-    return Spectrum(vals, "analytic", f"segment(D={D:g},{bc})")
+    return Spectrum(vals, f"segment(D={D:g},{bc})")
 
 
 def box_spectrum(sides: Sequence[float], bc: str, n: int) -> Spectrum:
@@ -112,9 +108,7 @@ def box_spectrum(sides: Sequence[float], bc: str, n: int) -> Spectrum:
     while True:
         vals = _box_values_upto(sides, offset, t)
         if vals.size >= n:
-            return Spectrum(
-                vals[:n], "analytic", f"box({'x'.join(f'{s:g}' for s in sides)},{bc})"
-            )
+            return Spectrum(vals[:n], f"box({'x'.join(f'{s:g}' for s in sides)},{bc})")
         t *= 2.0
 
 
@@ -165,9 +159,7 @@ def product_spectrum(base: Spectrum, ell: float, n: int, *, base_complete: bool 
             f"cannot certify {n} merged values from a base prefix of "
             f"{base.count} entries (only {len(cands)} certified)"
         )
-    return Spectrum(
-        np.array(cands[:n]), "analytic", f"{base.domain_label}x[0,{ell:g}]"
-    )
+    return Spectrum(np.array(cands[:n]), f"{base.domain_label}x[0,{ell:g}]")
 
 
 def disjoint_union_spectrum(parts: Sequence[Spectrum], n: int, *, parts_complete: bool = False) -> Spectrum:
@@ -199,7 +191,7 @@ def disjoint_union_spectrum(parts: Sequence[Spectrum], n: int, *, parts_complete
     label = " + ".join(p.domain_label for p in parts[:3])
     if len(parts) > 3:
         label += f" + ... ({len(parts)} parts)"
-    return Spectrum(merged[:n], "analytic", label)
+    return Spectrum(merged[:n], label)
 
 
 def disk_mu1(R: float) -> float:

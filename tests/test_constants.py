@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from speclab import constants, specfun
+from speclab import constants, experiments, specfun
 
 
 def test_alpha1_sharp_planar_value():
@@ -167,7 +167,7 @@ def test_emit_constant_table_contents():
 def test_constant_csv_roundtrip(tmp_path):
     records = constants.emit_constant_table(1, 3)
     path = tmp_path / "constants.csv"
-    constants.write_constant_csv(records, path)
+    experiments.cmd_constants(1, 3).write_csv(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "name,k,d,value,formula"
     assert len(lines) == len(records) + 1

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from speclab import cli, experiments, fem, geometry
+from speclab import cli, experiments
 
 
 def test_constants_report_and_verdicts():
@@ -138,16 +138,6 @@ def test_thread_count_does_not_change_results(tmp_path, monkeypatch):
     serial.write_csv(pa)
     parallel.write_csv(pb)
     assert pa.read_bytes() == pb.read_bytes()
-
-
-def test_fem_json_records(tmp_path):
-    res = fem.mu_k(geometry.Square(1.0), 1, refinements=2)
-    path = tmp_path / "records.json"
-    fem.write_json_records([res.to_record("square(1)", 1)], path)
-    back = json.loads(path.read_text())
-    assert back[0]["domain"] == "square(1)"
-    assert set(back[0]) == {"domain", "k", "h", "dofs", "value", "residual", "error_estimate"}
-    assert back[0]["value"] == pytest.approx(math.pi**2, rel=0.02)
 
 
 # ---------------------------------------------------------------------------

@@ -206,9 +206,8 @@ def test_neumann_below_dirichlet_same_mesh():
 
 def test_matrix_level_scaling():
     c = 2.5
-    spec = geo.EquilateralTriangle(1.0)
-    base = fem.mu_k(spec, 1, refinements=3)
-    scaled = fem.mu_k(geo.scale_spec(spec, c), 1, refinements=3)
+    base = fem.mu_k(geo.EquilateralTriangle(1.0), 1, refinements=3)
+    scaled = fem.mu_k(geo.EquilateralTriangle(c), 1, refinements=3)
     assert scaled.value == pytest.approx(base.value / c**2, rel=1e-10)
 
 
@@ -269,6 +268,19 @@ def test_half_rhombus_mixed_lower_bound():
         assert res.value >= 0.995 * PI2 / (4.0 * M * M)
 
 
+def test_mu_spectrum_indexes_constrained_problems_from_one():
+    # the half rhombus's Dirichlet base makes it a constrained problem: its
+    # spectrum is tau_1, tau_2, ... exactly as mu_k indexes it
+    spec = geo.HalfRhombus(2.0, math.radians(30.0))
+    spectrum = fem.mu_spectrum(spec, 3, refinements=2)
+    for k, res in enumerate(spectrum, start=1):
+        assert res.value == pytest.approx(fem.mu_k(spec, k, refinements=2).value, rel=1e-9)
+    with pytest.raises(ValueError):
+        fem.mu_k(spec, 0, refinements=2)
+    with pytest.raises(ValueError):
+        fem.mu_k(geo.Square(1.0), -1, refinements=2)
+
+
 def test_cone_squeeze_via_sector():
     # flat cone tau_1 in [cos^2(theta) j01^2, j01^2] * 4/D^2, widened by the
     # FEM estimate; the sector realizes the cone with a Dirichlet cap
@@ -279,12 +291,6 @@ def test_cone_squeeze_via_sector():
         res = fem.mu_k(spec, 1, refinements=3, dirichlet_classes=frozenset({"arc"}))
         pad = res.error_estimate + 2e-3 * j01sq
         assert math.cos(theta) ** 2 * j01sq - pad <= res.value <= j01sq + pad
-
-
-def test_eig_record_json_fields():
-    res = fem.mu_k(geo.Square(1.0), 1, refinements=2)
-    rec = res.to_record("square(1)", 1)
-    assert set(rec) == {"domain", "k", "h", "dofs", "value", "residual", "error_estimate"}
 
 
 def test_solve_from_mesh_file(tmp_path):

@@ -1,6 +1,7 @@
 """Tests for domain construction, measures, inclusion pairs and meshing."""
 
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -52,23 +53,34 @@ def test_sector_vertices_on_circle():
     assert np.allclose(radii, 1.5, atol=1e-14)
 
 
-def test_build_polygons_ccw_convex():
-    specs = [
-        geo.Rhombus(2.0, 0.1),
-        geo.HalfRhombus(2.0, 0.3),
-        geo.Rectangle(1.0, 0.01),
-        geo.EquilateralTriangle(2.0),
-        geo.RegularPolygon(7, 1.0),
-        geo.Sector(1.0, 1.654, 16),
-        geo.ReuleauxTriangle(1.0, 8),
-    ]
-    for spec in specs:
-        poly = geo.build(spec)
-        assert geo._signed_area(poly) > 0
-        n = len(poly)
-        for i in range(n):
-            a, b, c = poly[i], poly[(i + 1) % n], poly[(i + 2) % n]
-            assert geo._cross(b - a, c - b) >= -1e-12
+# one example of every spec type; a type added to DomainSpec must be added here
+EXAMPLES = {
+    geo.Rhombus: geo.Rhombus(2.0, 0.1),
+    geo.HalfRhombus: geo.HalfRhombus(2.0, 0.3),
+    geo.Rectangle: geo.Rectangle(1.0, 0.01),
+    geo.Square: geo.Square(1.0),
+    geo.EquilateralTriangle: geo.EquilateralTriangle(2.0),
+    geo.RegularPolygon: geo.RegularPolygon(7, 1.0),
+    geo.Sector: geo.Sector(1.0, 1.654, 16),
+    geo.ReuleauxTriangle: geo.ReuleauxTriangle(1.0, 8),
+    geo.ConvexHullPolygon: geo.ConvexHullPolygon(((0, 0), (1, 0), (1.2, 0.7), (0.3, 0.9))),
+}
+
+
+@pytest.mark.parametrize("spec_type", typing.get_args(geo.DomainSpec), ids=lambda t: t.__name__)
+def test_build_polygons_ccw_convex(spec_type):
+    spec = EXAMPLES[spec_type]
+    outline = spec.outline()
+    poly = geo.build(spec)
+    assert len(outline.classes) == len(poly)
+    assert outline.dirichlet <= set(outline.classes)
+    assert geo._signed_area(poly) > 0
+    n = len(poly)
+    for i in range(n):
+        a, b, c = poly[i], poly[(i + 1) % n], poly[(i + 2) % n]
+        assert geo._cross(b - a, c - b) >= -1e-12
+    geo.triangulate(spec).validate()
+    geo.triangulate(spec, target_h=0.2 * geo.diameter(poly)).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +279,108 @@ def test_refine_mesh_matches_reference(spec, dirichlet):
         assert mesh.h == ref.h
 
 
+def reference_boundary_edges(triangles):
+    """Boundary edges counted one triangle at a time (oracle for _boundary_edges_of)."""
+    count = {}
+    for tri in triangles:
+        for i in range(3):
+            a, b = int(tri[i]), int(tri[(i + 1) % 3])
+            key = (a, b) if a < b else (b, a)
+            count[key] = count.get(key, 0) + 1
+    return [k for k, c in count.items() if c == 1]
+
+
+def reference_structured_grid(nx, ny):
+    us = np.linspace(0.0, 1.0, nx + 1)
+    vs = np.linspace(0.0, 1.0, ny + 1)
+    U, V = np.meshgrid(us, vs, indexing="ij")
+    verts = np.column_stack([U.ravel(), V.ravel()])
+    idx = np.arange((nx + 1) * (ny + 1)).reshape(nx + 1, ny + 1)
+    tris = []
+    for i in range(nx):
+        for j in range(ny):
+            a, b = idx[i, j], idx[i + 1, j]
+            c, d = idx[i + 1, j + 1], idx[i, j + 1]
+            tris.append([a, b, d])
+            tris.append([b, c, d])
+    return verts, np.array(tris, dtype=np.int64)
+
+
+def reference_grid_mesh(spec, target_h, dirichlet):
+    """Rhombus and rectangle base meshes built one cell, triangle and edge at
+    a time, each type by its own branch (oracle for triangulate)."""
+    dirichlet = set(dirichlet or ())
+    if isinstance(spec, geo.Rhombus):
+        half = isinstance(spec, geo.HalfRhombus)
+        D = spec.D
+        h = 0.5 * D * math.tan(spec.theta)
+        edge1 = max(D, math.hypot(0.5 * D, h))
+        n = 8 if target_h is None else max(1, int(math.ceil(edge1 / target_h)))
+        uv, tris = reference_structured_grid(n, n)
+        verts = np.column_stack([(uv[:, 0] - uv[:, 1]) * (0.5 * D), (uv[:, 0] + uv[:, 1] - 1.0) * h])
+        if half:
+            s = uv[:, 0] + uv[:, 1]
+            tris = np.array([t for t in tris if s[t].sum() >= 3.0 - 1e-12], dtype=np.int64)
+            used = np.unique(tris)
+            remap = -np.ones(len(verts), dtype=np.int64)
+            remap[used] = np.arange(len(used))
+            verts, tris = verts[used], remap[tris]
+            dirichlet.add("base")
+        classes = {}
+        for a, b in reference_boundary_edges(tris):
+            on_base = abs(verts[a, 1]) < 1e-12 * D and abs(verts[b, 1]) < 1e-12 * D
+            classes[(a, b)] = "base" if half and on_base else "side"
+    else:
+        a, b = (spec.a, spec.b) if isinstance(spec, geo.Rectangle) else (spec.side, spec.side)
+        target_h = 0.25 * max(a, b) if target_h is None else target_h
+        uv, tris = reference_structured_grid(
+            max(1, int(math.ceil(a / target_h))), max(1, int(math.ceil(b / target_h)))
+        )
+        verts = np.column_stack([uv[:, 0] * a, uv[:, 1] * b])
+        classes = {}
+        for i, j in reference_boundary_edges(tris):
+            (x0, y0), (x1, y1) = verts[i], verts[j]
+            if y0 == 0.0 and y1 == 0.0:
+                classes[(i, j)] = "bottom"
+            elif y0 == b and y1 == b:
+                classes[(i, j)] = "top"
+            elif x0 == 0.0 and x1 == 0.0:
+                classes[(i, j)] = "left"
+            else:
+                classes[(i, j)] = "right"
+    markers = ["D" if "*" in dirichlet or c in dirichlet else "N" for c in classes.values()]
+    return verts, tris, np.array(list(classes), dtype=np.int64), markers
+
+
+@pytest.mark.parametrize(
+    "spec,target_h,dirichlet",
+    [
+        (geo.Rhombus(2.0, math.radians(5.0)), None, None),
+        (geo.Rhombus(2.0, 1.2), 0.3, frozenset({"*"})),
+        (geo.HalfRhombus(2.0, 0.3), None, None),
+        (geo.HalfRhombus(2.0, math.radians(5.0)), 0.25, None),
+        (geo.HalfRhombus(2.0, 1.3), 0.5, frozenset({"side"})),
+        (geo.Rectangle(1.9, 0.02), None, None),
+        (geo.Rectangle(1.0, 0.01), 0.05, frozenset({"left"})),
+        (geo.Square(1.0), None, frozenset({"top"})),
+        (geo.Square(math.sqrt(2.0)), 0.3, frozenset({"bottom", "right"})),
+    ],
+)
+def test_grid_meshes_match_reference(spec, target_h, dirichlet):
+    mesh = geo.triangulate(spec, target_h=target_h, dirichlet_classes=dirichlet)
+    verts, tris, edges, markers = reference_grid_mesh(spec, target_h, dirichlet)
+    for got, want in ((mesh.vertices, verts), (mesh.triangles, tris), (mesh.boundary_edges, edges)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert mesh.boundary_markers == markers
+    assert mesh.h == geo._max_edge(verts, tris)
+
+
+def test_boundary_edges_match_reference():
+    for spec in (geo.Sector(1.0, 1.0, 8), geo.RegularPolygon(12, 1.0)):
+        tris = geo.triangulate(spec, target_h=0.2).triangles
+        assert geo._boundary_edges_of(tris).tolist() == [list(e) for e in reference_boundary_edges(tris)]
+
+
 def test_inscribed_vertices_stay_inside():
     # sector and constant-width meshes keep vertices in the true domain
     mesh = geo.triangulate(geo.Sector(1.0, 1.654, 32), target_h=0.2)
@@ -312,14 +426,6 @@ def test_mesh_io_header(tmp_path):
         len(mesh.triangles),
         len(mesh.boundary_edges),
     ]
-
-
-def test_scale_spec():
-    spec = geo.Rhombus(2.0, 0.2)
-    scaled = geo.scale_spec(spec, 3.0)
-    assert scaled.D == 6.0 and scaled.theta == 0.2
-    poly = geo.build(geo.scale_spec(geo.RegularPolygon(8, 1.0), 2.0))
-    assert geo.diameter(poly) == pytest.approx(2.0 * geo.diameter(geo.build(geo.RegularPolygon(8, 1.0))))
 
 
 def test_convex_hull_polygon_validation():

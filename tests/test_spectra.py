@@ -115,14 +115,14 @@ def test_box_enumeration_budget(monkeypatch):
 
 
 def test_product_short_cylinder_keeps_base():
-    base = Spectrum(np.array([0.0, 5.0]), "analytic", "toy")
+    base = Spectrum(np.array([0.0, 5.0]), "toy")
     ell = 0.5 * math.pi / math.sqrt(5.0)  # pi^2/ell^2 = 20 > 5
     got = spectra.product_spectrum(base, ell, 2)
     assert np.allclose(got.values, [0.0, 5.0])
 
 
 def test_product_point_base_gives_segment():
-    base = Spectrum(np.array([0.0]), "analytic", "point")
+    base = Spectrum(np.array([0.0]), "point")
     got = spectra.product_spectrum(base, 1.0, 3, base_complete=True)
     assert np.allclose(got.values, [0.0, PI2, 4 * PI2], rtol=1e-14)
 
@@ -135,14 +135,14 @@ def test_product_matches_3d_box_oracle():
 
 
 def test_product_certification_error():
-    base = Spectrum(np.array([0.0, 5.0]), "analytic", "toy")
+    base = Spectrum(np.array([0.0, 5.0]), "toy")
     with pytest.raises(MergeCertificationError):
         spectra.product_spectrum(base, 10.0, 50)
 
 
 def test_product_large_cylinder_first_mode():
     # with ell large, the first value beyond base[0] is pi^2/ell^2
-    base = Spectrum(np.array([0.0, 5.0]), "analytic", "toy")
+    base = Spectrum(np.array([0.0, 5.0]), "toy")
     got = spectra.product_spectrum(base, 100.0, 2)
     assert abs(got.values[1] - PI2 / 100.0**2) < 1e-15
 
@@ -150,22 +150,22 @@ def test_product_large_cylinder_first_mode():
 def test_union_four_disks():
     # four equal disks of radius 1/2: mu_3 of the union is 0
     template = np.array([0.0, spectra.disk_mu1(0.5)])
-    parts = [Spectrum(template, "analytic", "disk") for _ in range(4)]
+    parts = [Spectrum(template, "disk") for _ in range(4)]
     got = spectra.disjoint_union_spectrum(parts, 4)
     assert np.all(got.values == 0.0)
 
 
 def test_union_identity_and_merge():
-    p = Spectrum(np.array([0.0, 1.0, 2.0]), "analytic", "a")
+    p = Spectrum(np.array([0.0, 1.0, 2.0]), "a")
     assert np.allclose(spectra.disjoint_union_spectrum([p], 3).values, p.values)
-    q = Spectrum(np.array([0.0, 1.5]), "analytic", "b")
+    q = Spectrum(np.array([0.0, 1.5]), "b")
     got = spectra.disjoint_union_spectrum([p, q], 5, parts_complete=True)
     assert np.allclose(got.values, [0.0, 0.0, 1.0, 1.5, 2.0])
 
 
 def test_union_certification_error():
-    p = Spectrum(np.array([0.0, 1.0, 2.0]), "analytic", "a")
-    q = Spectrum(np.array([0.0, 1.5]), "analytic", "b")
+    p = Spectrum(np.array([0.0, 1.0, 2.0]), "a")
+    q = Spectrum(np.array([0.0, 1.5]), "b")
     with pytest.raises(MergeCertificationError):
         spectra.disjoint_union_spectrum([p, q], 5)
 
@@ -243,8 +243,6 @@ def test_weyl_ratio_trend_for_rectangles():
 
 def test_spectrum_validation():
     with pytest.raises(ValueError):
-        Spectrum(np.array([1.0, 0.5]), "analytic", "bad")
+        Spectrum(np.array([1.0, 0.5]), "bad")
     with pytest.raises(ValueError):
-        Spectrum(np.array([-1.0, 0.5]), "analytic", "bad")
-    with pytest.raises(ValueError):
-        Spectrum(np.array([0.0]), "oracle", "bad")
+        Spectrum(np.array([-1.0, 0.5]), "bad")
