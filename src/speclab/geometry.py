@@ -455,8 +455,13 @@ def _rhombus_grid(spec, poly: np.ndarray, target_h: Optional[float]):
         # longest edge of the 1-cell mesh: the long diagonal (chopped into
         # n segments) or, for wide openings, the mapped grid edge
         n_cells = max(1, int(math.ceil(max(D, math.hypot(0.5 * D, h)) / target_h)))
-    uv, tris = _structured_grid(n_cells, n_cells)
-    verts = np.column_stack([(uv[:, 0] - uv[:, 1]) * (0.5 * D), (uv[:, 0] + uv[:, 1] - 1.0) * h])
+    while True:
+        uv, tris = _structured_grid(n_cells, n_cells)
+        verts = np.column_stack([(uv[:, 0] - uv[:, 1]) * (0.5 * D), (uv[:, 0] + uv[:, 1] - 1.0) * h])
+        # rounded vertex coordinates can lengthen an edge that ties target_h
+        if target_h is None or _max_edge(verts, tris) <= target_h:
+            break
+        n_cells += 1
     edge = np.roll(poly, -1, axis=0) - poly
     rel = verts[tris].mean(axis=1)[:, None, :] - poly[None]
     inside = np.all(edge[:, 0] * rel[..., 1] - edge[:, 1] * rel[..., 0] > 0, axis=1)
@@ -468,14 +473,26 @@ def _rhombus_grid(spec, poly: np.ndarray, target_h: Optional[float]):
 
 
 def _rectangle_grid(spec, poly: np.ndarray, target_h: Optional[float]):
-    """Aspect-aware structured grid on [0,a]x[0,b], (a, b) the corner poly[2]."""
+    """Aspect-aware structured grid on [0,a]x[0,b], (a, b) the corner poly[2].
+
+    With target_h, the cells are refined until the mesh's longest edge, the
+    cell diagonal, is at most target_h; the grid is checked as built, since
+    rounded vertex coordinates can lengthen an edge that ties target_h.
+    """
     a, b = map(float, poly[2])
-    if target_h is None:
-        target_h = 0.25 * max(a, b)
-    nx = max(1, int(math.ceil(a / target_h)))
-    ny = max(1, int(math.ceil(b / target_h)))
-    uv, tris = _structured_grid(nx, ny)
-    return np.column_stack([uv[:, 0] * a, uv[:, 1] * b]), tris
+    side = 0.25 * max(a, b) if target_h is None else target_h
+    nx = max(1, int(math.ceil(a / side)))
+    ny = max(1, int(math.ceil(b / side)))
+    while True:
+        if target_h is None or math.hypot(a / nx, b / ny) <= target_h:
+            uv, tris = _structured_grid(nx, ny)
+            verts = np.column_stack([uv[:, 0] * a, uv[:, 1] * b])
+            if target_h is None or _max_edge(verts, tris) <= target_h:
+                return verts, tris
+        if a / nx >= b / ny:
+            nx += 1
+        else:
+            ny += 1
 
 
 def _nearest_outline_edge(poly: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -8,6 +8,13 @@ k <= 10**3).  All functions are pure and safe for concurrent use.
 Zero-counting convention: only strictly positive zeros are counted, and
 x = 0 is never counted even for J_0', so the first derivative zero of J_0
 is 3.8317... (the first positive stationary point).
+
+Zero finding: each zero is bracketed (at McMahon's estimate, or by marching
+from the previous zero of the same order) and refined by one safeguarded
+Newton loop, which takes J_nu and J_{nu+1} at each iterate and needs 4-10
+evaluations of J per zero.  Every zero is computed once: the McMahon-path
+zeros are memoized by (nu, k), the march keeps a list per order and the
+derivative zeros a dict per order.  A repeated request evaluates nothing.
 """
 
 from __future__ import annotations
@@ -27,8 +34,12 @@ PRIME_ZERO_INDEX_MAX = 1_000
 # so cancellation costs at most ~1e-13 absolute.
 SERIES_SPLIT = 8.0
 
-_BISECT_WIDTH = 1e-8
-_NEWTON_CAP = 50
+# A Newton step below sqrt(eps) * x lands within rounding of a simple root,
+# so one of that size that failed to shrink is noise of the evaluation.
+_NOISE_STEP = 1.5e-8
+# Far above the 2-5 iterations a zero takes; reaching it means the bracket
+# did not hold a simple root.
+_REFINE_CAP = 200
 
 
 def bessel_j(nu: float, x: float) -> float:
@@ -95,43 +106,51 @@ def _mcmahon(nu: float, k: int) -> float:
     )
 
 
-def _refine_root(f, fprime, lo: float, hi: float, flo: float) -> float:
-    """Bisection to width 1e-8, then Newton (cap 50); bisection fallback.
+def _refine_root(fd, lo: float, hi: float, flo: float, x: float) -> float:
+    """Safeguarded Newton iteration for the simple root bracketed by [lo, hi].
 
-    [lo, hi] must bracket a simple root, flo = f(lo).
+    fd(x) returns (f(x), f'(x)) from one pair of Bessel evaluations; flo is
+    f(lo), whose sign tells which end each iterate replaces, and x, the start,
+    lies inside the bracket.  Every iterate shrinks the bracket.  A Newton
+    step that would leave it, or that is no shorter than the step before,
+    becomes a bisection step.  The loop stops when a step is at most 4 ulp,
+    or when steps stop shrinking below _NOISE_STEP: there the iterate sits
+    at the noise floor of the evaluation.
     """
     neg = flo < 0.0
-    while hi - lo > _BISECT_WIDTH:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if (fm < 0.0) == neg:
-            lo = mid
+    prev = math.inf
+    for _ in range(_REFINE_CAP):
+        fx, dfx = fd(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == neg:
+            lo = x
         else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    guard_lo, guard_hi = lo - _BISECT_WIDTH, hi + _BISECT_WIDTH
-    for _ in range(_NEWTON_CAP):
-        fx = f(x)
-        dfx = fprime(x)
-        if dfx == 0.0:
-            break
-        step = fx / dfx
+            hi = x
+        step = fx / dfx if dfx != 0.0 else math.inf
         x_new = x - step
-        if not (guard_lo <= x_new <= guard_hi):
-            break
-        if abs(step) <= 4.0 * math.ulp(x):
+        if abs(step) <= 4.0 * math.ulp(x) or prev <= abs(step) <= _NOISE_STEP * x:
             return x_new
-        x = x_new
-    # Newton declined to converge: pure bisection to machine width.
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            return mid
-        if (f(mid) < 0.0) == neg:
-            lo = mid
+        if lo <= x_new <= hi and abs(step) < prev:
+            prev = abs(step)
         else:
-            hi = mid
+            x_new = 0.5 * (lo + hi)
+            if x_new <= lo or x_new >= hi:
+                return x_new
+            prev = math.inf
+        x = x_new
+    raise RuntimeError(f"root refinement did not converge in [{lo!r}, {hi!r}]")
 
+
+def _j_pair(nu: float, x: float) -> tuple[float, float]:
+    """J_nu(x) and J_{nu+1}(x): with J' = (nu/x) J_nu - J_{nu+1} and the Bessel
+    equation they give J, J' and J'' at x."""
+    return bessel_j(nu, x), bessel_j(nu + 1.0, x)
+
+
+# Zeros in McMahon's window, keyed by (nu, k): a race only stores the same
+# root twice.
+_mcmahon_zero_cache: dict[tuple[float, int], float] = {}
 
 # Per-order lists of the zeros found so far by the sequential march.  Each
 # list only grows, one zero at a time from its last entry, so the march runs
@@ -142,13 +161,14 @@ _zero_lock = threading.Lock()
 
 
 def _march_bracket(f, start: float, step: float, fstart: float):
-    """Walk right from start until f changes sign; return bracket and f(lo)."""
+    """Walk right from start until f changes sign; return the bracket and f
+    at both ends."""
     lo, flo = start, fstart
     for _ in range(10_000):
         hi = lo + step
         fhi = f(hi)
         if (fhi < 0.0) != (flo < 0.0) or fhi == 0.0:
-            return lo, hi, flo
+            return lo, hi, flo, fhi
         lo, flo = hi, fhi
     raise RuntimeError("sign change not found while bracketing Bessel zero")
 
@@ -156,29 +176,47 @@ def _march_bracket(f, start: float, step: float, fstart: float):
 def bessel_j_zero(nu: float, k: int) -> float:
     """k-th positive zero of J_nu, relative error <= 1e-12.
 
-    Bracketing starts from the McMahon approximation when its leading
-    correction is certifiably small; otherwise zeros are generated
-    sequentially (with caching per order) by marching in steps of pi/2,
-    which cannot skip a zero since consecutive-zero gaps exceed 3.1.
+    When McMahon's leading correction is certifiably small, the k-th zero is
+    bracketed at the McMahon estimate +-0.5 and Newton starts from the
+    estimate; these zeros are memoized by (nu, k).  Otherwise zeros are
+    generated sequentially, with a cache per order, by marching from the
+    last zero in steps of pi/2, which cannot skip a zero since
+    consecutive-zero gaps exceed 3.1; Newton starts from the linear
+    extrapolation 2 z_m - z_{m-1}.  Both paths refine with `_refine_root`,
+    at 4-10 evaluations of J per new zero; a repeated request evaluates
+    nothing.  Each (nu, k) takes one path whatever was requested before, so
+    results do not depend on the order of requests.
     """
     _validate_order(nu)
     if not isinstance(k, (int,)) or isinstance(k, bool):
         raise ValueError(f"zero index must be an integer, got {k!r}")
     if k < 1 or k > ZERO_INDEX_MAX:
         raise ValueError(f"zero index k={k} outside supported range 1..{ZERO_INDEX_MAX}")
-
-    f = lambda x: bessel_j(nu, x)
-    fp = lambda x: bessel_j_prime(nu, x)
-
+    root = _mcmahon_zero_cache.get((nu, k))
+    if root is not None:
+        return root
     mu = 4.0 * nu * nu
     beta = (k + 0.5 * nu - 0.25) * math.pi
-    if abs(mu - 1.0) / (8.0 * beta) <= 0.125:
-        # McMahon error well under the half-gap: bracket the k-th zero directly.
+    # McMahon error well under the half-gap: bracket the k-th zero directly.
+    mcmahon = abs(mu - 1.0) / (8.0 * beta) <= 0.125
+    zeros = _zero_cache.get(nu, ())
+    if not mcmahon and len(zeros) >= k:
+        return zeros[k - 1]
+
+    f = lambda x: bessel_j(nu, x)
+
+    def fd(x: float) -> tuple[float, float]:
+        j, j_next = _j_pair(nu, x)
+        return j, (nu / x) * j - j_next
+
+    if mcmahon:
         x0 = _mcmahon(nu, k)
         lo, hi = x0 - 0.5, x0 + 0.5
         flo, fhi = f(lo), f(hi)
         if (flo < 0.0) != (fhi < 0.0):
-            return _refine_root(f, fp, lo, hi, flo)
+            root = _refine_root(fd, lo, hi, flo, x0)
+            _mcmahon_zero_cache[(nu, k)] = root
+            return root
         # fall through to the sequential path on the rare bracket failure
 
     with _zero_lock:
@@ -188,9 +226,17 @@ def bessel_j_zero(nu: float, k: int) -> float:
                 start = zeros[-1] + 0.25
             else:
                 start = nu + 1e-3 if nu > 0 else 0.5
-            lo, hi, flo = _march_bracket(f, start, 0.5 * math.pi, f(start))
-            zeros.append(_refine_root(f, fp, lo, hi, flo))
-        return zeros[k - 1]
+            lo, hi, flo, fhi = _march_bracket(f, start, 0.5 * math.pi, f(start))
+            x0 = 2.0 * zeros[-1] - zeros[-2] if len(zeros) >= 2 else math.nan
+            if not lo < x0 < hi:
+                # at small k the gaps change fastest and the extrapolation
+                # can leave the bracket: start from its secant instead
+                x0 = lo - flo * (hi - lo) / (fhi - flo)
+            zeros.append(_refine_root(fd, lo, hi, flo, x0))
+        root = zeros[k - 1]
+    if mcmahon:
+        _mcmahon_zero_cache[(nu, k)] = root
+    return root
 
 
 # Keyed by index, not appended to: a race only stores the same root twice.
@@ -203,7 +249,8 @@ def bessel_j_prime_zero(nu: float, k: int) -> float:
     For nu = 0 the stationary point at x = 0 is not counted, so
     j'_{0,k} = j_{1,k}.  For nu > 0 the first zero lies in (nu, j_{nu,1})
     and the k-th (k >= 2) in (j_{nu,k-1}, j_{nu,k}); each such interval
-    contains exactly one stationary point.
+    contains exactly one stationary point, refined by `_refine_root` from
+    the interval's midpoint and memoized by (nu, k).
     """
     _validate_order(nu)
     if not isinstance(k, (int,)) or isinstance(k, bool):
@@ -219,11 +266,11 @@ def bessel_j_prime_zero(nu: float, k: int) -> float:
     if k in cache:
         return cache[k]
 
-    g = lambda x: bessel_j_prime(nu, x)
-
-    def gprime(x: float) -> float:
-        # from the Bessel equation: J'' = (nu^2/x^2 - 1) J - J'/x
-        return (nu * nu / (x * x) - 1.0) * bessel_j(nu, x) - bessel_j_prime(nu, x) / x
+    def gd(x: float) -> tuple[float, float]:
+        # J' from the pair, J'' from the Bessel equation
+        j, j_next = _j_pair(nu, x)
+        jp = (nu / x) * j - j_next
+        return jp, (nu * nu / (x * x) - 1.0) * j - jp / x
 
     if k == 1:
         lo = max(nu, 1e-12)
@@ -235,7 +282,6 @@ def bessel_j_prime_zero(nu: float, k: int) -> float:
     # exactly is fine; the derivative there is nonzero with alternating sign)
     width = hi - lo
     lo_in, hi_in = lo + 1e-9 * width, hi - 1e-9 * width
-    glo = g(lo_in)
-    root = _refine_root(g, gprime, lo_in, hi_in, glo)
+    root = _refine_root(gd, lo_in, hi_in, bessel_j_prime(nu, lo_in), 0.5 * (lo_in + hi_in))
     cache[k] = root
     return root

@@ -225,14 +225,10 @@ def _rect_count(a: float, b: float, t: float) -> int:
     if t < 0:
         return 0
     mmax = int(math.floor(a * math.sqrt(t) / math.pi))
-    total = 0
-    pi2 = math.pi**2
-    for m in range(mmax + 1):
-        rem = t - pi2 * m * m / (a * a)
-        if rem < 0:
-            break
-        total += int(math.floor(b * math.sqrt(rem) / math.pi)) + 1
-    return total
+    m = np.arange(mmax + 1)
+    rem = t - math.pi**2 * m * m / (a * a)
+    rem = rem[rem >= 0]
+    return int(np.floor(b * np.sqrt(rem) / math.pi).astype(np.int64).sum()) + len(rem)
 
 
 def rectangle_mu_k(a: float, b: float, k: int) -> float:

@@ -80,7 +80,28 @@ def test_build_polygons_ccw_convex(spec_type):
         a, b, c = poly[i], poly[(i + 1) % n], poly[(i + 2) % n]
         assert geo._cross(b - a, c - b) >= -1e-12
     geo.triangulate(spec).validate()
-    geo.triangulate(spec, target_h=0.2 * geo.diameter(poly)).validate()
+    target_h = 0.2 * geo.diameter(poly)
+    mesh = geo.triangulate(spec, target_h=target_h)
+    mesh.validate()
+    assert mesh.h <= target_h
+
+
+def test_rectangle_target_h_bounds_cell_diagonal():
+    # h is the cell diagonal, so sizing cells by their sides alone overshoots
+    # (1 x 0.01 at 0.2: 5 x 1 cells, h = 0.2002)
+    for spec, target_h, (nx, ny) in (
+        (geo.Rectangle(1.0, 0.01), 0.2, (6, 1)),
+        (geo.Rectangle(1.0, 0.01), 0.05, (21, 1)),
+        (geo.Square(math.sqrt(2.0)), 0.3, (7, 7)),
+    ):
+        mesh = geo.triangulate(spec, target_h=target_h)
+        assert mesh.h <= target_h
+        assert len(mesh.vertices) == (nx + 1) * (ny + 1)
+    # targets that tie a grid's longest edge, which rounding can lengthen
+    for spec in (geo.Square(1.0), geo.Square(1.7), geo.Rhombus(2.0, 0.1), geo.HalfRhombus(2.0, 0.3)):
+        for n in (4, 5, 7):
+            target_h = geo.diameter(geo.build(spec)) / n
+            assert geo.triangulate(spec, target_h=target_h).h <= target_h
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +337,12 @@ def reference_grid_mesh(spec, target_h, dirichlet):
         h = 0.5 * D * math.tan(spec.theta)
         edge1 = max(D, math.hypot(0.5 * D, h))
         n = 8 if target_h is None else max(1, int(math.ceil(edge1 / target_h)))
-        uv, tris = reference_structured_grid(n, n)
-        verts = np.column_stack([(uv[:, 0] - uv[:, 1]) * (0.5 * D), (uv[:, 0] + uv[:, 1] - 1.0) * h])
+        while True:
+            uv, tris = reference_structured_grid(n, n)
+            verts = np.column_stack([(uv[:, 0] - uv[:, 1]) * (0.5 * D), (uv[:, 0] + uv[:, 1] - 1.0) * h])
+            if target_h is None or geo._max_edge(verts, tris) <= target_h:
+                break
+            n += 1
         if half:
             s = uv[:, 0] + uv[:, 1]
             tris = np.array([t for t in tris if s[t].sum() >= 3.0 - 1e-12], dtype=np.int64)
@@ -332,11 +357,15 @@ def reference_grid_mesh(spec, target_h, dirichlet):
             classes[(a, b)] = "base" if half and on_base else "side"
     else:
         a, b = (spec.a, spec.b) if isinstance(spec, geo.Rectangle) else (spec.side, spec.side)
-        target_h = 0.25 * max(a, b) if target_h is None else target_h
-        uv, tris = reference_structured_grid(
-            max(1, int(math.ceil(a / target_h))), max(1, int(math.ceil(b / target_h)))
-        )
-        verts = np.column_stack([uv[:, 0] * a, uv[:, 1] * b])
+        side = 0.25 * max(a, b) if target_h is None else target_h
+        nx, ny = max(1, int(math.ceil(a / side))), max(1, int(math.ceil(b / side)))
+        while True:
+            uv, tris = reference_structured_grid(nx, ny)
+            verts = np.column_stack([uv[:, 0] * a, uv[:, 1] * b])
+            if target_h is None or geo._max_edge(verts, tris) <= target_h:
+                break
+            # a target_h bounds the cell diagonal: refine the longer cell side
+            nx, ny = (nx + 1, ny) if a / nx >= b / ny else (nx, ny + 1)
         classes = {}
         for i, j in reference_boundary_edges(tris):
             (x0, y0), (x1, y1) = verts[i], verts[j]

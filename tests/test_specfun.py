@@ -6,6 +6,7 @@ arbitrary-precision zero finder.
 """
 
 import math
+import random
 import sys
 import threading
 
@@ -182,8 +183,67 @@ def test_zero_range_errors():
 
 
 def _clear_zero_caches():
+    specfun._mcmahon_zero_cache.clear()
     specfun._zero_cache.clear()
     specfun._prime_zero_cache.clear()
+
+
+# orders of the constant table (nu = d/2 - 1), from the march-only regime at
+# nu = 59 to the McMahon window, which nu = 0.5 enters at k = 1
+BUDGET_ORDERS = (0.0, 0.5, 1.5, 10.0, 30.0, 59.0)
+BUDGET_K = range(1, 102)
+
+
+def test_zero_evaluation_budget(monkeypatch):
+    calls = [0]
+    bessel_j = specfun.bessel_j
+
+    def counted(nu, x):
+        calls[0] += 1
+        return bessel_j(nu, x)
+
+    monkeypatch.setattr(specfun, "bessel_j", counted)
+    _clear_zero_caches()
+    try:
+        for nu in BUDGET_ORDERS:
+            calls[0] = 0
+            for k in BUDGET_K:
+                specfun.bessel_j_zero(nu, k)
+            assert calls[0] <= 12 * len(BUDGET_K), f"order {nu}: {calls[0]} evaluations"
+            calls[0] = 0
+            for k in BUDGET_K:
+                specfun.bessel_j_zero(nu, k)
+            assert calls[0] == 0, f"order {nu}: repeat requests evaluated J"
+    finally:
+        _clear_zero_caches()
+
+
+def test_zero_request_order_does_not_matter():
+    pairs = [(nu, k) for nu in BUDGET_ORDERS + (2.5, 41.5) for k in BUDGET_K]
+
+    def fill(order):
+        _clear_zero_caches()
+        return {pair: specfun.bessel_j_zero(*pair) for pair in order}
+
+    try:
+        ascending = fill(pairs)
+        shuffled = list(pairs)
+        random.Random(4).shuffle(shuffled)
+        assert fill(reversed(pairs)) == ascending
+        assert fill(shuffled) == ascending
+    finally:
+        _clear_zero_caches()
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 10, 41, 120])
+@pytest.mark.parametrize("k", [1, 2, 50, 101])
+def test_zeros_accurate_over_table_range(d, k):
+    # the orders and indices of the constant table; the worst case, d = 5 at
+    # k = 2 (x = 7.7), sits at the noise floor of the series evaluation
+    nu = d / 2.0 - 1.0
+    ref = mpmath.besseljzero(mpmath.mpf(nu), k)
+    z = specfun.bessel_j_zero(nu, k)
+    assert abs(z - ref) <= 4e-15 * ref
 
 
 def test_zero_cache_concurrent_fill():

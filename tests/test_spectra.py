@@ -205,6 +205,35 @@ def test_rectangle_mu_k_small_against_brute():
             assert spectra.rectangle_mu_k(a, b, k) == pytest.approx(ref[k], rel=1e-13)
 
 
+def _rect_count_loop(a, b, t):
+    """The lattice count as a plain loop over m (oracle for the array form)."""
+    if t < 0:
+        return 0
+    mmax = int(math.floor(a * math.sqrt(t) / math.pi))
+    total = 0
+    pi2 = math.pi**2
+    for m in range(mmax + 1):
+        rem = t - pi2 * m * m / (a * a)
+        if rem < 0:
+            break
+        total += int(math.floor(b * math.sqrt(rem) / math.pi)) + 1
+    return total
+
+
+def test_rect_count_matches_loop():
+    rng = np.random.default_rng(4)
+    for _ in range(3000):
+        a, b = rng.uniform(0.05, 5.0, size=2)
+        t = float(rng.choice([-1.0, 0.0, 1.0])) * 10.0 ** rng.uniform(-1, 7)
+        assert spectra._rect_count(a, b, t) == _rect_count_loop(a, b, t)
+    # thresholds on lattice values, where the floors are ties
+    for a, b in ((1.0, 1.0), (math.sqrt(2), math.sqrt(2)), (2.0, 1.3)):
+        for k in (1, 2, 3, 17, 10**3, 10**5):
+            t = spectra.rectangle_mu_k(a, b, k)
+            for tt in (t, math.nextafter(t, 0.0), math.nextafter(t, math.inf)):
+                assert spectra._rect_count(a, b, tt) == _rect_count_loop(a, b, tt)
+
+
 def test_rectangle_mu1_values():
     assert spectra.rectangle_mu_k(1.0, 1.0, 1) == pytest.approx(PI2, rel=1e-14)
     assert spectra.rectangle_mu_k(math.sqrt(2), math.sqrt(2), 1) == pytest.approx(
