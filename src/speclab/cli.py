@@ -10,6 +10,7 @@ embarrassingly parallel rows.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,49 +33,50 @@ def _rect(text: str):
     return (float(parts[0]), float(parts[1]))
 
 
-# per-command option schema: name -> (type converter, default, help)
+# per-command option schema: name -> (type converter, help); the defaults
+# are those of the experiments function
 COMMANDS = {
     "constants": (
         experiments.cmd_constants,
         {
-            "k_max": (int, 3, "largest eigenvalue order in the grid"),
-            "d_max": (int, 10, "largest dimension in the grid"),
+            "k_max": (int, "largest eigenvalue order in the grid"),
+            "d_max": (int, "largest dimension in the grid"),
         },
     ),
     "table-mu1": (
         experiments.cmd_table_mu1,
-        {"refinements": (int, 4, "finest refinement level of the mesh ladder")},
+        {"refinements": (int, "finest refinement level of the mesh ladder")},
     ),
     "rhombus-sweep": (
         experiments.cmd_rhombus_sweep,
         {
-            "theta_deg_list": (_floats, (20.0, 10.0, 5.0), "half-opening angles in degrees"),
-            "refinements": (int, 4, "finest refinement level"),
+            "theta_deg_list": (_floats, "half-opening angles in degrees"),
+            "refinements": (int, "finest refinement level"),
         },
     ),
     "ratio-scan": (
         experiments.cmd_ratio_scan,
         {
-            "n_pairs": (int, 200, "number of seeded random pairs"),
-            "seed": (int, 1, "base seed of the pair stream"),
-            "refinements": (int, 3, "finest refinement level"),
-            "n_outer": (int, 12, "points sampled for the outer hull"),
-            "n_inner": (int, 6, "points sampled for the inner hull"),
+            "n_pairs": (int, "number of seeded random pairs"),
+            "seed": (int, "base seed of the pair stream"),
+            "refinements": (int, "finest refinement level"),
+            "n_outer": (int, "points sampled for the outer hull"),
+            "n_inner": (int, "points sampled for the inner hull"),
         },
     ),
     "weyl": (
         experiments.cmd_weyl,
         {
-            "k_list": (_ints, (10**3, 10**4, 10**5), "sampled eigenvalue indices"),
-            "rect1": (_rect, (1.0, 1.0), "inner rectangle sides AxB"),
-            "rect2": (_rect, (2.0, 1.3), "outer rectangle sides AxB"),
+            "k_list": (_ints, "sampled eigenvalue indices"),
+            "rect1": (_rect, "inner rectangle sides AxB"),
+            "rect2": (_rect, "outer rectangle sides AxB"),
         },
     ),
     "dimension-demo": (
         experiments.cmd_dimension_demo,
         {
-            "k": (int, 1, "eigenvalue order"),
-            "ell_list": (_floats, (0.5, 0.9, 0.99, 1.01, 1.5, 5.0), "cylinder lengths"),
+            "k": (int, "eigenvalue order"),
+            "ell_list": (_floats, "cylinder lengths"),
         },
     ),
     "counterexamples": (experiments.cmd_counterexamples, {}),
@@ -90,23 +92,32 @@ class ExperimentConfig:
     out: Path = Path("speclab_out")
 
 
+def _defaults(runner) -> dict:
+    return {
+        key: param.default
+        for key, param in inspect.signature(runner).parameters.items()
+        if param.default is not inspect.Parameter.empty
+    }
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="speclab",
         description="Neumann eigenvalue comparison experiments on convex domains",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, schema) in COMMANDS.items():
+    for name, (runner, schema) in COMMANDS.items():
+        defaults = _defaults(runner)
         cmd = sub.add_parser(name, help=f"run the {name.replace('-', ' ')} experiment")
         cmd.add_argument("--out", type=Path, default=Path("speclab_out"), help="output directory")
         cmd.add_argument("--config", type=Path, default=None, help="key=value config file")
-        for key, (conv, default, helptext) in schema.items():
+        for key, (conv, helptext) in schema.items():
             cmd.add_argument(
                 f"--{key.replace('_', '-')}",
                 dest=key,
                 type=conv,
                 default=None,
-                help=f"{helptext} (default {default})",
+                help=f"{helptext} (default {defaults[key]})",
             )
     return parser
 
@@ -132,7 +143,7 @@ def parse_config(argv) -> ExperimentConfig:
     parser = build_parser()
     args = parser.parse_args(argv)
     runner, schema = COMMANDS[args.command]
-    params = {key: default for key, (_, default, _) in schema.items()}
+    params = _defaults(runner)
     if args.config is not None:
         params.update(_load_config_file(args.config, schema))
     for key in schema:

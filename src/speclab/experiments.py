@@ -368,7 +368,7 @@ def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
     fem_row(
         "equilateral_triangle",
         geometry.EquilateralTriangle(2.0),
-        4.0 * PI2 / 9.0,
+        spectra.equilateral_triangle_mu1(2.0),
         0.5625,
         TABLE_TOLERANCES["equilateral_triangle"],
     )

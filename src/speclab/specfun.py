@@ -9,12 +9,14 @@ Zero-counting convention: only strictly positive zeros are counted, and
 x = 0 is never counted even for J_0', so the first derivative zero of J_0
 is 3.8317... (the first positive stationary point).
 
-Zero finding: each zero is bracketed (at McMahon's estimate, or by marching
-from the previous zero of the same order) and refined by one safeguarded
-Newton loop, which takes J_nu and J_{nu+1} at each iterate and needs 4-10
-evaluations of J per zero.  Every zero is computed once: the McMahon-path
-zeros are memoized by (nu, k), the march keeps a list per order and the
-derivative zeros a dict per order.  A repeated request evaluates nothing.
+J_nu is evaluated by scipy's `jv` at every x.  Zero finding: the zeros of
+each order are found in order, each bracketed by walking right from the
+previous zero and refined by one safeguarded Newton loop, which takes J_nu
+and J_{nu+1} at each iterate; a new zero costs 4-9 evaluations of J.  Every
+zero is computed once: the zeros of J_nu are kept in a list per order and
+the derivative zeros in a dict per order, so a repeated request evaluates
+nothing, and the first request for index k computes zeros 1..k of that
+order.
 """
 
 from __future__ import annotations
@@ -28,12 +30,6 @@ NU_MAX = 60.0
 ZERO_INDEX_MAX = 10_000
 PRIME_ZERO_INDEX_MAX = 1_000
 
-# Power series below, library evaluation (asymptotic/recurrence regime)
-# above.  The split is set where the alternating series still carries full
-# double precision: at x = 8 the largest term exceeds |J_0(8)| by ~6.6e2,
-# so cancellation costs at most ~1e-13 absolute.
-SERIES_SPLIT = 8.0
-
 # A Newton step below sqrt(eps) * x lands within rounding of a simple root,
 # so one of that size that failed to shrink is noise of the evaluation.
 _NOISE_STEP = 1.5e-8
@@ -43,17 +39,14 @@ _REFINE_CAP = 200
 
 
 def bessel_j(nu: float, x: float) -> float:
-    """Evaluate J_nu(x) for nu >= 0, x >= 0.
+    """Evaluate J_nu(x) for nu >= 0, x >= 0 with scipy's `jv`.
 
-    Absolute error <= 1e-13 for x <= 200, nu <= 60.  Uses the ascending
-    power series for x <= SERIES_SPLIT and the library evaluator beyond.
+    Absolute error <= 1e-13 for x <= 200, nu <= 60.
     """
     if not (math.isfinite(nu) and math.isfinite(x)):
         raise ValueError("bessel_j requires finite arguments")
     if nu < 0 or x < 0:
         raise ValueError(f"bessel_j requires nu >= 0 and x >= 0, got nu={nu}, x={x}")
-    if x <= SERIES_SPLIT:
-        return _series_j(nu, x)
     return float(_special.jv(nu, x))
 
 
@@ -68,25 +61,6 @@ def bessel_j_prime(nu: float, x: float) -> float:
     return (nu / x) * bessel_j(nu, x) - bessel_j(nu + 1.0, x)
 
 
-def _series_j(nu: float, x: float) -> float:
-    # J_nu(x) = (x/2)^nu / Gamma(nu+1) * sum_m (-x^2/4)^m / (m! (nu+1)_m)
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
-    log_pref = nu * math.log(0.5 * x) - math.lgamma(nu + 1.0)
-    if log_pref < -745.0:
-        return 0.0  # prefactor underflows; |J_nu(x)| < 5e-324
-    pref = math.exp(log_pref)
-    q = 0.25 * x * x
-    term = 1.0
-    total = 1.0
-    for m in range(1, 500):
-        term *= -q / (m * (nu + m))
-        total += term
-        if abs(term) <= 1e-17 * abs(total) + 1e-300:
-            break
-    return pref * total
-
-
 def _validate_order(nu: float) -> None:
     if not math.isfinite(nu) or nu < 0:
         raise ValueError(f"order nu={nu} outside domain (need finite nu >= 0)")
@@ -94,11 +68,14 @@ def _validate_order(nu: float) -> None:
         raise ValueError(f"order nu={nu} outside supported range nu <= {NU_MAX}")
 
 
-def _mcmahon(nu: float, k: int) -> float:
-    """McMahon's large-index expansion of j_{nu,k} (three correction terms)."""
+def _mcmahon(nu: float, k: int) -> float | None:
+    """McMahon's large-index expansion of j_{nu,k} (three correction terms),
+    or None where his leading correction is not certifiably small."""
     mu = 4.0 * nu * nu
     beta = (k + 0.5 * nu - 0.25) * math.pi
     b8 = 8.0 * beta
+    if abs(mu - 1.0) / b8 > 0.125:
+        return None
     return beta - (
         (mu - 1.0) / b8
         + 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * b8**3)
@@ -148,24 +125,26 @@ def _j_pair(nu: float, x: float) -> tuple[float, float]:
     return bessel_j(nu, x), bessel_j(nu + 1.0, x)
 
 
-# Zeros in McMahon's window, keyed by (nu, k): a race only stores the same
-# root twice.
-_mcmahon_zero_cache: dict[tuple[float, int], float] = {}
-
-# Per-order lists of the zeros found so far by the sequential march.  Each
-# list only grows, one zero at a time from its last entry, so the march runs
-# under _zero_lock: two threads extending the same list would append the
-# same zero twice.
+# Per-order lists of the zeros found so far.  Each list only grows, one zero
+# at a time from its last entry, so it is extended under _zero_lock: two
+# threads extending the same list would append the same zero twice.
 _zero_cache: dict[float, list[float]] = {}
 _zero_lock = threading.Lock()
 
+# The walk to the next zero starts this far right of the last one: just
+# below the smallest gap between consecutive zeros of any order nu >= 0,
+# j_{0,2} - j_{0,1} = 3.115, so it never starts past the next zero.
+_WALK_OFFSET = 3.1
+# Shorter than every gap, so no step can step over a zero.
+_WALK_STEP = 0.5 * math.pi
 
-def _march_bracket(f, start: float, step: float, fstart: float):
-    """Walk right from start until f changes sign; return the bracket and f
-    at both ends."""
-    lo, flo = start, fstart
+
+def _march_bracket(f, start: float):
+    """Walk right from start in steps of _WALK_STEP until f changes sign;
+    return the bracket and f at both ends."""
+    lo, flo = start, f(start)
     for _ in range(10_000):
-        hi = lo + step
+        hi = lo + _WALK_STEP
         fhi = f(hi)
         if (fhi < 0.0) != (flo < 0.0) or fhi == 0.0:
             return lo, hi, flo, fhi
@@ -176,31 +155,25 @@ def _march_bracket(f, start: float, step: float, fstart: float):
 def bessel_j_zero(nu: float, k: int) -> float:
     """k-th positive zero of J_nu, relative error <= 1e-12.
 
-    When McMahon's leading correction is certifiably small, the k-th zero is
-    bracketed at the McMahon estimate +-0.5 and Newton starts from the
-    estimate; these zeros are memoized by (nu, k).  Otherwise zeros are
-    generated sequentially, with a cache per order, by marching from the
-    last zero in steps of pi/2, which cannot skip a zero since
-    consecutive-zero gaps exceed 3.1; Newton starts from the linear
-    extrapolation 2 z_m - z_{m-1}.  Both paths refine with `_refine_root`,
-    at 4-10 evaluations of J per new zero; a repeated request evaluates
-    nothing.  Each (nu, k) takes one path whatever was requested before, so
-    results do not depend on the order of requests.
+    The zeros of each order are found in order and kept in a list per
+    order, so the first request for index k computes zeros 1..k of that
+    order and a repeated request evaluates nothing.  Each new zero is
+    bracketed by walking right from the last one in steps of pi/2, which
+    cannot skip a zero since consecutive-zero gaps exceed 3.1, and refined
+    by `_refine_root` at 4-9 evaluations of J.  Newton starts from
+    McMahon's estimate where his leading correction is certifiably small,
+    otherwise from the linear extrapolation 2 z_m - z_{m-1}; when that start
+    is missing or outside the bracket, from the bracket's secant point.
+    Each zero is computed one way whatever was requested before, so results
+    do not depend on the order of requests.
     """
     _validate_order(nu)
     if not isinstance(k, (int,)) or isinstance(k, bool):
         raise ValueError(f"zero index must be an integer, got {k!r}")
     if k < 1 or k > ZERO_INDEX_MAX:
         raise ValueError(f"zero index k={k} outside supported range 1..{ZERO_INDEX_MAX}")
-    root = _mcmahon_zero_cache.get((nu, k))
-    if root is not None:
-        return root
-    mu = 4.0 * nu * nu
-    beta = (k + 0.5 * nu - 0.25) * math.pi
-    # McMahon error well under the half-gap: bracket the k-th zero directly.
-    mcmahon = abs(mu - 1.0) / (8.0 * beta) <= 0.125
     zeros = _zero_cache.get(nu, ())
-    if not mcmahon and len(zeros) >= k:
+    if len(zeros) >= k:
         return zeros[k - 1]
 
     f = lambda x: bessel_j(nu, x)
@@ -209,34 +182,23 @@ def bessel_j_zero(nu: float, k: int) -> float:
         j, j_next = _j_pair(nu, x)
         return j, (nu / x) * j - j_next
 
-    if mcmahon:
-        x0 = _mcmahon(nu, k)
-        lo, hi = x0 - 0.5, x0 + 0.5
-        flo, fhi = f(lo), f(hi)
-        if (flo < 0.0) != (fhi < 0.0):
-            root = _refine_root(fd, lo, hi, flo, x0)
-            _mcmahon_zero_cache[(nu, k)] = root
-            return root
-        # fall through to the sequential path on the rare bracket failure
-
     with _zero_lock:
         zeros = _zero_cache.setdefault(nu, [])
         while len(zeros) < k:
             if zeros:
-                start = zeros[-1] + 0.25
+                start = zeros[-1] + _WALK_OFFSET
             else:
                 start = nu + 1e-3 if nu > 0 else 0.5
-            lo, hi, flo, fhi = _march_bracket(f, start, 0.5 * math.pi, f(start))
-            x0 = 2.0 * zeros[-1] - zeros[-2] if len(zeros) >= 2 else math.nan
+            lo, hi, flo, fhi = _march_bracket(f, start)
+            x0 = _mcmahon(nu, len(zeros) + 1)
+            if x0 is None:
+                x0 = 2.0 * zeros[-1] - zeros[-2] if len(zeros) >= 2 else math.nan
             if not lo < x0 < hi:
                 # at small k the gaps change fastest and the extrapolation
                 # can leave the bracket: start from its secant instead
                 x0 = lo - flo * (hi - lo) / (fhi - flo)
             zeros.append(_refine_root(fd, lo, hi, flo, x0))
-        root = zeros[k - 1]
-    if mcmahon:
-        _mcmahon_zero_cache[(nu, k)] = root
-    return root
+        return zeros[k - 1]
 
 
 # Keyed by index, not appended to: a race only stores the same root twice.

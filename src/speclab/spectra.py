@@ -2,11 +2,9 @@
 
 Segments, boxes and their products cover the separable cases; disks,
 equilateral triangles and cones use known closed forms through the Bessel
-machinery.  Merge operations certify the returned prefix: with prefix
-semantics (the default), a value is emitted only if no unseen tail entry
-of an input spectrum could rank below it, and an explicit error is raised
-otherwise.  Inputs known to be complete generator lists can opt out via
-the *_complete flags.
+machinery.  Merge operations certify the returned prefix: a value is
+emitted only if no unseen tail entry of an input spectrum could rank below
+it, and an explicit error is raised otherwise.
 """
 
 from __future__ import annotations
@@ -128,23 +126,18 @@ def _box_values_upto(sides, offset, t):
     return vals
 
 
-def product_spectrum(base: Spectrum, ell: float, n: int, *, base_complete: bool = False) -> Spectrum:
+def product_spectrum(base: Spectrum, ell: float, n: int) -> Spectrum:
     """First n eigenvalues of base x [0, ell]: merge of base[m] + pi^2 j^2/ell^2.
 
-    With prefix semantics (default) the merge only emits values that cannot
-    be undercut by unseen base entries (all >= base[-1]); pass
-    base_complete=True when base.values is the full generator list.
+    With prefix semantics the merge only emits values that cannot be
+    undercut by unseen base entries (all >= base[-1]).
     """
     if not ell > 0:
         raise ValueError(f"cylinder length must be positive, got {ell}")
     if n < 1:
         raise ValueError("need n >= 1")
     step = (math.pi / ell) ** 2
-    if base_complete:
-        # bound: n values certainly lie within max(base) + step*n^2
-        cutoff = base.values[-1] + step * float(n) * float(n)
-    else:
-        cutoff = base.values[-1]
+    cutoff = base.values[-1]
     cands = []
     for bv in base.values:
         if bv > cutoff:
@@ -162,7 +155,7 @@ def product_spectrum(base: Spectrum, ell: float, n: int, *, base_complete: bool 
     return Spectrum(np.array(cands[:n]), f"{base.domain_label}x[0,{ell:g}]")
 
 
-def disjoint_union_spectrum(parts: Sequence[Spectrum], n: int, *, parts_complete: bool = False) -> Spectrum:
+def disjoint_union_spectrum(parts: Sequence[Spectrum], n: int) -> Spectrum:
     """First n eigenvalues of a disjoint union: ascending merge of the parts.
 
     Leading zeros count the connected components.  Prefix semantics as in
@@ -172,22 +165,13 @@ def disjoint_union_spectrum(parts: Sequence[Spectrum], n: int, *, parts_complete
         raise ValueError("need at least one part")
     if n < 1:
         raise ValueError("need n >= 1")
-    if parts_complete:
-        merged = np.sort(np.concatenate([p.values for p in parts]))
-        if merged.size < n:
-            raise MergeCertificationError(
-                f"parts hold only {merged.size} values, {n} requested"
-            )
-    else:
-        cutoff = min(p.values[-1] for p in parts)
-        merged = np.sort(
-            np.concatenate([p.values[p.values <= cutoff] for p in parts])
+    cutoff = min(p.values[-1] for p in parts)
+    merged = np.sort(np.concatenate([p.values[p.values <= cutoff] for p in parts]))
+    if merged.size < n:
+        raise MergeCertificationError(
+            f"cannot certify {n} merged values below the shortest part "
+            f"(cutoff {cutoff:g}, {merged.size} certified)"
         )
-        if merged.size < n:
-            raise MergeCertificationError(
-                f"cannot certify {n} merged values below the shortest part "
-                f"(cutoff {cutoff:g}, {merged.size} certified)"
-            )
     label = " + ".join(p.domain_label for p in parts[:3])
     if len(parts) > 3:
         label += f" + ... ({len(parts)} parts)"

@@ -1,5 +1,6 @@
 """Tests for the experiment commands, report serialization and the CLI."""
 
+import inspect
 import json
 import math
 
@@ -181,6 +182,23 @@ def test_cli_failing_verdict_sets_exit_code(tmp_path):
         ["weyl", "--k-list=1000,10000", "--rect1=1x1", "--rect2=1x1", "--out", str(tmp_path / "o")]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_cli_defaults_are_the_signature_defaults(command):
+    runner, schema = cli.COMMANDS[command]
+    params = inspect.signature(runner).parameters
+    assert set(schema) == set(params)
+    config = cli.parse_config([command])
+    assert config.params == {key: p.default for key, p in params.items()}
+
+
+def test_cli_help_shows_defaults(capsys):
+    with pytest.raises(SystemExit):
+        cli.parse_config(["weyl", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "(default (1000, 10000, 100000))" in text
+    assert "(default (2.0, 1.3))" in text
 
 
 def test_cli_rejects_unknown_flags():

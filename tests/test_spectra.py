@@ -121,12 +121,6 @@ def test_product_short_cylinder_keeps_base():
     assert np.allclose(got.values, [0.0, 5.0])
 
 
-def test_product_point_base_gives_segment():
-    base = Spectrum(np.array([0.0]), "point")
-    got = spectra.product_spectrum(base, 1.0, 3, base_complete=True)
-    assert np.allclose(got.values, [0.0, PI2, 4 * PI2], rtol=1e-14)
-
-
 def test_product_matches_3d_box_oracle():
     base = spectra.box_spectrum([1.0, 1.0], "neumann", 20)
     got = spectra.product_spectrum(base, 1.0, 20)
@@ -159,8 +153,9 @@ def test_union_identity_and_merge():
     p = Spectrum(np.array([0.0, 1.0, 2.0]), "a")
     assert np.allclose(spectra.disjoint_union_spectrum([p], 3).values, p.values)
     q = Spectrum(np.array([0.0, 1.5]), "b")
-    got = spectra.disjoint_union_spectrum([p, q], 5, parts_complete=True)
-    assert np.allclose(got.values, [0.0, 0.0, 1.0, 1.5, 2.0])
+    # certified below the shorter part's last value, 1.5
+    got = spectra.disjoint_union_spectrum([p, q], 4)
+    assert np.allclose(got.values, [0.0, 0.0, 1.0, 1.5])
 
 
 def test_union_certification_error():
