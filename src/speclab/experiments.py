@@ -604,9 +604,9 @@ def cmd_ratio_scan(
             inner, outer = geometry.inclusion_pair(pair_seed, n_outer, n_inner)
             res_in = fem.mu_k(_hull_spec(inner), 1, refinements=refinements)
             res_out = fem.mu_k(_hull_spec(outer), 1, refinements=refinements)
-        except (RuntimeError, ValueError) as exc:
-            return ("skip", pair_seed, str(exc))
-        return (
+        except (RuntimeError, ValueError):
+            return None
+        row = (
             f"pair_{i:04d}",
             pair_seed,
             "random",
@@ -616,13 +616,15 @@ def cmd_ratio_scan(
             res_in.error_estimate,
             res_out.error_estimate,
         )
+        return row, max(res_in.residual, res_out.residual)
 
-    outcomes = _pmap(run_pair, range(n_pairs))
-    for out in outcomes:
-        if out[0] == "skip":
+    max_residual = max(square.residual, thin.residual)
+    for out in _pmap(run_pair, range(n_pairs)):
+        if out is None:
             skipped += 1
         else:
-            rows.append(out)
+            rows.append(out[0])
+            max_residual = max(max_residual, out[1])
 
     ratios = [(r[0], r[5]) for r in rows]
     min_id, min_ratio = min(ratios, key=lambda x: x[1])
@@ -666,6 +668,8 @@ def cmd_ratio_scan(
             min_ratio_pair=min_id,
         ),
     )
+    # largest eigenpair residual over every mesh of every ladder solved
+    report.metadata["max_residual"] = max_residual
     return _timed(report, t0)
 
 

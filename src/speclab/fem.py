@@ -1,18 +1,20 @@
 """P1 finite elements for the Laplace eigenproblem on triangle meshes.
 
 Assembly produces the standard piecewise-linear stiffness and consistent
-mass matrices.  The generalized eigenproblem is solved for the smallest
-modes by shift-invert Lanczos with a direct sparse factorization (systems
-of at most 400 unknowns go to a dense solver instead).  Dirichlet degrees
-of freedom are eliminated by row/column deletion.  Both the pure Neumann
-zero mode and the constrained problems are handled by solving with the
-definite pencil K + sigma*M, sigma = 1/|Omega| with |Omega| = 1^T M 1 the
-domain area, and back-transforming.  This shift is the natural eigenvalue
-scale of the domain and does not grow under refinement, so the wanted
-modes stay well separated from the rest of the spectrum on fine meshes and
-subtracting the shift from the computed eigenvalues cancels few digits.
-Iteration starts from a fixed deterministic vector, so repeated runs give
-bit-identical results.
+mass matrices.  Systems of at most 400 unknowns are assembled as dense
+arrays and solved by one dense generalized eigensolve for the wanted
+pairs.  Larger systems are assembled as sparse matrices, solved for the
+smallest modes by shift-invert Lanczos with a direct sparse factorization,
+and refined by one Rayleigh-Ritz pass.  Dirichlet degrees of freedom are
+eliminated by row/column deletion.  Both the pure Neumann zero mode and
+the constrained problems are handled by solving with the definite pencil
+K + sigma*M, sigma = 1/|Omega| with |Omega| = 1^T M 1 the domain area, and
+back-transforming.  This shift is the natural eigenvalue scale of the
+domain and does not grow under refinement, so the wanted modes stay well
+separated from the rest of the spectrum on fine meshes and subtracting the
+shift from the computed eigenvalues cancels few digits.  Iteration starts
+from a fixed deterministic vector, so repeated runs give bit-identical
+results.
 
 Discrete eigenvalues of the conforming method approach the continuum from
 above at rate O(h^2); the refinement drivers solve on meshes h, h/2, h/4
@@ -45,12 +47,12 @@ class NonConvergenceError(RuntimeError):
     """Eigensolver failed to converge or residuals exceeded the tolerance."""
 
 
-def assemble(mesh: Mesh):
-    """Stiffness K and consistent mass M as sparse symmetric matrices.
+def _element_triplets(mesh: Mesh):
+    """Rows, columns and stiffness and mass values of every element entry.
 
-    K row sums vanish (constants lie in the kernel) before any boundary
-    constraint is applied.  Raises on degenerate triangles
-    (area <= 1e-14 h^2).
+    Entry (i, j) of each triangle's 3x3 element matrices, ordered by (i, j)
+    and then by triangle; summing duplicates gives the global K and M.
+    Raises on degenerate triangles (area <= 1e-14 h^2).
     """
     verts = mesh.vertices
     tris = mesh.triangles
@@ -69,7 +71,6 @@ def assemble(mesh: Mesh):
     if np.any(area <= 1e-14 * mesh.h**2):
         raise ValueError("degenerate triangle in mesh (area <= 1e-14 h^2)")
 
-    nv = len(verts)
     rows = []
     cols = []
     k_vals = []
@@ -81,10 +82,35 @@ def assemble(mesh: Mesh):
             k_vals.append((b[:, i] * b[:, j] + c[:, i] * c[:, j]) / (4.0 * area))
             m_factor = 1.0 / 6.0 if i == j else 1.0 / 12.0
             m_vals.append(m_factor * area)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    K = sparse.csr_matrix((np.concatenate(k_vals), (rows, cols)), shape=(nv, nv))
-    M = sparse.csr_matrix((np.concatenate(m_vals), (rows, cols)), shape=(nv, nv))
+    return (
+        np.concatenate(rows),
+        np.concatenate(cols),
+        np.concatenate(k_vals),
+        np.concatenate(m_vals),
+    )
+
+
+def assemble(mesh: Mesh):
+    """Stiffness K and consistent mass M as sparse symmetric matrices.
+
+    K row sums vanish (constants lie in the kernel) before any boundary
+    constraint is applied.  Raises on degenerate triangles
+    (area <= 1e-14 h^2).
+    """
+    rows, cols, k_vals, m_vals = _element_triplets(mesh)
+    nv = len(mesh.vertices)
+    K = sparse.csr_matrix((k_vals, (rows, cols)), shape=(nv, nv))
+    M = sparse.csr_matrix((m_vals, (rows, cols)), shape=(nv, nv))
+    return K, M
+
+
+def _assemble_dense(mesh: Mesh):
+    """K and M of `assemble` as dense arrays, scattered without scipy.sparse."""
+    rows, cols, k_vals, m_vals = _element_triplets(mesh)
+    nv = len(mesh.vertices)
+    flat = rows * nv + cols
+    K = np.bincount(flat, weights=k_vals, minlength=nv * nv).reshape(nv, nv)
+    M = np.bincount(flat, weights=m_vals, minlength=nv * nv).reshape(nv, nv)
     return K, M
 
 
@@ -116,15 +142,17 @@ def solve_smallest(
 ) -> EigResult:
     """n_eigs smallest generalized eigenvalues of the constrained pencil.
 
-    constrained_dofs are eliminated by row/column deletion.  The remaining
-    pencil is shifted to (K + sigma M, M) with sigma = 1/|Omega|, where
-    |Omega| = 1^T M 1 sums the full mass matrix before elimination; the
-    shifted operator is definite for Neumann and constrained problems alike.
-    Up to 400 unknowns, the n_eigs smallest pairs come from a dense solve;
-    larger systems are factorized once and solved by shift-invert Lanczos
-    about zero.  Either way one Rayleigh-Ritz pass refines the pairs before
-    the shift is removed.  Residuals ||K u - mu M u|| / ||u||_M are computed
-    for every pair and must not exceed DEFAULT_TOL.
+    K and M are scipy.sparse matrices, or dense arrays when the system goes
+    to the dense solver (which densifies sparse input).  constrained_dofs
+    are eliminated by row/column deletion.  The remaining pencil is shifted
+    to (K + sigma M, M) with sigma = 1/|Omega|, where |Omega| = 1^T M 1 sums
+    the full mass matrix before elimination; the shifted operator is
+    definite for Neumann and constrained problems alike.  Up to 400
+    unknowns, the n_eigs smallest pairs come from one dense generalized
+    eigensolve.  Larger systems are factorized once, solved by shift-invert
+    Lanczos about zero, and refined by one Rayleigh-Ritz pass.  Residuals
+    ||K u - mu M u|| / ||u||_M are computed for every pair and must not
+    exceed DEFAULT_TOL.
     """
     if n_eigs < 1 or n_eigs > N_EIGS_MAX:
         raise ValueError(f"n_eigs must be 1..{N_EIGS_MAX}")
@@ -138,18 +166,19 @@ def solve_smallest(
             f"system of dimension {keep.size} cannot deliver {n_eigs} eigenpairs"
         )
     sigma = 1.0 / M.sum()
-    Kc = K[keep][:, keep].tocsc()
-    Mc = M[keep][:, keep].tocsc()
-    A = (Kc + sigma * Mc).tocsc()
 
     dim = keep.size
     if dim <= _DENSE_CUTOFF:
-        Ad = A.toarray()
-        Md = Mc.toarray()
-        vals, vecs = scipy.linalg.eigh(Ad, Md, subset_by_index=[0, n_eigs - 1])
-        solve = lambda rhs: scipy.linalg.solve(Ad, rhs, assume_a="sym")
-        vals, vecs = _rayleigh_ritz_refine(solve, A, Mc, vals, vecs)
+        Kc, Mc = (X.toarray() if sparse.issparse(X) else np.asarray(X) for X in (K, M))
+        if dim < n_full:
+            Kc, Mc = Kc[np.ix_(keep, keep)], Mc[np.ix_(keep, keep)]
+        vals, vecs = scipy.linalg.eigh(
+            Kc + sigma * Mc, Mc, subset_by_index=[0, n_eigs - 1]
+        )
     else:
+        Kc = K[keep][:, keep].tocsc()
+        Mc = M[keep][:, keep].tocsc()
+        A = (Kc + sigma * Mc).tocsc()
         try:
             lu = splu(A)
         except RuntimeError as exc:
@@ -170,17 +199,14 @@ def solve_smallest(
             )
         except ArpackNoConvergence as exc:
             raise NonConvergenceError(f"shift-invert iteration failed: {exc}") from exc
-        order = np.argsort(vals)
-        vals = vals[order]
-        vecs = vecs[:, order]
-        vals, vecs = _rayleigh_ritz_refine(lu.solve, A, Mc, vals, vecs)
+        vecs = vecs[:, np.argsort(vals)]
+        vals, vecs = _rayleigh_ritz_refine(lu.solve, A, Mc, vecs)
 
     mu = vals - sigma
-    residuals = np.empty(n_eigs)
-    for i in range(n_eigs):
-        u = vecs[:, i]
-        r = Kc @ u - mu[i] * (Mc @ u)
-        residuals[i] = np.linalg.norm(r) / math.sqrt(abs(u @ (Mc @ u)))
+    Mu = Mc @ vecs
+    residuals = np.linalg.norm(Kc @ vecs - Mu * mu, axis=0) / np.sqrt(
+        np.abs(np.einsum("ij,ij->j", vecs, Mu))
+    )
     if np.any(residuals > DEFAULT_TOL):
         raise NonConvergenceError(
             f"eigenpair residual {residuals.max():.3e} exceeds tolerance {DEFAULT_TOL:.1e}"
@@ -194,32 +220,40 @@ def solve_smallest(
     )
 
 
-def _rayleigh_ritz_refine(solve, A, Mc, vals, vecs):
+def _rayleigh_ritz_refine(solve, A, Mc, vecs):
     """One inverse-iteration pass on the Ritz basis, then a projected solve.
 
     `solve` applies A^{-1}; the step damps the basis toward the smallest
     pencil eigenvectors and cuts residuals well below the floor left by the
-    mass-matrix conditioning on high-aspect meshes.
+    mass-matrix conditioning on high-aspect meshes.  Returns the pairs in
+    ascending order; a failed projected solve raises NonConvergenceError.
     """
+    W = solve(np.asarray(Mc @ vecs))
+    G = W.T @ (Mc @ W)
+    H = W.T @ (A @ W)
     try:
-        W = solve(np.asarray(Mc @ vecs))
-        G = W.T @ (Mc @ W)
-        H = W.T @ (A @ W)
         small_vals, Y = scipy.linalg.eigh(H, G)
-        refined = W @ Y
-        # normalize columns in the M inner product
-        norms = np.sqrt(np.einsum("ij,ij->j", refined, np.asarray(Mc @ refined)))
-        refined /= norms
-        return small_vals, refined
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError, ValueError):
-        return vals, vecs  # keep the unrefined pairs
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise NonConvergenceError(f"Rayleigh-Ritz projected solve failed: {exc}") from exc
+    refined = W @ Y
+    # normalize columns in the M inner product
+    norms = np.sqrt(np.einsum("ij,ij->j", refined, np.asarray(Mc @ refined)))
+    refined /= norms
+    return small_vals, refined
 
 
 def solve_mesh(mesh: Mesh, n_eigs: int) -> EigResult:
-    """Assemble and solve one mesh, honoring its boundary markers."""
-    K, M = assemble(mesh)
+    """Assemble and solve one mesh, honoring its boundary markers.
+
+    Systems the dense solver takes are assembled as dense arrays, so they
+    never build a scipy.sparse matrix.
+    """
     constrained = dirichlet_dofs(mesh)
     n_d = len(constrained)
+    if len(mesh.vertices) - n_d <= _DENSE_CUTOFF:
+        K, M = _assemble_dense(mesh)
+    else:
+        K, M = assemble(mesh)
     n_boundary = len(np.unique(mesh.boundary_edges))
     bc = "dirichlet" if n_d and n_d == n_boundary else ("mixed" if n_d else "neumann")
     return solve_smallest(K, M, constrained, n_eigs, h=mesh.h, bc_summary=bc)

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from speclab import cli, experiments
+from speclab import cli, experiments, fem, geometry
 
 
 def test_constants_report_and_verdicts():
@@ -83,6 +83,16 @@ def test_ratio_scan_small(tmp_path):
     random_rows = [r for r in report.rows if r[2] == "random"]
     assert len(random_rows) == 3
     assert report.all_passed
+
+
+def test_ratio_scan_reports_max_residual(tmp_path):
+    report = experiments.cmd_ratio_scan(n_pairs=2, seed=5, refinements=2)
+    report.write(tmp_path)
+    payload = json.loads((tmp_path / "ratio_scan_verdicts.json").read_text())
+    max_residual = payload["metadata"]["max_residual"]
+    assert 0.0 < max_residual <= fem.DEFAULT_TOL
+    square = fem.mu_k(geometry.Square(math.sqrt(2.0)), 1, refinements=2)
+    assert max_residual >= square.residual
 
 
 def test_ratio_scan_csv_determinism(tmp_path):

@@ -63,6 +63,34 @@ def test_assemble_rejects_degenerate_triangle():
         fem.assemble(mesh)
 
 
+@pytest.mark.parametrize(
+    "spec, dirichlet",
+    [
+        (geo.RegularPolygon(7, 1.0), None),  # centroid fan
+        (geo.Rhombus(2.0, math.radians(25.0)), None),  # affine grid
+        (geo.Square(1.0), frozenset({"left", "bottom"})),  # Dirichlet edges
+    ],
+)
+def test_dense_assembly_matches_sparse(spec, dirichlet):
+    mesh = geo.refine_mesh(geo.triangulate(spec, dirichlet_classes=dirichlet))
+    dense = fem._assemble_dense(mesh)
+    sparse_km = fem.assemble(mesh)
+    for D, S in zip(dense, sparse_km):
+        S = S.toarray()
+        assert np.abs(D - S).max() <= 1e-15 * np.abs(S).max()
+    constrained = fem.dirichlet_dofs(mesh)
+    assert (constrained.size > 0) == (dirichlet is not None)
+    # the eliminated pencil, and the pairs solved from dense and sparse input
+    keep = np.setdiff1d(np.arange(len(mesh.vertices)), constrained)
+    for D, S in zip(dense, sparse_km):
+        S = S[keep][:, keep].toarray()
+        assert np.abs(D[np.ix_(keep, keep)] - S).max() <= 1e-15 * np.abs(S).max()
+    from_dense = fem.solve_smallest(*dense, constrained, 3)
+    from_sparse = fem.solve_smallest(*sparse_km, constrained, 3)
+    scale = from_sparse.eigenvalues[-1]
+    assert np.allclose(from_dense.eigenvalues, from_sparse.eigenvalues, rtol=1e-12, atol=1e-12 * scale)
+
+
 # ---------------------------------------------------------------------------
 # solve_smallest on closed-form domains
 
@@ -123,6 +151,59 @@ def test_dense_path_matches_full_dense_solve():
         )
         res = fem.solve_smallest(K, M, constrained, 4)
         assert np.allclose(res.eigenvalues, full[:4], rtol=1e-12, atol=1e-12 * full[3])
+
+
+def test_dense_solve_builds_no_sparse_matrix_and_calls_eigh_once(monkeypatch):
+    def no_sparse(*args, **kwargs):
+        raise AssertionError("a dense solve built a scipy.sparse matrix")
+
+    eigh_calls = []
+    eigh = scipy.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        eigh_calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(fem.sparse, "csr_matrix", no_sparse)
+    monkeypatch.setattr(fem.scipy.linalg, "eigh", counting_eigh)
+    for dirichlet in (None, frozenset({"*"})):
+        mesh = geo.refine_mesh(geo.triangulate(geo.RegularPolygon(9, 1.0), dirichlet_classes=dirichlet))
+        assert len(mesh.vertices) <= 400
+        eigh_calls.clear()
+        res = fem.solve_mesh(mesh, 2)
+        assert eigh_calls == [1]
+        assert res.residuals.max() <= fem.DEFAULT_TOL
+
+
+def test_dense_residuals_without_rayleigh_ritz():
+    # the dense solve is not refined: its residuals must stay far below the
+    # tolerance on the scan's meshes, thin reference rectangle included
+    specs = [geo.Rectangle(1.9, 0.02)]
+    for seed in (1, 2, 3):
+        for poly in geo.inclusion_pair(seed, 12, 6):
+            specs.append(geo.ConvexHullPolygon(tuple(map(tuple, poly))))
+    rungs = 0
+    for spec in specs:
+        ladder = [geo.refine_mesh(geo.triangulate(spec))]  # refinements=3
+        for _ in range(2):
+            ladder.append(geo.refine_mesh(ladder[-1]))
+        for mesh in ladder:
+            if len(mesh.vertices) <= 400:
+                rungs += 1
+                assert fem.solve_mesh(mesh, 2).residuals.max() <= 1e-10
+    assert rungs >= 3 * len(specs) - 1
+
+
+def test_rayleigh_ritz_failure_raises(monkeypatch):
+    mesh = geo.triangulate(geo.Square(1.0), target_h=1.0 / 24.0)
+    assert len(mesh.vertices) > 400
+
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("projected pencil is not definite")
+
+    monkeypatch.setattr(fem.scipy.linalg, "eigh", failing_eigh)
+    with pytest.raises(fem.NonConvergenceError):
+        fem.solve_mesh(mesh, 2)
 
 
 class _CountingFactor:
