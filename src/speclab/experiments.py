@@ -137,6 +137,11 @@ def _timed(report: ExperimentReport, t0: float) -> ExperimentReport:
     return report
 
 
+def _not_converged(name: str, exc: Exception) -> Verdict:
+    """The failed verdict of a FEM solve that raised NonConvergenceError."""
+    return Verdict(f"fem_converged_{name}", "fem: eigensolver converged", False, math.nan, str(exc))
+
+
 # ---------------------------------------------------------------------------
 # constants
 
@@ -438,15 +443,7 @@ def cmd_rhombus_sweep(
     verdicts_failed = []
     for deg, full, anti in _pmap(run_theta, thetas):
         if anti is None:
-            verdicts_failed.append(
-                Verdict(
-                    f"fem_converged_theta_{deg:g}",
-                    "fem: eigensolver converged",
-                    False,
-                    math.nan,
-                    str(full),
-                )
-            )
+            verdicts_failed.append(_not_converged(f"theta_{deg:g}", full))
         else:
             results.append((deg, full, anti))
 
@@ -599,15 +596,18 @@ def cmd_ratio_scan(
     )
 
     def run_pair(i):
+        pair_id = f"pair_{i:04d}"
         pair_seed = seed + i
         try:
             inner, outer = geometry.inclusion_pair(pair_seed, n_outer, n_inner)
             res_in = fem.mu_k(_hull_spec(inner), 1, refinements=refinements)
             res_out = fem.mu_k(_hull_spec(outer), 1, refinements=refinements)
+        except fem.NonConvergenceError as exc:
+            return _not_converged(pair_id, exc)  # a failed verdict, not a skipped draw
         except (RuntimeError, ValueError):
             return None
         row = (
-            f"pair_{i:04d}",
+            pair_id,
             pair_seed,
             "random",
             res_in.value,
@@ -619,9 +619,12 @@ def cmd_ratio_scan(
         return row, max(res_in.residual, res_out.residual)
 
     max_residual = max(square.residual, thin.residual)
+    verdicts_failed = []
     for out in _pmap(run_pair, range(n_pairs)):
         if out is None:
             skipped += 1
+        elif isinstance(out, Verdict):
+            verdicts_failed.append(out)
         else:
             rows.append(out[0])
             max_residual = max(max_residual, out[1])
@@ -629,7 +632,7 @@ def cmd_ratio_scan(
     ratios = [(r[0], r[5]) for r in rows]
     min_id, min_ratio = min(ratios, key=lambda x: x[1])
     bound = 0.995 * alpha
-    verdicts = [
+    verdicts = verdicts_failed + [
         Verdict(
             "ratios_above_sharp_constant",
             "constants: mu_1(inner)/mu_1(outer) >= 0.995 alpha1_sharp(2)",

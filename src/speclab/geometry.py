@@ -387,12 +387,10 @@ class Mesh:
     boundary_markers: list
     h: float
 
-    @property
-    def dof_count(self) -> int:
-        return int(len(self.vertices))
-
     def validate(self) -> None:
         v, t = self.vertices, self.triangles
+        if t.size and (t.min() < 0 or t.max() >= len(v)):
+            raise ValueError("triangle vertex index out of range")
         p = v[t]
         areas = 0.5 * (
             (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
@@ -618,6 +616,8 @@ def write_mesh(mesh: Mesh, path) -> None:
 
 
 def read_mesh(path) -> Mesh:
+    """Mesh from a file in the text format of `write_mesh`; raises ValueError
+    when the file does not describe a valid mesh (`Mesh.validate`)."""
     with open(path, "r", encoding="utf-8") as fh:
         nv, nt, nb = map(int, fh.readline().split())
         verts = np.array([list(map(float, fh.readline().split())) for _ in range(nv)])
@@ -632,10 +632,13 @@ def read_mesh(path) -> Mesh:
             if m not in (NEUMANN, DIRICHLET):
                 raise ValueError(f"unknown boundary marker {m!r}")
             markers.append(m)
-    return Mesh(
+    mesh = Mesh(
         vertices=verts,
         triangles=tris,
         boundary_edges=np.array(edges, dtype=np.int64),
         boundary_markers=markers,
-        h=_max_edge(verts, tris),
+        h=math.nan,
     )
+    mesh.validate()  # before any indexing by the file's triangles
+    mesh.h = _max_edge(verts, tris)
+    return mesh

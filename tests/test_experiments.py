@@ -95,6 +95,28 @@ def test_ratio_scan_reports_max_residual(tmp_path):
     assert max_residual >= square.residual
 
 
+def test_ratio_scan_reports_solver_failure_as_verdict(monkeypatch):
+    # a hull solve that fails to converge is a failed verdict, not a skipped draw
+    monkeypatch.delenv("SPECLAB_THREADS", raising=False)
+    mu_k = fem.mu_k
+    hull_calls = []
+
+    def failing_third_hull(spec, *args, **kwargs):
+        if isinstance(spec, geometry.ConvexHullPolygon):
+            hull_calls.append(spec)
+            if len(hull_calls) == 3:  # pair_0001's inner domain
+                raise fem.NonConvergenceError("forced failure")
+        return mu_k(spec, *args, **kwargs)
+
+    monkeypatch.setattr(experiments.fem, "mu_k", failing_third_hull)
+    report = experiments.cmd_ratio_scan(n_pairs=3, seed=7, refinements=2)
+    assert not report.all_passed
+    failed = [v for v in report.verdicts if not v.passed]
+    assert [v.name for v in failed] == ["fem_converged_pair_0001"]
+    assert report.metadata["params"]["skipped"] == 0
+    assert [r[0] for r in report.rows if r[2] == "random"] == ["pair_0000", "pair_0002"]
+
+
 def test_ratio_scan_csv_determinism(tmp_path):
     a = experiments.cmd_ratio_scan(n_pairs=4, seed=3, refinements=2)
     b = experiments.cmd_ratio_scan(n_pairs=4, seed=3, refinements=2)

@@ -445,6 +445,23 @@ def test_mesh_io_roundtrip(tmp_path):
     assert back.h == pytest.approx(mesh.h, rel=1e-15)
 
 
+@pytest.mark.parametrize("defect", ["missing boundary edge", "vertex index out of range"])
+def test_read_mesh_rejects_invalid_file(tmp_path, defect):
+    mesh = geo.triangulate(geo.Square(1.0), target_h=0.25)
+    path = tmp_path / "mesh.txt"
+    geo.write_mesh(mesh, path)
+    lines = path.read_text().splitlines()
+    nv, nt, nb = map(int, lines[0].split())
+    if defect == "missing boundary edge":
+        lines[0] = f"{nv} {nt} {nb - 1}"
+        del lines[-1]
+    else:
+        lines[1 + nv] = f"0 1 {nv}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        geo.read_mesh(path)
+
+
 def test_mesh_io_header(tmp_path):
     mesh = geo.triangulate(geo.Square(1.0), target_h=0.6)
     path = tmp_path / "mesh.txt"
