@@ -103,6 +103,15 @@ class ExperimentReport:
 
 
 def _fmt_cell(c) -> str:
+    # exact float, str and int cells are nearly all of them: test those types
+    # first, then let the isinstance chain serve bools and numpy scalars
+    kind = type(c)
+    if kind is float:
+        return f"{c:.15g}"
+    if kind is str:
+        return c
+    if kind is int:
+        return str(c)
     if isinstance(c, (bool, np.bool_)):
         return str(bool(c)).lower()
     if isinstance(c, (int, np.integer)):
@@ -339,14 +348,14 @@ def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
             note="rhombus theta->0 trend (10deg, 5deg extrapolation)",
             tol=0.01,
         )
-    except Exception as exc:  # pragma: no cover - defensive per-row reporting
+    except fem.NonConvergenceError as exc:
         add_row("optimal_bound", None, j01sq, SEGMENT_MU1_D2 / j01sq, None, note=str(exc))
 
     def fem_row(name, spec, reference, ratio_ref, tol, note=""):
         try:
             res = fem.mu_k(spec, 1, refinements=refinements)
             add_row(name, res.value, reference, ratio_ref, res.error_estimate, note, tol)
-        except Exception as exc:
+        except fem.NonConvergenceError as exc:
             add_row(name, None, reference, ratio_ref, None, note=f"{note} {exc}".strip())
 
     fem_row("square", geometry.Square(math.sqrt(2.0)), PI2 / 2.0, 0.5, TABLE_TOLERANCES["square"])
@@ -367,7 +376,7 @@ def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
             note=f"extremal opening {best_opening:g} rad over grid {SECTOR_OPENING_GRID}",
             tol=0.02,
         )
-    except Exception as exc:  # pragma: no cover
+    except fem.NonConvergenceError as exc:
         add_row("optimal_sector", None, 4.67, SEGMENT_MU1_D2 / 4.67, None, note=str(exc))
 
     fem_row(

@@ -6,16 +6,21 @@ mass matrices.  Only `solve_mesh` applies the size rule: systems of at most
 and the matrix format picks the solver.  A dense pencil gets one dense
 generalized eigensolve for the wanted pairs; a sparse one is solved for the
 smallest modes by shift-invert Lanczos with a direct sparse factorization
-and refined by one Rayleigh-Ritz pass.  Dirichlet degrees of freedom are
-eliminated by row/column deletion.  Both the pure Neumann zero mode and
-the constrained problems are handled by solving with the definite pencil
-K + sigma*M, sigma = 1/|Omega| with |Omega| = 1^T M 1 the domain area, and
-back-transforming.  This shift is the natural eigenvalue scale of the
-domain and does not grow under refinement, so the wanted modes stay well
-separated from the rest of the spectrum on fine meshes and subtracting the
-shift from the computed eigenvalues cancels few digits.  Iteration starts
-from a fixed deterministic vector, so repeated runs give bit-identical
-results.
+and refined by one Rayleigh-Ritz pass.  The Lanczos run is sized to the
+request: 2k + 2 Krylov vectors for k pairs, stopped at 1e-11 relative Ritz
+accuracy.  The Rayleigh-Ritz pass, one inverse-iteration step plus a
+projected solve, squares the eigenvector error and so carries the last
+digits, and every pair must still pass the 1e-9 residual check.
+
+Dirichlet degrees of freedom are eliminated by row/column deletion.  Both
+the pure Neumann zero mode and the constrained problems are handled by
+solving with the definite pencil K + sigma*M, sigma = 1/|Omega| with
+|Omega| = 1^T M 1 the domain area, and back-transforming.  This shift is
+the natural eigenvalue scale of the domain and does not grow under
+refinement, so the wanted modes stay well separated from the rest of the
+spectrum on fine meshes and subtracting the shift from the computed
+eigenvalues cancels few digits.  Iteration starts from a fixed
+deterministic vector, so repeated runs give bit-identical results.
 
 Discrete eigenvalues of the conforming method approach the continuum from
 above at rate O(h^2); the refinement drivers solve on meshes h, h/2, h/4
@@ -42,6 +47,11 @@ DEFAULT_TOL = 1e-9
 MAXITER_PER_EIG = 500
 N_EIGS_MAX = 20
 _DENSE_CUTOFF = 400
+# Lanczos sized to the request: scipy's default Krylov size, max(2k + 1, 20),
+# builds 20 vectors per restart to find 1-2 pairs, and tol=0 iterates to
+# machine precision, digits the Rayleigh-Ritz pass supplies anyway.
+_KRYLOV_VECTORS_PER_EIG = 2
+_LANCZOS_TOL = 1e-11
 
 
 class NonConvergenceError(RuntimeError):
@@ -143,9 +153,11 @@ def solve_smallest(K, M, constrained_dofs, n_eigs: int) -> EigResult:
     before elimination; the shifted operator is definite for Neumann and
     constrained problems alike.  A dense pencil gives its n_eigs smallest
     pairs from one dense generalized eigensolve.  A sparse pencil is
-    factorized once, solved by shift-invert Lanczos about zero, and refined
-    by one Rayleigh-Ritz pass.  Residuals ||K u - mu M u|| / ||u||_M are
-    computed for every pair and must not exceed DEFAULT_TOL.
+    factorized once, solved by shift-invert Lanczos about zero with
+    min(dim, 2 n_eigs + 2) Krylov vectors and stopping tolerance 1e-11, and
+    refined by one Rayleigh-Ritz pass, which supplies the digits the early
+    stop leaves out.  Residuals ||K u - mu M u|| / ||u||_M are computed for
+    every pair and must not exceed DEFAULT_TOL.
     """
     if n_eigs < 1 or n_eigs > N_EIGS_MAX:
         raise ValueError(f"n_eigs must be 1..{N_EIGS_MAX}")
@@ -188,8 +200,9 @@ def solve_smallest(K, M, constrained_dofs, n_eigs: int) -> EigResult:
                 which="LM",
                 v0=v0,
                 OPinv=op_inv,
+                ncv=min(dim, _KRYLOV_VECTORS_PER_EIG * (n_eigs + 1)),
                 maxiter=MAXITER_PER_EIG * n_eigs,
-                tol=0.0,
+                tol=_LANCZOS_TOL,
             )
         except ArpackNoConvergence as exc:
             raise NonConvergenceError(f"shift-invert iteration failed: {exc}") from exc

@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 
+import numpy as np
 import pytest
 
 from speclab import cli, experiments, fem, geometry
@@ -25,6 +26,31 @@ def test_constants_csv_determinism(tmp_path):
     r1.write_csv(p1)
     r2.write_csv(p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _isinstance_fmt_cell(c):
+    # reference: the isinstance chain alone, without the exact-type shortcut
+    if isinstance(c, (bool, np.bool_)):
+        return str(bool(c)).lower()
+    if isinstance(c, (int, np.integer)):
+        return str(int(c))
+    if isinstance(c, (float, np.floating)):
+        return f"{float(c):.15g}"
+    return str(c)
+
+
+def test_csv_cells_format_as_before():
+    class Label(str):
+        pass
+
+    cells = [
+        0.1, -0.0, 1e-300, 1e300, math.pi, 2.0 / 3.0, math.nan, math.inf, -math.inf,
+        0, -7, 10**20, True, False, "", "disk", Label("sub"),
+        np.float64(math.e), np.float32(0.1), np.float64(math.nan), np.int64(-3),
+        np.int32(5), np.uint8(255), np.bool_(True), np.bool_(False), None,
+    ]
+    for c in cells:
+        assert experiments._fmt_cell(c) == _isinstance_fmt_cell(c), repr(c)
 
 
 def test_weyl_report(tmp_path):
@@ -115,6 +141,33 @@ def test_ratio_scan_reports_solver_failure_as_verdict(monkeypatch):
     assert [v.name for v in failed] == ["fem_converged_pair_0001"]
     assert report.metadata["params"]["skipped"] == 0
     assert [r[0] for r in report.rows if r[2] == "random"] == ["pair_0000", "pair_0002"]
+
+
+def test_table_reports_solver_failure_as_verdict(monkeypatch):
+    # a row whose solve fails to converge becomes a failed "row computed"
+    # verdict; every other row is still computed
+    mu_k = fem.mu_k
+
+    def failing_square(spec, *args, **kwargs):
+        if isinstance(spec, geometry.Square):
+            raise fem.NonConvergenceError("forced failure")
+        return mu_k(spec, *args, **kwargs)
+
+    monkeypatch.setattr(experiments.fem, "mu_k", failing_square)
+    report = experiments.cmd_table_mu1(refinements=2)
+    missing = [v for v in report.verdicts if v.invariant == "table: row computed"]
+    assert [v.name for v in missing] == ["table_square"]
+    assert not missing[0].passed and "forced failure" in missing[0].detail
+    assert [r[0] for r in report.rows if math.isnan(r[1])] == ["square"]
+
+
+def test_table_does_not_swallow_bugs(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("not a solver failure")
+
+    monkeypatch.setattr(experiments.fem, "mu_k", broken)
+    with pytest.raises(TypeError, match="not a solver failure"):
+        experiments.cmd_table_mu1(refinements=2)
 
 
 def test_ratio_scan_csv_determinism(tmp_path):

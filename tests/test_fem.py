@@ -232,13 +232,51 @@ class _CountingFactor:
     "spec", [geo.Rhombus(2.0, math.radians(5.0)), geo.RegularPolygon(256, 1.0)]
 )
 def test_linear_solves_per_factorization_bounded(monkeypatch, spec):
-    # the shift-invert iteration converges in a few dozen solves on every
-    # mesh of the ladder; a mesh-dependent shift needs more as h shrinks
+    # with 2k + 2 Krylov vectors and the 1e-11 stop, every mesh of the ladder
+    # takes 13-16 solves, Rayleigh-Ritz included
     counts = []
     splu = fem.splu
     monkeypatch.setattr(fem, "splu", lambda A: _CountingFactor(splu(A), counts))
     fem.mu_k(spec, 1, refinements=3)
-    assert counts and max(counts) <= 45
+    assert counts and max(counts) <= 25
+
+
+def _first_sparse_rung(spec):
+    mesh = geo.triangulate(spec)
+    while len(mesh.vertices) - len(fem.dirichlet_dofs(mesh)) <= 400:
+        mesh = geo.refine_mesh(mesh)
+    return mesh
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        geo.Square(math.sqrt(2.0)),  # double mu_1
+        geo.RegularPolygon(256, 1.0),  # double mu_1
+        geo.EquilateralTriangle(2.0),  # double mu_1
+        geo.Rhombus(2.0, math.radians(10.0)),
+        geo.HalfRhombus(2.0, math.radians(10.0)),  # Dirichlet base
+        geo.Rectangle(1.9, 0.02),  # thin: ill-conditioned mass matrix
+    ],
+)
+def test_sparse_solve_matches_full_dense_spectrum(spec):
+    # the small Krylov space must neither skip nor swap an eigenvalue, which
+    # the residual check cannot see: compare with a dense solve of the same
+    # eliminated, shifted pencil
+    mesh = _first_sparse_rung(spec)
+    constrained = fem.dirichlet_dofs(mesh)
+    K, M = fem.assemble(mesh)
+    keep = np.setdiff1d(np.arange(K.shape[0]), constrained)
+    Kc, Mc = K[keep][:, keep].toarray(), M[keep][:, keep].toarray()
+    sigma = 1.0 / M.sum()
+    full = scipy.linalg.eigh(
+        Kc + sigma * Mc, Mc, eigvals_only=True, subset_by_index=[0, fem.N_EIGS_MAX - 1]
+    ) - sigma
+    for n_eigs in (1, 2, 4, 6, 20):
+        res = fem.solve_smallest(K, M, constrained, n_eigs)
+        ref = full[:n_eigs]
+        # absolute floor of 1 for the Neumann zero mode
+        assert np.all(np.abs(res.eigenvalues - ref) <= 1e-9 * np.maximum(np.abs(ref), 1.0))
 
 
 # ---------------------------------------------------------------------------
