@@ -146,6 +146,22 @@ def _timed(report: ExperimentReport, t0: float) -> ExperimentReport:
     return report
 
 
+# P1 eigenvalues converge at order 2 in h: a ladder whose fitted order falls
+# outside this band is not in the regime its Richardson estimate assumes
+ORDER_BAND = (1.5, 2.5)
+
+
+def _ladder_checks(ladders) -> dict:
+    """Counts of the Richardson self-checks over a report's ladders: fitted
+    order outside ORDER_BAND (NaN counts as outside) and non-monotone."""
+    lo, hi = ORDER_BAND
+    return {
+        "ladders": len(ladders),
+        "fitted_order_out_of_band": sum(not lo <= r.fitted_order <= hi for r in ladders),
+        "non_monotone": sum(not r.monotone for r in ladders),
+    }
+
+
 def _not_converged(name: str, exc: Exception) -> Verdict:
     """The failed verdict of a FEM solve that raised NonConvergenceError."""
     return Verdict(f"fem_converged_{name}", "fem: eigensolver converged", False, math.nan, str(exc))
@@ -283,7 +299,7 @@ def _sector_mu1_normalized(opening: float, refinements: int, n_arc: int = 64):
     diam = geometry.diameter(geometry.build(spec))
     res = fem.mu_k(spec, 1, refinements=refinements)
     scale = (diam / 2.0) ** 2
-    return res.value * scale, res.error_estimate * scale
+    return res.value * scale, res.error_estimate * scale, res
 
 
 def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
@@ -301,6 +317,7 @@ def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
     ]
     rows = []
     verdicts = []
+    ladders = []
     j01sq = spectra.cone_tau1(1.0, 2)
 
     def add_row(name, computed, reference, ratio_ref, err, note="", tol=None):
@@ -336,9 +353,10 @@ def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
 
     # optimal bound row: rhombus family trend toward j_{0,1}^2
     try:
-        v10 = fem.mu_k(geometry.Rhombus(2.0, math.radians(10.0)), 1, refinements).value
+        r10 = fem.mu_k(geometry.Rhombus(2.0, math.radians(10.0)), 1, refinements)
         r5 = fem.mu_k(geometry.Rhombus(2.0, math.radians(5.0)), 1, refinements)
-        trend = r5.value + (r5.value - v10) / 3.0
+        ladders += [r10, r5]
+        trend = r5.value + (r5.value - r10.value) / 3.0
         add_row(
             "optimal_bound",
             trend,
@@ -354,6 +372,7 @@ def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
     def fem_row(name, spec, reference, ratio_ref, tol, note=""):
         try:
             res = fem.mu_k(spec, 1, refinements=refinements)
+            ladders.append(res)
             add_row(name, res.value, reference, ratio_ref, res.error_estimate, note, tol)
         except fem.NonConvergenceError as exc:
             add_row(name, None, reference, ratio_ref, None, note=f"{note} {exc}".strip())
@@ -366,7 +385,8 @@ def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
             lambda a: (a, _sector_mu1_normalized(a, max(2, refinements - 1))),
             SECTOR_OPENING_GRID,
         )
-        best_opening, (best_val, best_err) = max(grid, key=lambda item: item[1][0])
+        ladders += [res for _, (_, _, res) in grid]
+        best_opening, (best_val, best_err, _) = max(grid, key=lambda item: item[1][0])
         add_row(
             "optimal_sector",
             best_val,
@@ -421,6 +441,7 @@ def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
         verdicts=verdicts,
         metadata=_metadata(refinements=refinements),
     )
+    report.metadata.update(_ladder_checks(ladders))
     return _timed(report, t0)
 
 
@@ -534,6 +555,7 @@ def cmd_rhombus_sweep(
         plot_series=series,
         plot_labels=("rhombus sweep", "theta (degrees)", "mu_1 D^2 / 4"),
     )
+    report.metadata.update(_ladder_checks([res for _, full, anti in results for res in (full, anti)]))
     return _timed(report, t0)
 
 
@@ -625,9 +647,9 @@ def cmd_ratio_scan(
             res_in.error_estimate,
             res_out.error_estimate,
         )
-        return row, max(res_in.residual, res_out.residual)
+        return row, res_in, res_out
 
-    max_residual = max(square.residual, thin.residual)
+    ladders = [square, thin]
     verdicts_failed = []
     for out in _pmap(run_pair, range(n_pairs)):
         if out is None:
@@ -636,7 +658,7 @@ def cmd_ratio_scan(
             verdicts_failed.append(out)
         else:
             rows.append(out[0])
-            max_residual = max(max_residual, out[1])
+            ladders += out[1:]
 
     ratios = [(r[0], r[5]) for r in rows]
     min_id, min_ratio = min(ratios, key=lambda x: x[1])
@@ -681,7 +703,8 @@ def cmd_ratio_scan(
         ),
     )
     # largest eigenpair residual over every mesh of every ladder solved
-    report.metadata["max_residual"] = max_residual
+    report.metadata["max_residual"] = max(r.residual for r in ladders)
+    report.metadata.update(_ladder_checks(ladders))
     return _timed(report, t0)
 
 

@@ -11,12 +11,15 @@ is 3.8317... (the first positive stationary point).
 
 J_nu is evaluated by scipy's `jv` at every x.  Zero finding: the zeros of
 each order are found in order, each bracketed by walking right from the
-previous zero and refined by one safeguarded Newton loop, which takes J_nu
-and J_{nu+1} at each iterate; a new zero costs 4-9 evaluations of J.  Every
-zero is computed once: the zeros of J_nu are kept in a list per order and
-the derivative zeros in a dict per order, so a repeated request evaluates
-nothing, and the first request for index k computes zeros 1..k of that
-order.
+previous zero, where the sign of J_nu is known, and refined by one
+safeguarded Halley loop, which takes J_nu and J_{nu+1} at each iterate and
+J'' from the Bessel equation.  A new zero costs about 4 evaluations of J
+(4.29 over the 11,919 zeros of a 200 x 120 constant table).  Against
+mpmath the zeros are within 6.5e-16 relative over 152 (nu, k) cases with
+nu <= 60 and k <= 10**4.  Every zero is computed once: the zeros of J_nu
+are kept in a list per order and the derivative zeros in a dict per order,
+so a repeated request evaluates nothing, and the first request for index k
+computes zeros 1..k of that order.
 """
 
 from __future__ import annotations
@@ -30,10 +33,12 @@ NU_MAX = 60.0
 ZERO_INDEX_MAX = 10_000
 PRIME_ZERO_INDEX_MAX = 1_000
 
-# A Newton step below sqrt(eps) * x lands within rounding of a simple root,
-# so one of that size that failed to shrink is noise of the evaluation.
-_NOISE_STEP = 1.5e-8
-# Far above the 2-5 iterations a zero takes; reaching it means the bracket
+# Halley's iteration converges cubically, to an error of about e^3 / 6 after
+# a step of size e near a Bessel zero: after a step of at most 1e-7 * x the
+# next one would be below rounding (for x up to ~500; beyond that McMahon's
+# start makes the steps far shorter).
+_HALLEY_STOP = 1e-7
+# Far above the 1-3 iterations a zero takes; reaching it means the bracket
 # did not hold a simple root.
 _REFINE_CAP = 200
 
@@ -52,6 +57,8 @@ def bessel_j(nu: float, x: float) -> float:
 
 def bessel_j_prime(nu: float, x: float) -> float:
     """Evaluate J_nu'(x) via the identity J_nu' = (nu/x) J_nu - J_{nu+1}."""
+    if not (math.isfinite(nu) and math.isfinite(x)):
+        raise ValueError("bessel_j_prime requires finite arguments")
     if nu < 0 or x < 0:
         raise ValueError(f"bessel_j_prime requires nu >= 0 and x >= 0, got nu={nu}, x={x}")
     if x == 0.0:
@@ -83,32 +90,31 @@ def _mcmahon(nu: float, k: int) -> float | None:
     )
 
 
-def _refine_root(fd, lo: float, hi: float, flo: float, x: float) -> float:
-    """Safeguarded Newton iteration for the simple root bracketed by [lo, hi].
+def _refine_root(fd, lo: float, hi: float, negative_at_lo: bool, x: float) -> float:
+    """Safeguarded Halley iteration for the simple root bracketed by [lo, hi].
 
-    fd(x) returns (f(x), f'(x)) from one pair of Bessel evaluations; flo is
-    f(lo), whose sign tells which end each iterate replaces, and x, the start,
-    lies inside the bracket.  Every iterate shrinks the bracket.  A Newton
-    step that would leave it, or that is no shorter than the step before,
-    becomes a bisection step.  The loop stops when a step is at most 4 ulp,
-    or when steps stop shrinking below _NOISE_STEP: there the iterate sits
-    at the noise floor of the evaluation.
+    fd(x) returns (f(x), f'(x), f''(x)) from one pair of Bessel evaluations;
+    negative_at_lo, the sign of f at lo, tells which end each iterate
+    replaces, and x, the start, lies inside the bracket.  Every iterate
+    shrinks the bracket.  A Halley step that would leave it, or that is no
+    shorter than the step before, becomes a bisection step.  The loop stops
+    after a step of at most _HALLEY_STOP * x that stays inside the bracket.
     """
-    neg = flo < 0.0
     prev = math.inf
     for _ in range(_REFINE_CAP):
-        fx, dfx = fd(x)
-        if fx == 0.0:
+        f, df, d2f = fd(x)
+        if f == 0.0:
             return x
-        if (fx < 0.0) == neg:
+        if (f < 0.0) == negative_at_lo:
             lo = x
         else:
             hi = x
-        step = fx / dfx if dfx != 0.0 else math.inf
+        den = df * df - 0.5 * f * d2f
+        step = f * df / den if den != 0.0 else math.inf
         x_new = x - step
-        if abs(step) <= 4.0 * math.ulp(x) or prev <= abs(step) <= _NOISE_STEP * x:
-            return x_new
         if lo <= x_new <= hi and abs(step) < prev:
+            if abs(step) <= _HALLEY_STOP * x:
+                return x_new
             prev = abs(step)
         else:
             x_new = 0.5 * (lo + hi)
@@ -119,10 +125,13 @@ def _refine_root(fd, lo: float, hi: float, flo: float, x: float) -> float:
     raise RuntimeError(f"root refinement did not converge in [{lo!r}, {hi!r}]")
 
 
-def _j_pair(nu: float, x: float) -> tuple[float, float]:
-    """J_nu(x) and J_{nu+1}(x): with J' = (nu/x) J_nu - J_{nu+1} and the Bessel
-    equation they give J, J' and J'' at x."""
-    return bessel_j(nu, x), bessel_j(nu + 1.0, x)
+def _j_derivatives(nu: float, x: float) -> tuple[float, float, float]:
+    """J_nu, J_nu' and J_nu'' at x > 0 from one pair of evaluations: the
+    identity J' = (nu/x) J_nu - J_{nu+1} and the Bessel equation
+    x^2 J'' = -x J' - (x^2 - nu^2) J."""
+    j = bessel_j(nu, x)
+    jp = (nu / x) * j - bessel_j(nu + 1.0, x)
+    return j, jp, (nu * nu / (x * x) - 1.0) * j - jp / x
 
 
 # Per-order lists of the zeros found so far.  Each list only grows, one zero
@@ -139,33 +148,24 @@ _WALK_OFFSET = 3.1
 _WALK_STEP = 0.5 * math.pi
 
 
-def _march_bracket(f, start: float):
-    """Walk right from start in steps of _WALK_STEP until f changes sign;
-    return the bracket and f at both ends."""
-    lo, flo = start, f(start)
-    for _ in range(10_000):
-        hi = lo + _WALK_STEP
-        fhi = f(hi)
-        if (fhi < 0.0) != (flo < 0.0) or fhi == 0.0:
-            return lo, hi, flo, fhi
-        lo, flo = hi, fhi
-    raise RuntimeError("sign change not found while bracketing Bessel zero")
-
-
 def bessel_j_zero(nu: float, k: int) -> float:
-    """k-th positive zero of J_nu, relative error <= 1e-12.
+    """k-th positive zero of J_nu, to a few ulp (see the module docstring).
 
     The zeros of each order are found in order and kept in a list per
     order, so the first request for index k computes zeros 1..k of that
     order and a repeated request evaluates nothing.  Each new zero is
     bracketed by walking right from the last one in steps of pi/2, which
-    cannot skip a zero since consecutive-zero gaps exceed 3.1, and refined
-    by `_refine_root` at 4-9 evaluations of J.  Newton starts from
-    McMahon's estimate where his leading correction is certifiably small,
-    otherwise from the linear extrapolation 2 z_m - z_{m-1}; when that start
-    is missing or outside the bracket, from the bracket's secant point.
-    Each zero is computed one way whatever was requested before, so results
-    do not depend on the order of requests.
+    cannot skip a zero since consecutive-zero gaps exceed 3.1.  The walk
+    starts inside the gap after the last zero, where J_nu has the known
+    sign (-1)^m after m zeros, so the start is not evaluated.  The zero is
+    refined by `_refine_root`'s Halley steps from McMahon's estimate where
+    his leading correction is certifiably small, otherwise from the
+    quadratic extrapolation 3 z_m - 3 z_{m-1} + z_{m-2}; when that start is
+    missing or outside the bracket, from the bracket's secant point.  A new
+    zero costs 3.1 evaluations of J at nu <= 1.5 and 4.0-4.7 at
+    nu = 10-59, over the first 101 zeros of each order.  Each zero is
+    computed one way whatever was requested before, so results do not
+    depend on the order of requests.
     """
     _validate_order(nu)
     if not isinstance(k, (int,)) or isinstance(k, bool):
@@ -176,28 +176,32 @@ def bessel_j_zero(nu: float, k: int) -> float:
     if len(zeros) >= k:
         return zeros[k - 1]
 
-    f = lambda x: bessel_j(nu, x)
-
-    def fd(x: float) -> tuple[float, float]:
-        j, j_next = _j_pair(nu, x)
-        return j, (nu / x) * j - j_next
-
+    fd = lambda x: _j_derivatives(nu, x)
     with _zero_lock:
         zeros = _zero_cache.setdefault(nu, [])
         while len(zeros) < k:
-            if zeros:
-                start = zeros[-1] + _WALK_OFFSET
+            m = len(zeros)
+            lo = zeros[-1] + _WALK_OFFSET if m else (nu + 1e-3 if nu > 0 else 0.5)
+            negative = m % 2 == 1
+            flo = None  # J_nu(lo), evaluated only for a secant start
+            for _ in range(10_000):
+                hi = lo + _WALK_STEP
+                fhi = bessel_j(nu, hi)
+                if (fhi < 0.0) != negative or fhi == 0.0:
+                    break
+                lo, flo = hi, fhi
             else:
-                start = nu + 1e-3 if nu > 0 else 0.5
-            lo, hi, flo, fhi = _march_bracket(f, start)
-            x0 = _mcmahon(nu, len(zeros) + 1)
+                raise RuntimeError("sign change not found while bracketing Bessel zero")
+            x0 = _mcmahon(nu, m + 1)
             if x0 is None:
-                x0 = 2.0 * zeros[-1] - zeros[-2] if len(zeros) >= 2 else math.nan
+                x0 = 3.0 * (zeros[-1] - zeros[-2]) + zeros[-3] if m >= 3 else math.nan
             if not lo < x0 < hi:
                 # at small k the gaps change fastest and the extrapolation
                 # can leave the bracket: start from its secant instead
+                if flo is None:
+                    flo = bessel_j(nu, lo)
                 x0 = lo - flo * (hi - lo) / (fhi - flo)
-            zeros.append(_refine_root(fd, lo, hi, flo, x0))
+            zeros.append(_refine_root(fd, lo, hi, negative, x0))
         return zeros[k - 1]
 
 
@@ -211,8 +215,9 @@ def bessel_j_prime_zero(nu: float, k: int) -> float:
     For nu = 0 the stationary point at x = 0 is not counted, so
     j'_{0,k} = j_{1,k}.  For nu > 0 the first zero lies in (nu, j_{nu,1})
     and the k-th (k >= 2) in (j_{nu,k-1}, j_{nu,k}); each such interval
-    contains exactly one stationary point, refined by `_refine_root` from
-    the interval's midpoint and memoized by (nu, k).
+    contains exactly one stationary point, where J_nu' changes sign from
+    (-1)^(k-1) to (-1)^k.  It is refined by `_refine_root` from the
+    interval's midpoint and memoized by (nu, k).
     """
     _validate_order(nu)
     if not isinstance(k, (int,)) or isinstance(k, bool):
@@ -228,11 +233,11 @@ def bessel_j_prime_zero(nu: float, k: int) -> float:
     if k in cache:
         return cache[k]
 
-    def gd(x: float) -> tuple[float, float]:
-        # J' from the pair, J'' from the Bessel equation
-        j, j_next = _j_pair(nu, x)
-        jp = (nu / x) * j - j_next
-        return jp, (nu * nu / (x * x) - 1.0) * j - jp / x
+    def gd(x: float) -> tuple[float, float, float]:
+        # J''' from the differentiated Bessel equation
+        # x^2 J''' = -3x J'' - (x^2 - nu^2 + 1) J' - 2x J
+        j, jp, jpp = _j_derivatives(nu, x)
+        return jp, jpp, (-3.0 * x * jpp - (x * x - nu * nu + 1.0) * jp - 2.0 * x * j) / (x * x)
 
     if k == 1:
         lo = max(nu, 1e-12)
@@ -240,10 +245,9 @@ def bessel_j_prime_zero(nu: float, k: int) -> float:
     else:
         lo = bessel_j_zero(nu, k - 1)
         hi = bessel_j_zero(nu, k)
-    # nudge off the endpoints (J_nu' vanishes nowhere at them, but J(j_{nu,m}) = 0
-    # exactly is fine; the derivative there is nonzero with alternating sign)
+    # nudge off the endpoints, where J_nu' is nonzero
     width = hi - lo
     lo_in, hi_in = lo + 1e-9 * width, hi - 1e-9 * width
-    root = _refine_root(gd, lo_in, hi_in, bessel_j_prime(nu, lo_in), 0.5 * (lo_in + hi_in))
+    root = _refine_root(gd, lo_in, hi_in, k % 2 == 0, 0.5 * (lo_in + hi_in))
     cache[k] = root
     return root

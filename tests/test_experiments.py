@@ -121,6 +121,29 @@ def test_ratio_scan_reports_max_residual(tmp_path):
     assert max_residual >= square.residual
 
 
+def test_ratio_scan_reports_ladder_checks(tmp_path):
+    # 2 reference ladders and 2 per pair; at refinements 3 the fitted order
+    # of 6 of these 14 falls outside [1.5, 2.5], and every ladder is monotone
+    report = experiments.cmd_ratio_scan(n_pairs=6, seed=1, refinements=3)
+    report.write(tmp_path)
+    metadata = json.loads((tmp_path / "ratio_scan_verdicts.json").read_text())["metadata"]
+    assert metadata["ladders"] == 14
+    assert metadata["fitted_order_out_of_band"] == 6
+    assert metadata["non_monotone"] == 0
+
+
+def test_ladder_checks_count_nan_order_out_of_band():
+    ladders = [
+        fem.ExtrapolationResult(1.0, 0.0, (1.0, 1.0, 1.0), 0.0, order, monotone)
+        for order, monotone in [(2.0, True), (1.5, True), (2.5, False), (1.49, True), (math.nan, False)]
+    ]
+    assert experiments._ladder_checks(ladders) == {
+        "ladders": 5,
+        "fitted_order_out_of_band": 2,
+        "non_monotone": 2,
+    }
+
+
 def test_ratio_scan_reports_solver_failure_as_verdict(monkeypatch):
     # a hull solve that fails to converge is a failed verdict, not a skipped draw
     monkeypatch.delenv("SPECLAB_THREADS", raising=False)
@@ -158,6 +181,8 @@ def test_table_reports_solver_failure_as_verdict(monkeypatch):
     missing = [v for v in report.verdicts if v.invariant == "table: row computed"]
     assert [v.name for v in missing] == ["table_square"]
     assert not missing[0].passed and "forced failure" in missing[0].detail
+    # the ten ladders that were solved: two rhombi, five sectors and three rows
+    assert report.metadata["ladders"] == 10
     assert [r[0] for r in report.rows if math.isnan(r[1])] == ["square"]
 
 

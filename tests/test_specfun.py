@@ -13,7 +13,7 @@ import threading
 import mpmath
 import pytest
 
-from speclab import specfun
+from speclab import constants, specfun
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +97,12 @@ def test_bessel_j_domain_errors():
         specfun.bessel_j(1.0, -2.0)
     with pytest.raises(ValueError):
         specfun.bessel_j(math.nan, 1.0)
+
+
+@pytest.mark.parametrize("nu,x", [(math.nan, 0.0), (math.inf, 0.0)])
+def test_bessel_j_prime_rejects_non_finite_arguments(nu, x):
+    with pytest.raises(ValueError):
+        specfun.bessel_j_prime(nu, x)
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +199,14 @@ def _clear_zero_caches():
     specfun._prime_zero_cache.clear()
 
 
-# orders of the constant table (nu = d/2 - 1), from nu = 59, where Newton
-# starts from the extrapolation 2 z_m - z_{m-1}, to McMahon's window, which
-# nu = 0.5 enters at k = 1 and nu = 1.5 at k = 3
+# orders of the constant table (nu = d/2 - 1), from nu = 59, where Halley
+# starts from the extrapolation 3 z_m - 3 z_{m-1} + z_{m-2}, to McMahon's
+# window, which nu = 0.5 enters at k = 1 and nu = 1.5 at k = 3
 BUDGET_ORDERS = (0.0, 0.5, 1.5, 10.0, 30.0, 59.0)
 BUDGET_K = range(1, 102)
 
 
-def test_zero_evaluation_budget(monkeypatch):
+def _count_j_calls(monkeypatch):
     calls = [0]
     bessel_j = specfun.bessel_j
 
@@ -209,14 +215,20 @@ def test_zero_evaluation_budget(monkeypatch):
         return bessel_j(nu, x)
 
     monkeypatch.setattr(specfun, "bessel_j", counted)
+    return calls
+
+
+def test_zero_evaluation_budget(monkeypatch):
+    calls = _count_j_calls(monkeypatch)
     _clear_zero_caches()
     try:
         for nu in BUDGET_ORDERS:
             calls[0] = 0
             for k in BUDGET_K:
                 specfun.bessel_j_zero(nu, k)
-            # starting Newton from McMahon's estimate saves 2-3 evaluations
-            per_zero = 5 if nu <= 1.5 else 9
+            # measured 3.0-3.1 per zero at nu <= 1.5, where McMahon's estimate
+            # starts Halley, and 4.0-4.7 at nu >= 10
+            per_zero = 3.5 if nu <= 1.5 else 5.5
             assert calls[0] <= per_zero * len(BUDGET_K), f"order {nu}: {calls[0]} evaluations"
             calls[0] = 0
             for k in BUDGET_K:
@@ -224,6 +236,35 @@ def test_zero_evaluation_budget(monkeypatch):
             assert calls[0] == 0, f"order {nu}: repeat requests evaluated J"
     finally:
         _clear_zero_caches()
+
+
+def test_constant_table_evaluation_count(monkeypatch):
+    # a noise-free regression guard on the cost of the zero march: the 589
+    # zeros of a 40 x 30 constant table take 3,043 evaluations of J
+    calls = _count_j_calls(monkeypatch)
+    _clear_zero_caches()
+    try:
+        constants.emit_constant_table(40, 30)
+        assert sum(len(z) for z in specfun._zero_cache.values()) == 589
+        assert calls[0] == 3043
+    finally:
+        _clear_zero_caches()
+
+
+@pytest.mark.parametrize("nu", BUDGET_ORDERS)
+def test_march_skips_no_zero(nu):
+    # a skipped zero shows as a gap of about 2 pi next to gaps of about pi:
+    # every gap lies in (3.1, 2 pi), and the gaps fall to pi for nu > 1/2
+    # and rise to it for nu < 1/2 (they are pi at nu = 1/2)
+    zs = [specfun.bessel_j_zero(nu, k) for k in BUDGET_K]
+    gaps = [b - a for a, b in zip(zs, zs[1:])]
+    assert all(3.1 < g < 2.0 * math.pi for g in gaps)
+    if nu == 0.5:
+        assert all(abs(g - math.pi) <= 1e-12 for g in gaps)
+    elif nu > 0.5:
+        assert all(a > b for a, b in zip(gaps, gaps[1:]))
+    else:
+        assert all(a < b for a, b in zip(gaps, gaps[1:]))
 
 
 def test_zero_request_order_does_not_matter():
