@@ -6,6 +6,13 @@ Ratio bounds are dimensionless; the diameter bounds (`kroger_upper`,
 diameter argument, keeping the scaling mu_k(c*Omega) = c^-2 mu_k(Omega)
 explicit.
 
+`emit_constant_table` writes every constant as a grid of (name, k, d)
+records from one table that gives each constant's formula, index set and
+value, in name order; each index set runs through (k, d) lexicographically,
+so the grid comes out sorted.  The grid evaluates each bound once per
+(k, d): `c_upper` and the `kroger_upper` rows share one `kroger_upper`
+call, and every emitted value is checked to be positive.
+
 The improved lower bound of the form pi^2/(16 j^2) is deliberately not
 implemented: the zero index it requires is not pinned down, so it is
 recorded here as documentation only.
@@ -14,30 +21,17 @@ recorded here as documentation only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import specfun
 
 D_MAX = 120
 
-CONSTANT_NAMES = (
-    "alpha1_sharp",
-    "alpha1_simple",
-    "funano_lower",
-    "kroger_upper",
-    "c_upper",
-    "alpha_k2_lower",
-    "alpha_2d_lower",
-    "polya_bound",
-    "payne_weinberger_lower",
-)
-
 # diameter used for the dimensional rows of the emitted table
 TABLE_DIAMETER = 2.0
 
 
-@dataclass(frozen=True)
-class ConstantRecord:
+class ConstantRecord(NamedTuple):
     """One named bound value with its indices and display formula."""
 
     name: str
@@ -45,12 +39,6 @@ class ConstantRecord:
     d: int
     value: float
     formula: str
-
-    def __post_init__(self):
-        if self.name not in CONSTANT_NAMES:
-            raise ValueError(f"unknown constant name {self.name!r}")
-        if not self.value > 0:
-            raise ValueError(f"constant {self.name} must be positive, got {self.value}")
 
 
 def _validate_dimension(d: int, d_min: int = 2) -> None:
@@ -159,81 +147,54 @@ def emit_constant_table(k_max: int, d_max: int) -> list[ConstantRecord]:
     (name, k, d).
 
     Constants that do not depend on k are emitted at k = 1 only; the
-    diameter bounds are evaluated at D = TABLE_DIAMETER.
+    diameter bounds are evaluated at D = TABLE_DIAMETER.  A non-positive
+    value raises ValueError naming its constant.
     """
     _validate_order_index(k_max)
     _validate_dimension(d_max)
     D = TABLE_DIAMETER
-    records: list[ConstantRecord] = []
     dims = range(2, d_max + 1)
-    orders = range(1, k_max + 1)
-
-    for d in dims:
-        records.append(
-            ConstantRecord("alpha1_sharp", 1, d, alpha1_sharp(d), "pi^2 / (4 j_{d/2-1,1}^2)")
-        )
-    for d in dims:
-        records.append(
-            ConstantRecord("alpha1_simple", 1, d, alpha1_simple(d), "pi^2 / (2 d (d+4))")
-        )
-    for k in orders:
-        for d in dims:
-            if d == 2 and k <= 1000:
-                records.append(
-                    ConstantRecord(
-                        "alpha_k2_lower",
-                        k,
-                        2,
-                        alpha_lower_nonsharp(k, 2),
-                        "pi^2 / (2 j_{0,1} + (k-1) pi)^2",
-                    )
-                )
-            elif d >= 3 and k == 2:
-                records.append(
-                    ConstantRecord(
-                        "alpha_2d_lower",
-                        2,
-                        d,
-                        alpha_lower_nonsharp(2, d),
-                        "pi^2 / (j_{(d-2)/2,1} + j_{(d-2)/2,2})^2",
-                    )
-                )
-    for k in orders:
-        for d in dims:
-            records.append(
-                ConstantRecord("c_upper", k, d, c_upper(k, d), "pi^2 k^2 / (D^2 kroger_upper)")
-            )
-    for d in dims:
-        records.append(
-            ConstantRecord("funano_lower", 1, d, funano_lower(d), "(1/92^2) / d^2")
-        )
-    for k in orders:
-        for d in dims:
-            records.append(
-                ConstantRecord(
-                    "kroger_upper",
-                    k,
-                    d,
-                    kroger_upper(k, d, D),
-                    f"diameter upper bound at D={D:g}",
-                )
-            )
-    records.append(
-        ConstantRecord(
+    grid = [(k, d) for k in range(1, k_max + 1) for d in dims]
+    per_dim = [(1, d) for d in dims]
+    u = {(k, d): kroger_upper(k, d, 1.0) for k, d in grid}
+    table = (
+        ("alpha1_sharp", "pi^2 / (4 j_{d/2-1,1}^2)", per_dim, lambda k, d: alpha1_sharp(d)),
+        ("alpha1_simple", "pi^2 / (2 d (d+4))", per_dim, lambda k, d: alpha1_simple(d)),
+        (
+            "alpha_2d_lower",
+            "pi^2 / (j_{(d-2)/2,1} + j_{(d-2)/2,2})^2",
+            [(2, d) for d in dims[1:]] if k_max >= 2 else [],
+            alpha_lower_nonsharp,
+        ),
+        (
+            "alpha_k2_lower",
+            "pi^2 / (2 j_{0,1} + (k-1) pi)^2",
+            [(k, 2) for k in range(1, min(k_max, 1000) + 1)],
+            alpha_lower_nonsharp,
+        ),
+        (
+            "c_upper",
+            "pi^2 k^2 / (D^2 kroger_upper)",
+            grid,
+            lambda k, d: math.pi**2 * k**2 / u[k, d],  # c_upper's own expression
+        ),
+        ("funano_lower", "(1/92^2) / d^2", per_dim, lambda k, d: funano_lower(d)),
+        # bit-identical to kroger_upper(k, d, D), which divides by D^2 last
+        ("kroger_upper", f"diameter upper bound at D={D:g}", grid, lambda k, d: u[k, d] / D**2),
+        (
             "payne_weinberger_lower",
-            1,
-            2,
-            payne_weinberger_lower(D),
             f"pi^2 / D^2 at D={D:g}",
-        )
+            [(1, 2)],
+            lambda k, d: payne_weinberger_lower(D),
+        ),
+        ("polya_bound", "4 pi^2 k^(2/d) / omega_d^(2/d)", grid, polya_bound),
     )
-    for k in orders:
-        for d in dims:
-            records.append(
-                ConstantRecord(
-                    "polya_bound", k, d, polya_bound(k, d), "4 pi^2 k^(2/d) / omega_d^(2/d)"
-                )
-            )
-    records.sort(key=lambda r: (r.name, r.k, r.d))
+    records = [
+        ConstantRecord(name, k, d, value(k, d), formula)
+        for name, formula, index, value in table
+        for k, d in index
+    ]
+    for r in records:
+        if not r.value > 0:
+            raise ValueError(f"constant {r.name} must be positive, got {r.value}")
     return records
-

@@ -175,11 +175,9 @@ def cmd_constants(k_max: int = 3, d_max: int = 10) -> ExperimentReport:
     """Emit the full constant grid and run the closed-form invariant suite."""
     t0 = time.perf_counter()
     records = constants.emit_constant_table(k_max, d_max)
-    rows = [(r.name, r.k, r.d, r.value, r.formula) for r in records]
     verdicts = []
 
-    c_vals = [(r.k, r.d, r.value) for r in records if r.name == "c_upper"]
-    worst = max(v for _, _, v in c_vals)
+    worst = max(r.value for r in records if r.name == "c_upper")
     verdicts.append(
         Verdict(
             "c_upper_below_one",
@@ -270,7 +268,7 @@ def cmd_constants(k_max: int = 3, d_max: int = 10) -> ExperimentReport:
     report = ExperimentReport(
         command="constants",
         columns=["name", "k", "d", "value", "formula"],
-        rows=rows,
+        rows=records,
         verdicts=verdicts,
         metadata=_metadata(k_max=k_max, d_max=d_max),
     )
@@ -456,6 +454,8 @@ def cmd_rhombus_sweep(
     divergence of the antisymmetric mode."""
     t0 = time.perf_counter()
     thetas = sorted((float(t) for t in theta_deg_list), reverse=True)
+    if not thetas:
+        raise ValueError("theta_deg_list must name at least one angle")
     if any(not (2.0 < t <= 45.0) for t in thetas):
         raise ValueError("sweep angles must lie in (2, 45] degrees")
     j01sq = spectra.cone_tau1(1.0, 2)
@@ -720,6 +720,8 @@ def cmd_weyl(
     """Eigenvalue-ratio trend toward the area-ratio limit for nested rectangles."""
     t0 = time.perf_counter()
     ks = [int(k) for k in k_list]
+    if not ks:
+        raise ValueError("k_list must name at least one index")
     if any(k < 1 or k > spectra.RECT_INDEX_MAX for k in ks):
         raise ValueError("k values outside the lattice-counting budget")
     a1, b1 = map(float, rect1)
@@ -795,6 +797,9 @@ def cmd_dimension_demo(k: int = 1, ell_list=(0.5, 0.9, 0.99, 1.01, 1.5, 5.0)) ->
     t0 = time.perf_counter()
     if k < 1:
         raise ValueError("k must be >= 1")
+    ells = [float(e) for e in ell_list]
+    if not ells:
+        raise ValueError("ell_list must name at least one cylinder length")
     d_inner, d_outer = 1.0, 2.0
     mu_inner = spectra.segment_spectrum(d_inner, "neumann", k + 1).values[k]
     mu_outer = spectra.segment_spectrum(d_outer, "neumann", k + 1).values[k]
@@ -814,8 +819,7 @@ def cmd_dimension_demo(k: int = 1, ell_list=(0.5, 0.9, 0.99, 1.01, 1.5, 5.0)) ->
 
     rows = []
     all_match = True
-    for ell in ell_list:
-        ell = float(ell)
+    for ell in ells:
         p_in = product_mu_k(d_inner, ell)
         p_out = product_mu_k(d_outer, ell)
         ratio = p_in / p_out
@@ -858,7 +862,7 @@ def cmd_dimension_demo(k: int = 1, ell_list=(0.5, 0.9, 0.99, 1.01, 1.5, 5.0)) ->
         ],
         rows=rows,
         verdicts=verdicts,
-        metadata=_metadata(k=k, ell_list=[float(e) for e in ell_list], threshold=threshold),
+        metadata=_metadata(k=k, ell_list=ells, threshold=threshold),
     )
     return _timed(report, t0)
 
@@ -894,7 +898,7 @@ def cmd_counterexamples() -> ExperimentReport:
 
     for j in (2, 3):
         n_parts = j * j
-        part = spectra.Spectrum(np.array([0.0, spectra.disk_mu1(1.0 / j)]), f"disk(1/{j})")
+        part = spectra.Spectrum(np.array([0.0, spectra.disk_mu1(1.0 / j)]))
         union = spectra.disjoint_union_spectrum([part] * n_parts, n_parts + 1)
         mu_last_zero = union.values[n_parts - 1]
         mu_first_pos = union.values[n_parts]

@@ -313,13 +313,13 @@ def convex_hull(points: Sequence[Sequence[float]]) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1], dtype=float)
 
 
-def point_in_convex(poly: np.ndarray, p, margin: float = 0.0) -> bool:
+def point_in_convex(poly: np.ndarray, p) -> bool:
     """Half-plane test against all edges of a ccw convex polygon."""
     n = len(poly)
     for i in range(n):
         a = poly[i]
         b = poly[(i + 1) % n]
-        if _cross(b - a, np.subtract(p, a)) < margin:
+        if _cross(b - a, np.subtract(p, a)) < 0.0:
             return False
     return True
 

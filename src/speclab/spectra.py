@@ -30,10 +30,9 @@ class MergeCertificationError(ValueError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending eigenvalue sequence with multiplicity and the domain it belongs to."""
+    """Ascending eigenvalue sequence with multiplicity."""
 
     values: np.ndarray
-    domain_label: str = ""
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -46,13 +45,6 @@ class Spectrum:
             raise ValueError("spectrum values must be nonnegative")
         if np.any(np.diff(vals) < 0):
             raise ValueError("spectrum values must be ascending")
-
-    @property
-    def count(self) -> int:
-        return int(self.values.size)
-
-    def __getitem__(self, i):
-        return self.values[i]
 
 
 def segment_spectrum(D: float, bc: str, n: int) -> Spectrum:
@@ -77,7 +69,7 @@ def segment_spectrum(D: float, bc: str, n: int) -> Spectrum:
         vals = (math.pi * (2 * ks - 1) / (2.0 * D)) ** 2
     else:
         raise ValueError(f"unknown boundary condition {bc!r}")
-    return Spectrum(vals, f"segment(D={D:g},{bc})")
+    return Spectrum(vals)
 
 
 def box_spectrum(sides: Sequence[float], bc: str, n: int) -> Spectrum:
@@ -106,7 +98,7 @@ def box_spectrum(sides: Sequence[float], bc: str, n: int) -> Spectrum:
     while True:
         vals = _box_values_upto(sides, offset, t)
         if vals.size >= n:
-            return Spectrum(vals[:n], f"box({'x'.join(f'{s:g}' for s in sides)},{bc})")
+            return Spectrum(vals[:n])
         t *= 2.0
 
 
@@ -150,9 +142,9 @@ def product_spectrum(base: Spectrum, ell: float, n: int) -> Spectrum:
     if len(cands) < n:
         raise MergeCertificationError(
             f"cannot certify {n} merged values from a base prefix of "
-            f"{base.count} entries (only {len(cands)} certified)"
+            f"{base.values.size} entries (only {len(cands)} certified)"
         )
-    return Spectrum(np.array(cands[:n]), f"{base.domain_label}x[0,{ell:g}]")
+    return Spectrum(np.array(cands[:n]))
 
 
 def disjoint_union_spectrum(parts: Sequence[Spectrum], n: int) -> Spectrum:
@@ -172,10 +164,7 @@ def disjoint_union_spectrum(parts: Sequence[Spectrum], n: int) -> Spectrum:
             f"cannot certify {n} merged values below the shortest part "
             f"(cutoff {cutoff:g}, {merged.size} certified)"
         )
-    label = " + ".join(p.domain_label for p in parts[:3])
-    if len(parts) > 3:
-        label += f" + ... ({len(parts)} parts)"
-    return Spectrum(merged[:n], label)
+    return Spectrum(merged[:n])
 
 
 def disk_mu1(R: float) -> float:

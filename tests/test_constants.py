@@ -164,6 +164,109 @@ def test_emit_constant_table_contents():
     assert keys == sorted(keys)
 
 
+def _reference_table(k_max, d_max):
+    """Reference grid: one loop per constant through the public functions
+    (c_upper makes its own kroger_upper call), then a sort by (name, k, d)."""
+    D = constants.TABLE_DIAMETER
+    records = []
+    dims = range(2, d_max + 1)
+    orders = range(1, k_max + 1)
+
+    for d in dims:
+        records.append(
+            ("alpha1_sharp", 1, d, constants.alpha1_sharp(d), "pi^2 / (4 j_{d/2-1,1}^2)")
+        )
+    for d in dims:
+        records.append(("alpha1_simple", 1, d, constants.alpha1_simple(d), "pi^2 / (2 d (d+4))"))
+    for k in orders:
+        for d in dims:
+            if d == 2 and k <= 1000:
+                records.append(
+                    (
+                        "alpha_k2_lower",
+                        k,
+                        2,
+                        constants.alpha_lower_nonsharp(k, 2),
+                        "pi^2 / (2 j_{0,1} + (k-1) pi)^2",
+                    )
+                )
+            elif d >= 3 and k == 2:
+                records.append(
+                    (
+                        "alpha_2d_lower",
+                        2,
+                        d,
+                        constants.alpha_lower_nonsharp(2, d),
+                        "pi^2 / (j_{(d-2)/2,1} + j_{(d-2)/2,2})^2",
+                    )
+                )
+    for k in orders:
+        for d in dims:
+            records.append(
+                ("c_upper", k, d, constants.c_upper(k, d), "pi^2 k^2 / (D^2 kroger_upper)")
+            )
+    for d in dims:
+        records.append(("funano_lower", 1, d, constants.funano_lower(d), "(1/92^2) / d^2"))
+    for k in orders:
+        for d in dims:
+            records.append(
+                (
+                    "kroger_upper",
+                    k,
+                    d,
+                    constants.kroger_upper(k, d, D),
+                    f"diameter upper bound at D={D:g}",
+                )
+            )
+    records.append(
+        (
+            "payne_weinberger_lower",
+            1,
+            2,
+            constants.payne_weinberger_lower(D),
+            f"pi^2 / D^2 at D={D:g}",
+        )
+    )
+    for k in orders:
+        for d in dims:
+            records.append(
+                ("polya_bound", k, d, constants.polya_bound(k, d), "4 pi^2 k^(2/d) / omega_d^(2/d)")
+            )
+    records.sort(key=lambda r: (r[0], r[1], r[2]))
+    return records
+
+
+@pytest.mark.parametrize("k_max, d_max", [(1, 2), (2, 3), (3, 10), (40, 30), (1001, 3)])
+def test_emit_constant_table_matches_reference_loops(k_max, d_max):
+    # bit for bit: same rows, same order, same floats; (1001, 3) crosses the
+    # k <= 1000 edge of alpha_k2_lower
+    got = [tuple(r) for r in constants.emit_constant_table(k_max, d_max)]
+    ref = _reference_table(k_max, d_max)
+    assert [r[:3] + r[4:] for r in got] == [r[:3] + r[4:] for r in ref]
+    assert [r[3].hex() for r in got] == [r[3].hex() for r in ref]
+
+
+def test_emit_constant_table_evaluates_kroger_once_per_pair(monkeypatch):
+    calls = []
+    kroger = constants.kroger_upper
+
+    def counted(k, d, diameter):
+        calls.append((k, d))
+        return kroger(k, d, diameter)
+
+    monkeypatch.setattr(constants, "kroger_upper", counted)
+    k_max, d_max = 7, 9
+    constants.emit_constant_table(k_max, d_max)
+    assert len(calls) == k_max * (d_max - 1)
+    assert len(set(calls)) == len(calls)
+
+
+def test_emit_constant_table_rejects_non_positive_value(monkeypatch):
+    monkeypatch.setattr(constants, "polya_bound", lambda k, d: 0.0 if (k, d) == (2, 3) else 1.0)
+    with pytest.raises(ValueError, match="polya_bound"):
+        constants.emit_constant_table(2, 3)
+
+
 def test_constant_csv_roundtrip(tmp_path):
     records = constants.emit_constant_table(1, 3)
     path = tmp_path / "constants.csv"

@@ -326,3 +326,22 @@ def test_cli_list_parsers():
     assert cli._floats("20,10,5") == (20.0, 10.0, 5.0)
     assert cli._ints("1000, 10000") == (1000, 10000)
     assert cli._rect("2x1.3") == (2.0, 1.3)
+
+
+@pytest.mark.parametrize(
+    "command, runner, params",
+    [
+        ("weyl", experiments.cmd_weyl, {"k_list": ()}),
+        ("rhombus-sweep", experiments.cmd_rhombus_sweep, {"theta_deg_list": ()}),
+        ("dimension-demo", experiments.cmd_dimension_demo, {"ell_list": ()}),
+    ],
+)
+def test_empty_list_parameter_is_rejected(command, runner, params, tmp_path, capsys):
+    # an empty list has no rows to check: it must not pass vacuously
+    with pytest.raises(ValueError):
+        runner(**params)
+    (key,) = params
+    code = cli.main([command, f"--{key.replace('_', '-')}=,", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "speclab:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -115,7 +115,7 @@ def test_box_enumeration_budget(monkeypatch):
 
 
 def test_product_short_cylinder_keeps_base():
-    base = Spectrum(np.array([0.0, 5.0]), "toy")
+    base = Spectrum(np.array([0.0, 5.0]))
     ell = 0.5 * math.pi / math.sqrt(5.0)  # pi^2/ell^2 = 20 > 5
     got = spectra.product_spectrum(base, ell, 2)
     assert np.allclose(got.values, [0.0, 5.0])
@@ -129,14 +129,14 @@ def test_product_matches_3d_box_oracle():
 
 
 def test_product_certification_error():
-    base = Spectrum(np.array([0.0, 5.0]), "toy")
+    base = Spectrum(np.array([0.0, 5.0]))
     with pytest.raises(MergeCertificationError):
         spectra.product_spectrum(base, 10.0, 50)
 
 
 def test_product_large_cylinder_first_mode():
     # with ell large, the first value beyond base[0] is pi^2/ell^2
-    base = Spectrum(np.array([0.0, 5.0]), "toy")
+    base = Spectrum(np.array([0.0, 5.0]))
     got = spectra.product_spectrum(base, 100.0, 2)
     assert abs(got.values[1] - PI2 / 100.0**2) < 1e-15
 
@@ -144,23 +144,23 @@ def test_product_large_cylinder_first_mode():
 def test_union_four_disks():
     # four equal disks of radius 1/2: mu_3 of the union is 0
     template = np.array([0.0, spectra.disk_mu1(0.5)])
-    parts = [Spectrum(template, "disk") for _ in range(4)]
+    parts = [Spectrum(template) for _ in range(4)]
     got = spectra.disjoint_union_spectrum(parts, 4)
     assert np.all(got.values == 0.0)
 
 
 def test_union_identity_and_merge():
-    p = Spectrum(np.array([0.0, 1.0, 2.0]), "a")
+    p = Spectrum(np.array([0.0, 1.0, 2.0]))
     assert np.allclose(spectra.disjoint_union_spectrum([p], 3).values, p.values)
-    q = Spectrum(np.array([0.0, 1.5]), "b")
+    q = Spectrum(np.array([0.0, 1.5]))
     # certified below the shorter part's last value, 1.5
     got = spectra.disjoint_union_spectrum([p, q], 4)
     assert np.allclose(got.values, [0.0, 0.0, 1.0, 1.5])
 
 
 def test_union_certification_error():
-    p = Spectrum(np.array([0.0, 1.0, 2.0]), "a")
-    q = Spectrum(np.array([0.0, 1.5]), "b")
+    p = Spectrum(np.array([0.0, 1.0, 2.0]))
+    q = Spectrum(np.array([0.0, 1.5]))
     with pytest.raises(MergeCertificationError):
         spectra.disjoint_union_spectrum([p, q], 5)
 
@@ -267,6 +267,6 @@ def test_weyl_ratio_trend_for_rectangles():
 
 def test_spectrum_validation():
     with pytest.raises(ValueError):
-        Spectrum(np.array([1.0, 0.5]), "bad")
+        Spectrum(np.array([1.0, 0.5]))
     with pytest.raises(ValueError):
-        Spectrum(np.array([-1.0, 0.5]), "bad")
+        Spectrum(np.array([-1.0, 0.5]))
