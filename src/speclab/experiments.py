@@ -1,11 +1,14 @@
 """Reproducible experiments tying constants, spectra, geometry and FEM together.
 
 Every command returns an ExperimentReport: named numeric columns, a list of
-pass/fail verdicts (each citing the invariant it checks, with measured
-slack), and run metadata.  Reports serialize to CSV (data; byte-identical
-across reruns of the same configuration), JSON (verdicts and metadata,
-including wall time) and, for the sweep and trend commands, an SVG line
-plot.
+verdicts (each citing the invariant it checks), and run metadata.  Reports
+serialize to CSV (data; byte-identical across reruns of the same
+configuration), JSON (verdicts and metadata, including wall time) and, for
+the sweep and trend commands, an SVG line plot.
+
+A verdict's slack is the signed margin of its inequality, and it passed iff
+slack >= 0, so a NaN slack fails.  An exact check's slack is -|deviation|;
+a compound verdict's slack is the minimum of its parts (NaN if any part is).
 
 Analytic assertions are exact to 1e-12.  FEM assertions use a 0.5% default
 slack plus the per-row Richardson error estimate; curved-boundary rows
@@ -39,9 +42,43 @@ PI2 = math.pi**2
 class Verdict:
     name: str
     invariant: str
-    passed: bool
     slack: float
     detail: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.slack >= 0)
+
+
+# Signed margins: each is >= 0 exactly when its inequality holds.  The strict
+# forms compare with the neighbouring float, so equality gives a negative margin.
+
+
+def at_least(value, bound):
+    return value - bound
+
+
+def at_most(value, bound):
+    return bound - value
+
+
+def above(value, bound):
+    return value - math.nextafter(bound, math.inf)
+
+
+def below(value, bound):
+    return math.nextafter(bound, -math.inf) - value
+
+
+def exactly(value, target):
+    return -abs(value - target)
+
+
+def smallest(parts):
+    """Slack of a compound verdict: its smallest part, NaN if any part is NaN
+    (min() keeps a NaN only when it comes first), 0.0 if it has no parts."""
+    parts = list(parts)
+    return math.nan if any(map(math.isnan, parts)) else min(parts, default=0.0)
 
 
 @dataclass
@@ -164,7 +201,7 @@ def _ladder_checks(ladders) -> dict:
 
 def _not_converged(name: str, exc: Exception) -> Verdict:
     """The failed verdict of a FEM solve that raised NonConvergenceError."""
-    return Verdict(f"fem_converged_{name}", "fem: eigensolver converged", False, math.nan, str(exc))
+    return Verdict(f"fem_converged_{name}", "fem: eigensolver converged", math.nan, str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -175,95 +212,62 @@ def cmd_constants(k_max: int = 3, d_max: int = 10) -> ExperimentReport:
     """Emit the full constant grid and run the closed-form invariant suite."""
     t0 = time.perf_counter()
     records = constants.emit_constant_table(k_max, d_max)
-    verdicts = []
 
     worst = max(r.value for r in records if r.name == "c_upper")
-    verdicts.append(
+    increasing = [above(constants.c_upper(1000, d), 0.99) for d in (2, 3)]
+    for d in (2, 3, 4, 6, 10):
+        if d <= d_max:
+            seq = [constants.c_upper(k, d) for k in range(1, 31)]
+            increasing += [above(b, a) for a, b in zip(seq, seq[1:])]
+    dimension = []
+    for k in range(1, min(k_max, 20) + 1):
+        seq = [constants.c_upper(k, d) for d in range(2, min(d_max, 60) + 1)]
+        dimension += [at_most(b - a, 1e-15) for a, b in zip(seq, seq[1:])]
+    envelope = [
+        at_most(constants.c_upper(k, d) * d * d, PI2 * k * k)
+        for k in range(1, min(k_max, 3) + 1)
+        for d in range(2, d_max + 1)
+    ]
+    sandwich = []
+    for d in range(2, d_max + 1):
+        f, s, a = constants.funano_lower(d), constants.alpha1_simple(d), constants.alpha1_sharp(d)
+        sandwich += [at_least(s, f), at_most(s, a)]
+    norm = [constants.alpha1_sharp(d) * d * d for d in range(2, d_max + 1)]
+    normalized = [above(b, a) for a, b in zip(norm, norm[1:])] + [at_most(max(norm), PI2)]
+
+    verdicts = [
         Verdict(
             "c_upper_below_one",
             "constants: c_upper(k, d) < 1",
-            worst < 1.0,
-            1.0 - worst,
+            below(worst, 1.0),
             f"max over grid {worst:.12g}",
-        )
-    )
-
-    ks = range(1, 31)
-    mono_ok, mono_slack = True, math.inf
-    for d in (2, 3, 4, 6, 10):
-        if d > d_max:
-            continue
-        seq = [constants.c_upper(k, d) for k in ks]
-        gaps = [b - a for a, b in zip(seq, seq[1:])]
-        mono_ok &= all(g > 0 for g in gaps)
-        mono_slack = min(mono_slack, min(gaps))
-    tail_ok = constants.c_upper(1000, 2) > 0.99 and constants.c_upper(1000, 3) > 0.99
-    verdicts.append(
+        ),
         Verdict(
             "c_upper_increasing_toward_one",
             "constants: c_upper(k, d) increasing in k; c_upper(1000, {2,3}) > 0.99",
-            mono_ok and tail_ok,
-            min(mono_slack, constants.c_upper(1000, 2) - 0.99),
-        )
-    )
-
-    dim_ok, dim_slack = True, math.inf
-    for k in range(1, min(k_max, 20) + 1):
-        seq = [constants.c_upper(k, d) for d in range(2, min(d_max, 60) + 1)]
-        gaps = [a - b for a, b in zip(seq, seq[1:])]
-        if gaps:
-            dim_ok &= all(g >= -1e-15 for g in gaps)
-            dim_slack = min(dim_slack, min(gaps))
-    verdicts.append(
+            smallest(increasing),
+        ),
         Verdict(
             "c_upper_dimension_monotone",
             "constants: c_upper(k, d+1) <= c_upper(k, d)",
-            dim_ok,
-            dim_slack if dim_slack < math.inf else 0.0,
-        )
-    )
-
-    env_ok, env_slack = True, math.inf
-    for k in range(1, min(k_max, 3) + 1):
-        for d in range(2, d_max + 1):
-            margin = PI2 * k * k - constants.c_upper(k, d) * d * d
-            env_ok &= margin >= 0
-            env_slack = min(env_slack, margin)
-    verdicts.append(
+            smallest(dimension),
+        ),
         Verdict(
             "c_upper_dimension_envelope",
             "constants: c_upper(k, d) d^2 <= pi^2 k^2 (frozen envelope)",
-            env_ok,
-            env_slack,
-        )
-    )
-
-    sandwich_ok, sandwich_slack = True, math.inf
-    for d in range(2, d_max + 1):
-        f, s, a = constants.funano_lower(d), constants.alpha1_simple(d), constants.alpha1_sharp(d)
-        sandwich_ok &= f <= s <= a
-        sandwich_slack = min(sandwich_slack, s - f, a - s)
-    verdicts.append(
+            smallest(envelope),
+        ),
         Verdict(
             "sandwich_funano_simple_sharp",
             "constants: funano_lower <= alpha1_simple <= alpha1_sharp",
-            sandwich_ok,
-            sandwich_slack,
-        )
-    )
-
-    norm = [constants.alpha1_sharp(d) * d * d for d in range(2, d_max + 1)]
-    gaps = [b - a for a, b in zip(norm, norm[1:])]
-    incr_ok = all(g > 0 for g in gaps) if gaps else True
-    bound_ok = all(v <= PI2 for v in norm)
-    verdicts.append(
+            smallest(sandwich),
+        ),
         Verdict(
             "alpha1_sharp_normalized_increasing",
             "constants: alpha1_sharp(d) d^2 increasing and <= pi^2",
-            incr_ok and bound_ok,
-            min([min(gaps) if gaps else math.inf] + [PI2 - max(norm)]),
-        )
-    )
+            smallest(normalized),
+        ),
+    ]
 
     report = ExperimentReport(
         command="constants",
@@ -321,9 +325,7 @@ def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
     def add_row(name, computed, reference, ratio_ref, err, note="", tol=None):
         if computed is None:
             rows.append((name, math.nan, reference, math.nan, math.nan, ratio_ref, math.nan, note))
-            verdicts.append(
-                Verdict(f"table_{name}", "table: row computed", False, math.nan, note)
-            )
+            verdicts.append(Verdict(f"table_{name}", "table: row computed", math.nan, note))
             return
         dev = abs(computed - reference) / reference
         ratio = SEGMENT_MU1_D2 / computed
@@ -334,8 +336,7 @@ def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
                 Verdict(
                     f"table_{name}",
                     f"table: mu_1 within {tol:.1%} (+estimate) of reference",
-                    dev <= budget,
-                    budget - dev,
+                    at_most(dev, budget),
                     f"computed {computed:.6f} vs {reference:.6f}",
                 )
             )
@@ -344,8 +345,7 @@ def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
                 Verdict(
                     f"table_{name}_ratio",
                     f"table: segment ratio within {tol:.1%} (+estimate) of reference",
-                    ratio_dev <= budget,
-                    budget - ratio_dev,
+                    at_most(ratio_dev, budget),
                 )
             )
 
@@ -427,8 +427,7 @@ def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
         Verdict(
             "table_segment_exact",
             "table: segment row analytic, exact",
-            dev == 0.0,
-            -dev,
+            exactly(seg, SEGMENT_MU1_D2),
         )
     )
 
@@ -495,13 +494,11 @@ def cmd_rhombus_sweep(
         eps = full.error_estimate
         tau_bound = PI2 / (4.0 * math.tan(theta) ** 2)
         rows.append((deg, normalized, lo, j01sq, eps, anti.value, tau_bound))
-        in_band = lo - eps <= normalized <= j01sq + eps
         verdicts.append(
             Verdict(
                 f"squeeze_band_theta_{deg:g}",
                 "fem: cone squeeze, mu_1 D^2/4 within [cos^2(theta) j01^2 - eps, j01^2 + eps]",
-                in_band,
-                min(normalized - (lo - eps), (j01sq + eps) - normalized),
+                smallest([at_least(normalized, lo - eps), at_most(normalized, j01sq + eps)]),
                 f"normalized {normalized:.6f}, band [{lo:.6f}, {j01sq:.6f}], eps {eps:.2e}",
             )
         )
@@ -509,19 +506,18 @@ def cmd_rhombus_sweep(
             Verdict(
                 f"antisymmetric_lower_theta_{deg:g}",
                 "fem: half-rhombus Dirichlet base tau_1 >= 0.995 pi^2/(4 M^2)",
-                anti.value >= 0.995 * tau_bound,
-                anti.value - 0.995 * tau_bound,
+                at_least(anti.value, 0.995 * tau_bound),
             )
         )
 
     values = [row[1] for row in rows]
-    increasing = all(b > a for a, b in zip(values, values[1:]))
+    approach = [above(b, a) for a, b in zip(values, values[1:])]
+    approach += [below(row[1], j01sq + row[4]) for row in rows]
     verdicts.append(
         Verdict(
             "monotone_approach",
             "fem: mu_1 D^2/4 increases toward j01^2 as theta decreases",
-            increasing and all(v < j01sq + rows[i][4] for i, v in enumerate(values)),
-            min((b - a) for a, b in zip(values, values[1:])) if len(values) > 1 else 0.0,
+            smallest(approach),
         )
     )
 
@@ -534,8 +530,7 @@ def cmd_rhombus_sweep(
             Verdict(
                 f"antisymmetric_divergence_{deg_i:g}_to_{deg_j:g}",
                 "fem: tau_1 ratio >= 0.8 (sin(theta_i)/sin(theta_j))^2",
-                ratio >= envelope,
-                ratio - envelope,
+                at_least(ratio, envelope),
             )
         )
 
@@ -585,6 +580,8 @@ def cmd_ratio_scan(
     t0 = time.perf_counter()
     if not 1 <= n_pairs <= 1000:
         raise ValueError("n_pairs must be 1..1000")
+    if n_outer < 3 or n_inner < 3:
+        raise ValueError("n_outer and n_inner must be at least 3")
     alpha = constants.alpha1_sharp(2)
     columns = [
         "pair_id",
@@ -631,12 +628,13 @@ def cmd_ratio_scan(
         pair_seed = seed + i
         try:
             inner, outer = geometry.inclusion_pair(pair_seed, n_outer, n_inner)
+        except RuntimeError:  # no nondegenerate pair in 100 draws: skipped
+            return None
+        try:
             res_in = fem.mu_k(_hull_spec(inner), 1, refinements=refinements)
             res_out = fem.mu_k(_hull_spec(outer), 1, refinements=refinements)
         except fem.NonConvergenceError as exc:
             return _not_converged(pair_id, exc)  # a failed verdict, not a skipped draw
-        except (RuntimeError, ValueError):
-            return None
         row = (
             pair_id,
             pair_seed,
@@ -667,22 +665,19 @@ def cmd_ratio_scan(
         Verdict(
             "ratios_above_sharp_constant",
             "constants: mu_1(inner)/mu_1(outer) >= 0.995 alpha1_sharp(2)",
-            min_ratio >= bound,
-            min_ratio - bound,
+            at_least(min_ratio, bound),
             f"minimum ratio {min_ratio:.6f} at {min_id}",
         ),
         Verdict(
             "monotonicity_failure_witnessed",
             "table: at least one scanned pair has ratio < 1",
-            any(r < 1.0 for _, r in ratios),
-            1.0 - min_ratio,
+            below(min_ratio, 1.0),
             f"minimum ratio {min_ratio:.6f} at {min_id}",
         ),
         Verdict(
             "identical_pair_ratio_one",
             "fem: identical domains give ratio exactly 1",
-            rows[0][5] == 1.0,
-            abs(rows[0][5] - 1.0),
+            exactly(rows[0][5], 1.0),
         ),
     ]
 
@@ -742,13 +737,11 @@ def cmd_weyl(
     for k, band in bands.items():
         match = [r for r in rows if r[0] == k]
         if match:
-            rel = match[0][6]
             verdicts.append(
                 Verdict(
                     f"weyl_band_k_{k}",
                     f"spectra: |ratio - target|/target <= {band:.0%} at k = {k}",
-                    rel <= band,
-                    band - rel,
+                    at_most(match[0][6], band),
                 )
             )
     devs = [r[5] for r in rows]
@@ -757,8 +750,7 @@ def cmd_weyl(
             Verdict(
                 "weyl_deviation_decreasing",
                 "spectra: |ratio - target| decreases from the first to the last sampled k",
-                devs[-1] < devs[0],
-                devs[0] - devs[-1],
+                below(devs[-1], devs[0]),
                 f"deviations {[f'{d:.3e}' for d in devs]}",
             )
         )
@@ -767,8 +759,7 @@ def cmd_weyl(
         Verdict(
             "weyl_equal_rectangles",
             "spectra: equal rectangles give ratio exactly 1",
-            equal_ratio == 1.0,
-            abs(equal_ratio - 1.0),
+            exactly(equal_ratio, 1.0),
         )
     )
 
@@ -818,34 +809,31 @@ def cmd_dimension_demo(k: int = 1, ell_list=(0.5, 0.9, 0.99, 1.01, 1.5, 5.0)) ->
                     raise
 
     rows = []
-    all_match = True
+    preserved = []
     for ell in ells:
         p_in = product_mu_k(d_inner, ell)
         p_out = product_mu_k(d_outer, ell)
         ratio = p_in / p_out
+        dev, tol = abs(ratio - base_ratio), 1e-12 * base_ratio
         predicted_equal = ell <= threshold
-        measured_equal = abs(ratio - base_ratio) <= 1e-12 * base_ratio
-        all_match &= predicted_equal == measured_equal
-        rows.append((ell, p_in, p_out, ratio, base_ratio, predicted_equal, measured_equal))
+        rows.append((ell, p_in, p_out, ratio, base_ratio, predicted_equal, dev <= tol))
+        preserved.append(at_most(dev, tol) if predicted_equal else above(dev, tol))
 
     verdicts = [
         Verdict(
             "ratio_preservation_matches_threshold",
             "spectra: exact ratio preservation iff ell <= pi/sqrt(max mu_k)",
-            all_match,
-            0.0,
+            smallest(preserved),
             f"threshold {threshold:.12g}",
         )
     ]
     below = [r for r in rows if r[5]]
     if below:
-        worst = max(abs(r[3] - base_ratio) / base_ratio for r in below)
         verdicts.append(
             Verdict(
                 "ratio_exact_below_threshold",
                 "spectra: below threshold the ratio matches to 1e-12",
-                worst <= 1e-12,
-                1e-12 - worst,
+                smallest(at_most(abs(r[3] - base_ratio) / base_ratio, 1e-12) for r in below),
             )
         )
 
@@ -891,8 +879,7 @@ def cmd_counterexamples() -> ExperimentReport:
         Verdict(
             "segment_in_square_ratio_half",
             "spectra: mu_1(segment)/mu_1(square) = 1/2 exactly",
-            ratio == 0.5,
-            abs(ratio - 0.5),
+            exactly(ratio, 0.5),
         )
     )
 
@@ -920,16 +907,14 @@ def cmd_counterexamples() -> ExperimentReport:
             Verdict(
                 f"disks_zero_mode_j{j}",
                 f"spectra: mu_{n_parts - 1} of the {n_parts}-component union is 0",
-                mu_last_zero == 0.0,
-                -abs(mu_last_zero),
+                exactly(mu_last_zero, 0.0),
             )
         )
         verdicts.append(
             Verdict(
                 f"disks_first_positive_j{j}",
                 "spectra: the next eigenvalue is the scaled disk value",
-                abs(mu_first_pos - spectra.disk_mu1(1.0) * j * j) < 1e-12 * mu_first_pos,
-                float(mu_first_pos > 0),
+                below(abs(mu_first_pos - spectra.disk_mu1(1.0) * j * j), 1e-12 * mu_first_pos),
             )
         )
 

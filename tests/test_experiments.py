@@ -53,6 +53,32 @@ def test_csv_cells_format_as_before():
         assert experiments._fmt_cell(c) == _isinstance_fmt_cell(c), repr(c)
 
 
+def test_margin_helpers():
+    e = experiments
+    # the non-strict forms pass at equality, the strict forms fail there
+    assert e.at_least(1.5, 1.5) == 0.0 and e.Verdict("v", "", e.at_least(1.5, 1.5)).passed
+    assert e.at_most(1.5, 1.5) == 0.0 and e.Verdict("v", "", e.at_most(1.5, 1.5)).passed
+    for bound in (1.5, 0.0, -2.0):
+        assert e.above(bound, bound) < 0 and not e.Verdict("v", "", e.above(bound, bound)).passed
+        assert e.below(bound, bound) < 0 and not e.Verdict("v", "", e.below(bound, bound)).passed
+        assert e.above(math.nextafter(bound, math.inf), bound) == 0.0
+        assert e.below(math.nextafter(bound, -math.inf), bound) == 0.0
+    assert (e.at_least(3.0, 1.0), e.at_most(3.0, 1.0)) == (2.0, -2.0)
+    assert e.exactly(2.5, 2.0) == -0.5 and e.exactly(1.5, 2.0) == -0.5
+    assert e.exactly(2.0, 2.0) == 0.0 and e.Verdict("v", "", e.exactly(2.0, 2.0)).passed
+    # a NaN value fails through every helper
+    for margin in (e.at_least, e.at_most, e.above, e.below, e.exactly):
+        verdict = e.Verdict("v", "", margin(math.nan, 1.0))
+        assert math.isnan(verdict.slack) and not verdict.passed
+    # a compound's slack is its smallest part, NaN wherever a NaN part sits
+    parts = [e.at_least(2.0, 1.0), e.below(0.25, 1.0), e.exactly(1.0, 1.0), e.at_most(1.0, 4.0)]
+    assert e.smallest(parts) == min(parts) == 0.0
+    assert e.smallest(parts[:2] + parts[3:]) == parts[1] == math.nextafter(1.0, 0.0) - 0.25
+    for i in range(len(parts) + 1):
+        assert math.isnan(e.smallest(parts[:i] + [math.nan] + parts[i:]))
+    assert e.smallest([]) == 0.0
+
+
 def test_weyl_report(tmp_path):
     report = experiments.cmd_weyl(k_list=(1000, 10000))
     assert report.all_passed
@@ -166,6 +192,49 @@ def test_ratio_scan_reports_solver_failure_as_verdict(monkeypatch):
     assert [r[0] for r in report.rows if r[2] == "random"] == ["pair_0000", "pair_0002"]
 
 
+def test_ratio_scan_rejects_impossible_hull_sizes(tmp_path, capsys):
+    # a hull needs 3 points: fewer would skip every draw and pass on the
+    # two reference rows alone
+    for sizes in ({"n_outer": 2}, {"n_inner": 2}):
+        with pytest.raises(ValueError, match="at least 3"):
+            experiments.cmd_ratio_scan(n_pairs=5, refinements=2, **sizes)
+    code = cli.main(
+        ["ratio-scan", "--n-pairs=5", "--refinements=2", "--n-outer=2", "--n-inner=2",
+         "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    assert "speclab:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_ratio_scan_skips_only_degenerate_draws(monkeypatch):
+    # inclusion_pair's RuntimeError (no nondegenerate pair) skips the draw;
+    # a ValueError from the solver is a bug and propagates
+    monkeypatch.delenv("SPECLAB_THREADS", raising=False)
+    inclusion_pair = geometry.inclusion_pair
+
+    def degenerate_second_draw(seed, *args):
+        if seed == 8:
+            raise RuntimeError("no nondegenerate inclusion pair")
+        return inclusion_pair(seed, *args)
+
+    monkeypatch.setattr(experiments.geometry, "inclusion_pair", degenerate_second_draw)
+    report = experiments.cmd_ratio_scan(n_pairs=3, seed=7, refinements=2)
+    assert report.metadata["params"]["skipped"] == 1
+    assert [r[0] for r in report.rows if r[2] == "random"] == ["pair_0000", "pair_0002"]
+
+    mu_k = fem.mu_k
+
+    def broken_hull_solve(spec, *args, **kwargs):
+        if isinstance(spec, geometry.ConvexHullPolygon):
+            raise ValueError("not a degenerate draw")
+        return mu_k(spec, *args, **kwargs)
+
+    monkeypatch.setattr(experiments.fem, "mu_k", broken_hull_solve)
+    with pytest.raises(ValueError, match="not a degenerate draw"):
+        experiments.cmd_ratio_scan(n_pairs=3, seed=7, refinements=2)
+
+
 def test_table_reports_solver_failure_as_verdict(monkeypatch):
     # a row whose solve fails to converge becomes a failed "row computed"
     # verdict; every other row is still computed
@@ -181,6 +250,7 @@ def test_table_reports_solver_failure_as_verdict(monkeypatch):
     missing = [v for v in report.verdicts if v.invariant == "table: row computed"]
     assert [v.name for v in missing] == ["table_square"]
     assert not missing[0].passed and "forced failure" in missing[0].detail
+    assert math.isnan(missing[0].slack)
     # the ten ladders that were solved: two rhombi, five sectors and three rows
     assert report.metadata["ladders"] == 10
     assert [r[0] for r in report.rows if math.isnan(r[1])] == ["square"]
@@ -211,6 +281,11 @@ def test_rhombus_sweep_small():
     assert degs == [20.0, 10.0]
     values = [row[1] for row in report.rows]
     assert values[1] > values[0]
+    # compound: strictly increasing, and each value strictly below j01^2 + eps
+    parts = [values[1] - math.nextafter(values[0], math.inf)]
+    parts += [math.nextafter(row[3] + row[4], -math.inf) - row[1] for row in report.rows]
+    approach = next(v for v in report.verdicts if v.name == "monotone_approach")
+    assert approach.slack == min(parts)
 
 
 def test_rhombus_sweep_rejects_tiny_angle():
@@ -292,6 +367,36 @@ def test_cli_failing_verdict_sets_exit_code(tmp_path):
         ["weyl", "--k-list=1000,10000", "--rect1=1x1", "--rect2=1x1", "--out", str(tmp_path / "o")]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the benchmark's smoke sizes, and the equal-rectangle failure
+        ["constants", "--k-max=10", "--d-max=12"],
+        ["table-mu1", "--refinements=3"],
+        ["rhombus-sweep", "--theta-deg-list=20,10,5", "--refinements=3"],
+        ["ratio-scan", "--n-pairs=4", "--refinements=2"],
+        ["weyl", "--k-list=1000,10000"],
+        ["dimension-demo"],
+        ["counterexamples"],
+        ["weyl", "--k-list=1000,10000", "--rect1=1x1", "--rect2=1x1"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_passed_iff_slack_nonnegative(argv, tmp_path):
+    code = cli.main(argv + ["--out", str(tmp_path)])
+    (path,) = tmp_path.glob("*_verdicts.json")
+    payload = json.loads(path.read_text())
+    verdicts = {v["name"]: v for v in payload["verdicts"]}
+    for v in verdicts.values():
+        assert v["passed"] == (v["slack"] >= 0), v
+    assert payload["all_passed"] == all(v["passed"] for v in verdicts.values())
+    assert code == (0 if payload["all_passed"] else 1)
+    if "--rect1=1x1" in argv:
+        # equal deviations are not decreasing: the strict margin is negative
+        assert verdicts["weyl_deviation_decreasing"]["slack"] < 0
+        assert code == 1
 
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
