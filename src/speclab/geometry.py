@@ -9,10 +9,12 @@ Each spec describes itself by its `outline()`: the polygon, a class for
 each edge ('side', 'base', 'arc', 'radial', ...) and the classes that are
 Dirichlet by definition (the base of a half rhombus).
 
-Meshing: rhombi, half rhombi and rectangles are meshed as affine images of
-a structured triangulated reference square (quality is preserved under the
-anisotropy of thin rhombi, where fan meshing degrades); generic convex
-polygons are fan-triangulated from the centroid and uniformly refined.
+Meshing: each family has one base mesh.  Rhombi, half rhombi and rectangles
+are meshed as affine images of a structured triangulated reference square
+(quality is preserved under the anisotropy of thin rhombi, where fan meshing
+degrades); generic convex polygons are fan-triangulated from the centroid.
+Finer meshes are uniform refinements of the base mesh; on a structured grid
+they are the same grid with 2^r times the cells per side.
 Boundary edges take the class of the outline edge they lie on and carry
 condition markers ('N' or 'D') assigned by a dirichlet class set.
 
@@ -441,25 +443,14 @@ def _structured_grid(nx: int, ny: int):
     return verts, np.stack([a, b, d, b, c, d], axis=-1).reshape(-1, 3)
 
 
-def _rhombus_grid(spec, poly: np.ndarray, target_h: Optional[float]):
-    """The rhombus (D, theta) as the affine image of the unit-square grid,
-    keeping the triangles whose centroid lies in poly (for a half rhombus,
-    those above the long diagonal, which the grid resolves)."""
+def _rhombus_grid(spec, poly: np.ndarray):
+    """The rhombus (D, theta) as the affine image of the 8 x 8 unit-square
+    grid, keeping the triangles whose centroid lies in poly (for a half
+    rhombus, those above the long diagonal, which the grid resolves)."""
     D = spec.D
     h = 0.5 * D * math.tan(spec.theta)
-    if target_h is None:
-        n_cells = 8
-    else:
-        # longest edge of the 1-cell mesh: the long diagonal (chopped into
-        # n segments) or, for wide openings, the mapped grid edge
-        n_cells = max(1, int(math.ceil(max(D, math.hypot(0.5 * D, h)) / target_h)))
-    while True:
-        uv, tris = _structured_grid(n_cells, n_cells)
-        verts = np.column_stack([(uv[:, 0] - uv[:, 1]) * (0.5 * D), (uv[:, 0] + uv[:, 1] - 1.0) * h])
-        # rounded vertex coordinates can lengthen an edge that ties target_h
-        if target_h is None or _max_edge(verts, tris) <= target_h:
-            break
-        n_cells += 1
+    uv, tris = _structured_grid(8, 8)
+    verts = np.column_stack([(uv[:, 0] - uv[:, 1]) * (0.5 * D), (uv[:, 0] + uv[:, 1] - 1.0) * h])
     edge = np.roll(poly, -1, axis=0) - poly
     rel = verts[tris].mean(axis=1)[:, None, :] - poly[None]
     inside = np.all(edge[:, 0] * rel[..., 1] - edge[:, 1] * rel[..., 0] > 0, axis=1)
@@ -470,27 +461,13 @@ def _rhombus_grid(spec, poly: np.ndarray, target_h: Optional[float]):
     return verts[used], remap[tris]
 
 
-def _rectangle_grid(spec, poly: np.ndarray, target_h: Optional[float]):
-    """Aspect-aware structured grid on [0,a]x[0,b], (a, b) the corner poly[2].
-
-    With target_h, the cells are refined until the mesh's longest edge, the
-    cell diagonal, is at most target_h; the grid is checked as built, since
-    rounded vertex coordinates can lengthen an edge that ties target_h.
-    """
+def _rectangle_grid(spec, poly: np.ndarray):
+    """Aspect-aware structured grid on [0,a]x[0,b], (a, b) the corner poly[2],
+    with cells of side at most a quarter of the longer side."""
     a, b = map(float, poly[2])
-    side = 0.25 * max(a, b) if target_h is None else target_h
-    nx = max(1, int(math.ceil(a / side)))
-    ny = max(1, int(math.ceil(b / side)))
-    while True:
-        if target_h is None or math.hypot(a / nx, b / ny) <= target_h:
-            uv, tris = _structured_grid(nx, ny)
-            verts = np.column_stack([uv[:, 0] * a, uv[:, 1] * b])
-            if target_h is None or _max_edge(verts, tris) <= target_h:
-                return verts, tris
-        if a / nx >= b / ny:
-            nx += 1
-        else:
-            ny += 1
+    side = 0.25 * max(a, b)
+    uv, tris = _structured_grid(math.ceil(a / side), math.ceil(b / side))
+    return np.column_stack([uv[:, 0] * a, uv[:, 1] * b]), tris
 
 
 def _nearest_outline_edge(poly: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -544,7 +521,7 @@ def refine_mesh(mesh: Mesh) -> Mesh:
 
 
 # Structured grids keep their quality under the anisotropy of thin rhombi and
-# rectangles; every spec type not listed is fan-triangulated and refined.
+# rectangles; every spec type not listed is fan-triangulated.
 _GRID_MESHES = {
     Rhombus: _rhombus_grid,
     HalfRhombus: _rhombus_grid,
@@ -553,14 +530,10 @@ _GRID_MESHES = {
 }
 
 
-def triangulate(
-    spec: DomainSpec,
-    target_h: Optional[float] = None,
-    dirichlet_classes: Optional[frozenset] = None,
-) -> Mesh:
-    """Mesh the domain with boundary markers.
+def triangulate(spec: DomainSpec, dirichlet_classes: Optional[frozenset] = None) -> Mesh:
+    """The base mesh of the spec's family, with boundary markers.
 
-    target_h=None builds the minimal base mesh of the spec's family.  Each
+    Finer meshes are uniform refinements of it (`refine_mesh`).  Each
     boundary edge takes the class of the outline edge it lies on.
     dirichlet_classes marks matching edge classes 'D' ('*' matches every
     class), on top of the classes the outline makes Dirichlet; the default
@@ -576,7 +549,7 @@ def triangulate(
         verts = np.vstack([poly, poly.mean(axis=0)])
         tris = np.column_stack([i, (i + 1) % n, np.full(n, n)])
     else:
-        verts, tris = grid(spec, poly, target_h)
+        verts, tris = grid(spec, poly)
     edges = _boundary_edges_of(tris)
     nearest = _nearest_outline_edge(poly, 0.5 * (verts[edges[:, 0]] + verts[edges[:, 1]]))
     dirichlet = set(dirichlet_classes or ()) | outline.dirichlet
@@ -586,17 +559,13 @@ def triangulate(
     ]
     if dirichlet and DIRICHLET not in markers:
         raise ValueError(f"dirichlet classes {sorted(dirichlet)} matched no boundary edge")
-    mesh = Mesh(
+    return Mesh(
         vertices=verts,
         triangles=tris,
         boundary_edges=edges,
         boundary_markers=markers,
         h=_max_edge(verts, tris),
     )
-    if grid is None and target_h is not None:
-        while mesh.h > target_h:
-            mesh = refine_mesh(mesh)
-    return mesh
 
 
 # ---------------------------------------------------------------------------

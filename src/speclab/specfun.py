@@ -55,19 +55,6 @@ def bessel_j(nu: float, x: float) -> float:
     return float(_special.jv(nu, x))
 
 
-def bessel_j_prime(nu: float, x: float) -> float:
-    """Evaluate J_nu'(x) via the identity J_nu' = (nu/x) J_nu - J_{nu+1}."""
-    if not (math.isfinite(nu) and math.isfinite(x)):
-        raise ValueError("bessel_j_prime requires finite arguments")
-    if nu < 0 or x < 0:
-        raise ValueError(f"bessel_j_prime requires nu >= 0 and x >= 0, got nu={nu}, x={x}")
-    if x == 0.0:
-        if nu == 1.0:
-            return 0.5
-        return 0.0 if (nu == 0.0 or nu > 1.0) else math.inf
-    return (nu / x) * bessel_j(nu, x) - bessel_j(nu + 1.0, x)
-
-
 def _validate_order(nu: float) -> None:
     if not math.isfinite(nu) or nu < 0:
         raise ValueError(f"order nu={nu} outside domain (need finite nu >= 0)")

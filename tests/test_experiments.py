@@ -192,6 +192,44 @@ def test_ratio_scan_reports_solver_failure_as_verdict(monkeypatch):
     assert [r[0] for r in report.rows if r[2] == "random"] == ["pair_0000", "pair_0002"]
 
 
+@pytest.mark.parametrize(
+    "failing, failed_names",
+    [
+        (
+            geometry.Square,
+            ["fem_converged_ref_identical", "ratios_above_sharp_constant",
+             "monotonicity_failure_witnessed", "identical_pair_ratio_one"],
+        ),
+        (
+            geometry.Rectangle,
+            ["fem_converged_ref_thin_rect_in_square", "ratios_above_sharp_constant",
+             "monotonicity_failure_witnessed"],
+        ),
+    ],
+)
+def test_ratio_scan_reports_reference_failure_as_verdict(monkeypatch, tmp_path, failing, failed_names):
+    # a reference solve that fails to converge is a failed verdict, and each
+    # verdict that reads its row fails through a NaN slack; the report is
+    # still written and the CLI exits 1
+    mu_k = fem.mu_k
+
+    def failing_reference(spec, *args, **kwargs):
+        if isinstance(spec, failing):
+            raise fem.NonConvergenceError("forced failure")
+        return mu_k(spec, *args, **kwargs)
+
+    monkeypatch.setattr(experiments.fem, "mu_k", failing_reference)
+    out = tmp_path / "o"
+    assert cli.main(["ratio-scan", "--n-pairs=2", "--refinements=2", "--out", str(out)]) == 1
+    payload = json.loads((out / "ratio_scan_verdicts.json").read_text())
+    failed = [v for v in payload["verdicts"] if not v["passed"]]
+    assert [v["name"] for v in failed] == failed_names
+    assert "forced failure" in failed[0]["detail"]
+    assert all(math.isnan(v["slack"]) for v in failed)
+    ids = [line.split(",")[0] for line in (out / "ratio_scan.csv").read_text().splitlines()[1:]]
+    assert ids == ["ref_identical"] * (failing is geometry.Rectangle) + ["pair_0000", "pair_0001"]
+
+
 def test_ratio_scan_rejects_impossible_hull_sizes(tmp_path, capsys):
     # a hull needs 3 points: fewer would skip every draw and pass on the
     # two reference rows alone
@@ -286,6 +324,26 @@ def test_rhombus_sweep_small():
     parts += [math.nextafter(row[3] + row[4], -math.inf) - row[1] for row in report.rows]
     approach = next(v for v in report.verdicts if v.name == "monotone_approach")
     assert approach.slack == min(parts)
+
+
+def test_rhombus_sweep_reports_solver_failure_as_verdict(tmp_path, monkeypatch):
+    # a half-rhombus solve that fails to converge at 10 degrees is a failed
+    # verdict; the other angles' rows are still computed and written
+    mu_k = fem.mu_k
+
+    def failing_half_rhombus(spec, *args, **kwargs):
+        if isinstance(spec, geometry.HalfRhombus) and spec.theta == math.radians(10.0):
+            raise fem.NonConvergenceError("forced failure")
+        return mu_k(spec, *args, **kwargs)
+
+    monkeypatch.setattr(experiments.fem, "mu_k", failing_half_rhombus)
+    report = experiments.cmd_rhombus_sweep(theta_deg_list=(20.0, 10.0, 5.0), refinements=3)
+    failed = [v for v in report.verdicts if not v.passed]
+    assert [v.name for v in failed] == ["fem_converged_theta_10"]
+    assert "forced failure" in failed[0].detail and math.isnan(failed[0].slack)
+    report.write(tmp_path)
+    rows = (tmp_path / "rhombus_sweep.csv").read_text().splitlines()[1:]
+    assert [float(line.split(",")[0]) for line in rows] == [20.0, 5.0]
 
 
 def test_rhombus_sweep_rejects_tiny_angle():

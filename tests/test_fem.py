@@ -11,6 +11,14 @@ from speclab import constants, fem, geometry as geo, spectra
 PI2 = math.pi**2
 
 
+def refined(spec, times, dirichlet_classes=None):
+    """The spec's base mesh after `times` uniform refinements."""
+    mesh = geo.triangulate(spec, dirichlet_classes=dirichlet_classes)
+    for _ in range(times):
+        mesh = geo.refine_mesh(mesh)
+    return mesh
+
+
 def make_mesh(verts, tris, markers=None):
     verts = np.asarray(verts, dtype=float)
     tris = np.asarray(tris, dtype=np.int64)
@@ -42,14 +50,14 @@ def test_stiffness_row_sums_vanish():
     mesh = make_mesh([(0, 0), (1, 0), (1, 1), (0, 1)], [[0, 1, 2], [0, 2, 3]])
     K, _ = fem.assemble(mesh)
     assert np.allclose(np.asarray(K.sum(axis=1)).ravel(), 0.0, atol=1e-14)
-    big = geo.triangulate(geo.RegularPolygon(16, 1.0), target_h=0.2)
+    big = refined(geo.RegularPolygon(16, 1.0), 3)
     K, _ = fem.assemble(big)
     assert np.abs(np.asarray(K.sum(axis=1))).max() < 1e-12
 
 
 def test_mass_sums_to_area():
-    for spec in (geo.Square(1.0), geo.Rhombus(2.0, 0.35), geo.RegularPolygon(12, 1.0)):
-        mesh = geo.triangulate(spec, target_h=0.3)
+    for spec, times in ((geo.Square(1.0), 1), (geo.Rhombus(2.0, 0.35), 0), (geo.RegularPolygon(12, 1.0), 2)):
+        mesh = refined(spec, times)
         _, M = fem.assemble(mesh)
         assert M.sum() == pytest.approx(
             geo.area(geo.build(spec)), rel=1e-12
@@ -109,7 +117,7 @@ def test_dense_assembly_matches_sparse(monkeypatch, spec, dirichlet):
 
 
 def test_unit_square_neumann():
-    mesh = geo.triangulate(geo.Square(1.0), target_h=1.0 / 32.0)
+    mesh = refined(geo.Square(1.0), 4)
     res = fem.solve_mesh(mesh, 2)
     assert res.eigenvalues[0] <= 1e-8 * res.eigenvalues[1]
     assert res.eigenvalues[1] == pytest.approx(PI2, rel=0.01)
@@ -117,16 +125,14 @@ def test_unit_square_neumann():
 
 
 def test_thin_rectangle_segment_surrogate():
-    mesh = geo.triangulate(geo.Rectangle(1.0, 0.01), target_h=1.0 / 64.0)
+    mesh = refined(geo.Rectangle(1.0, 0.01), 5)
     res = fem.solve_mesh(mesh, 2)
     assert res.eigenvalues[1] == pytest.approx(PI2, rel=0.01)
 
 
 def test_mixed_square_one_side_dirichlet():
     # separable closed form: tau_1 = pi^2/4 (mixed segment times Neumann factor)
-    mesh = geo.triangulate(
-        geo.Square(1.0), target_h=1.0 / 32.0, dirichlet_classes=frozenset({"left"})
-    )
+    mesh = refined(geo.Square(1.0), 4, frozenset({"left"}))
     K, M = fem.assemble(mesh)
     res = fem.solve_smallest(K, M, fem.dirichlet_dofs(mesh), 1)
     ref = spectra.segment_spectrum(1.0, "mixed", 1).values[0]
@@ -134,15 +140,13 @@ def test_mixed_square_one_side_dirichlet():
 
 
 def test_dirichlet_square():
-    mesh = geo.triangulate(
-        geo.Square(1.0), target_h=1.0 / 32.0, dirichlet_classes=frozenset({"*"})
-    )
+    mesh = refined(geo.Square(1.0), 4, frozenset({"*"}))
     res = fem.solve_mesh(mesh, 1)
     assert res.eigenvalues[0] == pytest.approx(2 * PI2, rel=0.01)
 
 
 def test_solver_determinism():
-    mesh = geo.triangulate(geo.RegularPolygon(64, 1.0), target_h=0.1)
+    mesh = refined(geo.RegularPolygon(64, 1.0), 4)
     a = fem.solve_mesh(mesh, 3)
     b = fem.solve_mesh(mesh, 3)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
@@ -204,7 +208,7 @@ def test_dense_residuals_without_rayleigh_ritz():
 
 
 def test_rayleigh_ritz_failure_raises(monkeypatch):
-    mesh = geo.triangulate(geo.Square(1.0), target_h=1.0 / 24.0)
+    mesh = refined(geo.Square(1.0), 4)
     assert len(mesh.vertices) > 400
 
     def failing_eigh(*args, **kwargs):
@@ -322,9 +326,9 @@ def test_discrete_eigenvalues_decrease_under_refinement():
 
 
 def test_neumann_below_dirichlet_same_mesh():
-    for spec in (geo.Square(1.0), geo.RegularPolygon(16, 1.0)):
-        mesh_n = geo.triangulate(spec, target_h=0.15)
-        mesh_d = geo.triangulate(spec, target_h=0.15, dirichlet_classes=frozenset({"*"}))
+    for spec, times in ((geo.Square(1.0), 2), (geo.RegularPolygon(16, 1.0), 3)):
+        mesh_n = refined(spec, times)
+        mesh_d = refined(spec, times, frozenset({"*"}))
         rn = fem.solve_mesh(mesh_n, 6)
         K, M = fem.assemble(mesh_d)
         rd = fem.solve_smallest(K, M, fem.dirichlet_dofs(mesh_d), 5)
@@ -423,7 +427,7 @@ def test_cone_squeeze_via_sector():
 
 def test_solve_from_mesh_file(tmp_path):
     # the solver consumes the mesh text format directly
-    mesh = geo.triangulate(geo.Square(1.0), target_h=1.0 / 16.0)
+    mesh = refined(geo.Square(1.0), 3)
     path = tmp_path / "square.mesh"
     geo.write_mesh(mesh, path)
     loaded = geo.read_mesh(path)
@@ -432,7 +436,7 @@ def test_solve_from_mesh_file(tmp_path):
 
 
 def test_solve_errors():
-    mesh = geo.triangulate(geo.Square(1.0), target_h=0.6)
+    mesh = geo.triangulate(geo.Square(1.0))
     K, M = fem.assemble(mesh)
     with pytest.raises(ValueError):
         fem.solve_smallest(K, M, [], 0)

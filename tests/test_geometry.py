@@ -15,6 +15,14 @@ def brute_diameter(poly):
     )
 
 
+def refined(spec, times, dirichlet_classes=None):
+    """The spec's base mesh after `times` uniform refinements."""
+    mesh = geo.triangulate(spec, dirichlet_classes=dirichlet_classes)
+    for _ in range(times):
+        mesh = geo.refine_mesh(mesh)
+    return mesh
+
+
 def rotate(poly, angle, center=(0.3, -0.7)):
     c, s = math.cos(angle), math.sin(angle)
     out = []
@@ -79,29 +87,11 @@ def test_build_polygons_ccw_convex(spec_type):
     for i in range(n):
         a, b, c = poly[i], poly[(i + 1) % n], poly[(i + 2) % n]
         assert geo._cross(b - a, c - b) >= -1e-12
-    geo.triangulate(spec).validate()
-    target_h = 0.2 * geo.diameter(poly)
-    mesh = geo.triangulate(spec, target_h=target_h)
+    mesh = geo.triangulate(spec)
     mesh.validate()
-    assert mesh.h <= target_h
-
-
-def test_rectangle_target_h_bounds_cell_diagonal():
-    # h is the cell diagonal, so sizing cells by their sides alone overshoots
-    # (1 x 0.01 at 0.2: 5 x 1 cells, h = 0.2002)
-    for spec, target_h, (nx, ny) in (
-        (geo.Rectangle(1.0, 0.01), 0.2, (6, 1)),
-        (geo.Rectangle(1.0, 0.01), 0.05, (21, 1)),
-        (geo.Square(math.sqrt(2.0)), 0.3, (7, 7)),
-    ):
-        mesh = geo.triangulate(spec, target_h=target_h)
-        assert mesh.h <= target_h
-        assert len(mesh.vertices) == (nx + 1) * (ny + 1)
-    # targets that tie a grid's longest edge, which rounding can lengthen
-    for spec in (geo.Square(1.0), geo.Square(1.7), geo.Rhombus(2.0, 0.1), geo.HalfRhombus(2.0, 0.3)):
-        for n in (4, 5, 7):
-            target_h = geo.diameter(geo.build(spec)) / n
-            assert geo.triangulate(spec, target_h=target_h).h <= target_h
+    while mesh.h > 0.2 * geo.diameter(poly):
+        mesh = geo.refine_mesh(mesh)
+        mesh.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +187,7 @@ def area_sum(mesh):
 
 
 def test_square_mesh_partitions_area():
-    mesh = geo.triangulate(geo.Square(1.0), target_h=0.5)
+    mesh = geo.triangulate(geo.Square(1.0))
     mesh.validate()
     assert area_sum(mesh) == pytest.approx(1.0, abs=1e-12)
 
@@ -327,22 +317,18 @@ def reference_structured_grid(nx, ny):
     return verts, np.array(tris, dtype=np.int64)
 
 
-def reference_grid_mesh(spec, target_h, dirichlet):
-    """Rhombus and rectangle base meshes built one cell, triangle and edge at
-    a time, each type by its own branch (oracle for triangulate)."""
+def reference_grid_mesh(spec, refinements, dirichlet):
+    """Rhombus and rectangle meshes with 2^refinements times the base mesh's
+    cells per side, built one cell, triangle and edge at a time, each type by
+    its own branch (oracle for triangulate and refine_mesh)."""
     dirichlet = set(dirichlet or ())
+    scale = 2**refinements
     if isinstance(spec, geo.Rhombus):
         half = isinstance(spec, geo.HalfRhombus)
         D = spec.D
         h = 0.5 * D * math.tan(spec.theta)
-        edge1 = max(D, math.hypot(0.5 * D, h))
-        n = 8 if target_h is None else max(1, int(math.ceil(edge1 / target_h)))
-        while True:
-            uv, tris = reference_structured_grid(n, n)
-            verts = np.column_stack([(uv[:, 0] - uv[:, 1]) * (0.5 * D), (uv[:, 0] + uv[:, 1] - 1.0) * h])
-            if target_h is None or geo._max_edge(verts, tris) <= target_h:
-                break
-            n += 1
+        uv, tris = reference_structured_grid(8 * scale, 8 * scale)
+        verts = np.column_stack([(uv[:, 0] - uv[:, 1]) * (0.5 * D), (uv[:, 0] + uv[:, 1] - 1.0) * h])
         if half:
             s = uv[:, 0] + uv[:, 1]
             tris = np.array([t for t in tris if s[t].sum() >= 3.0 - 1e-12], dtype=np.int64)
@@ -357,15 +343,9 @@ def reference_grid_mesh(spec, target_h, dirichlet):
             classes[(a, b)] = "base" if half and on_base else "side"
     else:
         a, b = (spec.a, spec.b) if isinstance(spec, geo.Rectangle) else (spec.side, spec.side)
-        side = 0.25 * max(a, b) if target_h is None else target_h
-        nx, ny = max(1, int(math.ceil(a / side))), max(1, int(math.ceil(b / side)))
-        while True:
-            uv, tris = reference_structured_grid(nx, ny)
-            verts = np.column_stack([uv[:, 0] * a, uv[:, 1] * b])
-            if target_h is None or geo._max_edge(verts, tris) <= target_h:
-                break
-            # a target_h bounds the cell diagonal: refine the longer cell side
-            nx, ny = (nx + 1, ny) if a / nx >= b / ny else (nx, ny + 1)
+        side = 0.25 * max(a, b)
+        uv, tris = reference_structured_grid(math.ceil(a / side) * scale, math.ceil(b / side) * scale)
+        verts = np.column_stack([uv[:, 0] * a, uv[:, 1] * b])
         classes = {}
         for i, j in reference_boundary_edges(tris):
             (x0, y0), (x1, y1) = verts[i], verts[j]
@@ -382,7 +362,7 @@ def reference_grid_mesh(spec, target_h, dirichlet):
 
 
 @pytest.mark.parametrize(
-    "spec,target_h,dirichlet",
+    "spec,max_h,dirichlet",
     [
         (geo.Rhombus(2.0, math.radians(5.0)), None, None),
         (geo.Rhombus(2.0, 1.2), 0.3, frozenset({"*"})),
@@ -393,42 +373,58 @@ def reference_grid_mesh(spec, target_h, dirichlet):
         (geo.Rectangle(1.0, 0.01), 0.05, frozenset({"left"})),
         (geo.Square(1.0), None, frozenset({"top"})),
         (geo.Square(math.sqrt(2.0)), 0.3, frozenset({"bottom", "right"})),
+        (geo.Rhombus(2.0, math.radians(5.0)), 0.1, None),
+        (geo.HalfRhombus(2.0, math.radians(5.0)), 0.1, frozenset({"side"})),
     ],
 )
-def test_grid_meshes_match_reference(spec, target_h, dirichlet):
-    mesh = geo.triangulate(spec, target_h=target_h, dirichlet_classes=dirichlet)
-    verts, tris, edges, markers = reference_grid_mesh(spec, target_h, dirichlet)
-    for got, want in ((mesh.vertices, verts), (mesh.triangles, tris), (mesh.boundary_edges, edges)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert mesh.boundary_markers == markers
-    assert mesh.h == geo._max_edge(verts, tris)
+def test_grid_meshes_match_reference(spec, max_h, dirichlet):
+    """The base mesh is the oracle's array for array.  Refined r times, the
+    fewest with h <= max_h, it is the oracle's grid with 2^r times the cells,
+    up to vertex numbering: every finer mesh of these families is a
+    refinement of the base mesh, and this is the grid it stands for."""
+    mesh, r = geo.triangulate(spec, dirichlet_classes=dirichlet), 0
+    while max_h is not None and mesh.h > max_h:
+        mesh, r = geo.refine_mesh(mesh), r + 1
+    verts, tris, edges, markers = reference_grid_mesh(spec, r, dirichlet)
+    if r == 0:
+        for got, want in ((mesh.vertices, verts), (mesh.triangles, tris), (mesh.boundary_edges, edges)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert mesh.boundary_markers == markers
+        assert mesh.h == geo._max_edge(verts, tris)
+        return
+    # the same coordinates: each mesh vertex is within 1e-12 of one oracle vertex
+    dist = np.linalg.norm(mesh.vertices[:, None] - verts[None], axis=2)
+    to_ref = dist.argmin(axis=1)
+    assert dist[np.arange(len(to_ref)), to_ref].max() <= 1e-12
+    assert sorted(to_ref.tolist()) == list(range(len(verts)))
+    assert len(mesh.triangles) == len(tris)
+    assert {frozenset(to_ref[t].tolist()) for t in mesh.triangles} == {frozenset(t) for t in tris.tolist()}
+    assert len(mesh.boundary_edges) == len(edges)
+    assert {(frozenset(to_ref[e].tolist()), m) for e, m in zip(mesh.boundary_edges, mesh.boundary_markers)} == {
+        (frozenset(e), m) for e, m in zip(edges.tolist(), markers)
+    }
+    assert mesh.h == pytest.approx(geo._max_edge(verts, tris), rel=1e-12)
 
 
 def test_boundary_edges_match_reference():
     for spec in (geo.Sector(1.0, 1.0, 8), geo.RegularPolygon(12, 1.0)):
-        tris = geo.triangulate(spec, target_h=0.2).triangles
+        tris = refined(spec, 3).triangles
         assert geo._boundary_edges_of(tris).tolist() == [list(e) for e in reference_boundary_edges(tris)]
 
 
 def test_inscribed_vertices_stay_inside():
     # sector and constant-width meshes keep vertices in the true domain
-    mesh = geo.triangulate(geo.Sector(1.0, 1.654, 32), target_h=0.2)
+    mesh = refined(geo.Sector(1.0, 1.654, 32), 3)
     assert np.all(np.linalg.norm(mesh.vertices, axis=1) <= 1.0 + 1e-12)
     w = 2.0
-    mesh = geo.triangulate(geo.ReuleauxTriangle(w, 16), target_h=0.5)
+    mesh = refined(geo.ReuleauxTriangle(w, 16), 2)
     corners = np.array([(0.0, 0.0), (w, 0.0), (0.5 * w, 0.5 * math.sqrt(3) * w)])
     for c in corners:
         assert np.all(np.linalg.norm(mesh.vertices - c, axis=1) <= w + 1e-12)
 
 
-def test_triangulate_respects_target_h():
-    for spec in (geo.Rhombus(2.0, 0.2), geo.RegularPolygon(16, 1.0), geo.Rectangle(1.0, 0.01)):
-        mesh = geo.triangulate(spec, target_h=0.3)
-        assert mesh.h <= 0.3 + 1e-12
-
-
 def test_thin_rectangle_mesh_quality():
-    mesh = geo.triangulate(geo.Rectangle(1.0, 0.01), target_h=0.05)
+    mesh = refined(geo.Rectangle(1.0, 0.01), 3)
     mesh.validate()
     assert area_sum(mesh) == pytest.approx(0.01, rel=1e-12)
 
@@ -447,7 +443,7 @@ def test_mesh_io_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("defect", ["missing boundary edge", "vertex index out of range"])
 def test_read_mesh_rejects_invalid_file(tmp_path, defect):
-    mesh = geo.triangulate(geo.Square(1.0), target_h=0.25)
+    mesh = refined(geo.Square(1.0), 1)
     path = tmp_path / "mesh.txt"
     geo.write_mesh(mesh, path)
     lines = path.read_text().splitlines()
@@ -463,7 +459,7 @@ def test_read_mesh_rejects_invalid_file(tmp_path, defect):
 
 
 def test_mesh_io_header(tmp_path):
-    mesh = geo.triangulate(geo.Square(1.0), target_h=0.6)
+    mesh = geo.triangulate(geo.Square(1.0))
     path = tmp_path / "mesh.txt"
     geo.write_mesh(mesh, path)
     first = path.read_text().splitlines()[0].split()
