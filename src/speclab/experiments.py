@@ -10,9 +10,12 @@ A verdict's slack is the signed margin of its inequality, and it passed iff
 slack >= 0, so a NaN slack fails.  An exact check's slack is -|deviation|;
 a compound verdict's slack is the minimum of its parts (NaN if any part is).
 
-Analytic assertions are exact to 1e-12.  FEM assertions use a 0.5% default
-slack plus the per-row Richardson error estimate; curved-boundary rows
-(sector, constant-width) use 1% for the inscribed-chord geometry error.
+Analytic assertions are exact to 1e-12.  FEM assertions allow a per-row
+tolerance (the table list in cmd_table_mu1) plus the Richardson estimate.
+A FEM row whose solve does not converge gets a failed fem_converged_<row>
+verdict and is not written; each verdict that reads it fails through a NaN
+slack (null in the JSON), so the verdict names do not depend on which rows
+failed.
 """
 
 from __future__ import annotations
@@ -129,7 +132,7 @@ class ExperimentReport:
             ],
         }
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(_nan_to_null(payload), fh, indent=2, allow_nan=False)
             fh.write("\n")
 
     def summary_lines(self):
@@ -137,6 +140,17 @@ class ExperimentReport:
         for v in self.verdicts:
             mark = "PASS" if v.passed else "FAIL"
             yield f"  {mark} {v.name} (slack {v.slack:.3e}) [{v.invariant}]"
+
+
+def _nan_to_null(obj):
+    """obj with every NaN float in it replaced by None, as JSON has no NaN."""
+    if isinstance(obj, float):
+        return None if math.isnan(obj) else obj
+    if isinstance(obj, dict):
+        return {key: _nan_to_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_nan_to_null(value) for value in obj]
+    return obj
 
 
 def _fmt_cell(c) -> str:
@@ -189,19 +203,38 @@ ORDER_BAND = (1.5, 2.5)
 
 
 def _ladder_checks(ladders) -> dict:
-    """Counts of the Richardson self-checks over a report's ladders: fitted
-    order outside ORDER_BAND (NaN counts as outside) and non-monotone."""
+    """The largest eigenpair residual over every mesh of the report's ladders,
+    and counts of their Richardson self-checks: fitted order outside
+    ORDER_BAND (NaN counts as outside) and non-monotone."""
     lo, hi = ORDER_BAND
     return {
+        "max_residual": max((r.residual for r in ladders), default=math.nan),
         "ladders": len(ladders),
         "fitted_order_out_of_band": sum(not lo <= r.fitted_order <= hi for r in ladders),
         "non_monotone": sum(not r.monotone for r in ladders),
     }
 
 
-def _not_converged(name: str, exc: Exception) -> Verdict:
-    """The failed verdict of a FEM solve that raised NonConvergenceError."""
-    return Verdict(f"fem_converged_{name}", "fem: eigensolver converged", math.nan, str(exc))
+def _solve_rows(jobs):
+    """Solve (row name, specs, refinements) jobs, one per _pmap item: {row: its
+    mu_1 results} for the rows whose ladders all converged, and a failed verdict
+    fem_converged_<row> for each row where one raised NonConvergenceError."""
+
+    def solve(job):
+        row, specs, refinements = job
+        try:
+            return row, [fem.mu_k(spec, 1, refinements=refinements) for spec in specs], None
+        except fem.NonConvergenceError as exc:
+            name = f"fem_converged_{row}"
+            return row, None, Verdict(name, "fem: eigensolver converged", math.nan, str(exc))
+
+    outs = _pmap(solve, jobs)
+    solved = {row: results for row, results, _ in outs if results is not None}
+    return solved, [failed for _, _, failed in outs if failed is not None]
+
+
+# stands in for each ladder of a failed row, so that every verdict reading it fails
+NAN_LADDER = fem.ExtrapolationResult(math.nan, math.nan, (math.nan,) * 3, math.nan, math.nan, False)
 
 
 # ---------------------------------------------------------------------------
@@ -285,140 +318,71 @@ def cmd_constants(k_max: int = 3, d_max: int = 10) -> ExperimentReport:
 
 SEGMENT_MU1_D2 = PI2 / 4.0
 
-TABLE_TOLERANCES = {
-    "square": 0.002,
-    "equilateral_triangle": 0.005,
-    "disk": 0.005,
-    "reuleaux_triangle": 0.01,
-}
-
 SECTOR_OPENING_GRID = (1.50, 1.58, 1.654, 1.73, 1.81)
-
-
-def _sector_mu1_normalized(opening: float, refinements: int, n_arc: int = 64):
-    """Neumann mu_1 of the sector, rescaled to diameter 2."""
-    spec = geometry.Sector(1.0, opening, n_arc)
-    diam = geometry.diameter(geometry.build(spec))
-    res = fem.mu_k(spec, 1, refinements=refinements)
-    scale = (diam / 2.0) ** 2
-    return res.value * scale, res.error_estimate * scale, res
 
 
 def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
     """Reproduce the diameter-2 table of mu_1 values and the segment ratios."""
     t0 = time.perf_counter()
-    columns = [
-        "domain",
-        "mu1_computed",
-        "mu1_reference",
-        "rel_deviation",
-        "ratio_segment",
-        "ratio_reference",
-        "error_estimate",
-        "note",
-    ]
-    rows = []
-    verdicts = []
-    ladders = []
     j01sq = spectra.cone_tau1(1.0, 2)
+    disk = spectra.disk_mu1(1.0)
+    triangle = spectra.equilateral_triangle_mu1(2.0)
+    rhombi = [geometry.Rhombus(2.0, math.radians(deg)) for deg in (10.0, 5.0)]
+    sectors = [geometry.Sector(1.0, opening, 64) for opening in SECTOR_OPENING_GRID]
+    n = refinements
+    # (row, specs, refinements, mu_1 reference, ratio reference, tolerance)
+    table = [
+        ("optimal_bound", rhombi, n, j01sq, SEGMENT_MU1_D2 / j01sq, 0.01),
+        ("square", [geometry.Square(math.sqrt(2.0))], n, PI2 / 2.0, 0.5, 0.002),
+        ("optimal_sector", sectors, max(2, n - 1), 4.67, SEGMENT_MU1_D2 / 4.67, 0.02),
+        ("equilateral_triangle", [geometry.EquilateralTriangle(2.0)], n, triangle, 0.5625, 0.005),
+        ("reuleaux_triangle", [geometry.ReuleauxTriangle(2.0, 64)], n, 3.487, 0.707, 0.01),
+        ("disk", [geometry.RegularPolygon(256, 1.0)], n, disk, SEGMENT_MU1_D2 / disk, 0.005),
+    ]
+    solved, verdicts = _solve_rows([entry[:3] for entry in table])
 
-    def add_row(name, computed, reference, ratio_ref, err, note="", tol=None):
-        if computed is None:
-            rows.append((name, math.nan, reference, math.nan, math.nan, ratio_ref, math.nan, note))
-            verdicts.append(Verdict(f"table_{name}", "table: row computed", math.nan, note))
-            return
+    rows = []
+    for name, specs, _, reference, ratio_ref, tol in table:
+        results = solved.get(name, [NAN_LADDER] * len(specs))
+        note = ""
+        if name == "optimal_bound":
+            # the rhombus family's trend toward j_{0,1}^2
+            r10, r5 = results
+            computed, err = r5.value + (r5.value - r10.value) / 3.0, r5.error_estimate
+            note = "rhombus theta->0 trend (10deg, 5deg extrapolation)"
+        elif name == "optimal_sector":
+            # each sector's mu_1 rescaled to diameter 2; the row is the largest
+            scaled = []
+            for spec, res in zip(specs, results):
+                scale = (geometry.diameter(geometry.build(spec)) / 2.0) ** 2
+                scaled.append((res.value * scale, res.error_estimate * scale, spec.opening))
+            computed, err, opening = max(scaled, key=lambda item: item[0])
+            note = f"extremal opening {opening:g} rad over grid {SECTOR_OPENING_GRID}"
+        else:
+            (res,) = results
+            computed, err = res.value, res.error_estimate
+            if name == "reuleaux_triangle":
+                note = "reference itself approximate"
         dev = abs(computed - reference) / reference
         ratio = SEGMENT_MU1_D2 / computed
-        rows.append((name, computed, reference, dev, ratio, ratio_ref, err, note))
-        if tol is not None:
-            budget = tol + err / reference
-            verdicts.append(
-                Verdict(
-                    f"table_{name}",
-                    f"table: mu_1 within {tol:.1%} (+estimate) of reference",
-                    at_most(dev, budget),
-                    f"computed {computed:.6f} vs {reference:.6f}",
-                )
+        if name in solved:
+            rows.append((name, computed, reference, dev, ratio, ratio_ref, err, note))
+        budget = tol + err / reference
+        verdicts.append(
+            Verdict(
+                f"table_{name}",
+                f"table: mu_1 within {tol:.1%} (+estimate) of reference",
+                at_most(dev, budget),
+                f"computed {computed:.6f} vs {reference:.6f}",
             )
-            ratio_dev = abs(ratio - ratio_ref) / ratio_ref
-            verdicts.append(
-                Verdict(
-                    f"table_{name}_ratio",
-                    f"table: segment ratio within {tol:.1%} (+estimate) of reference",
-                    at_most(ratio_dev, budget),
-                )
+        )
+        verdicts.append(
+            Verdict(
+                f"table_{name}_ratio",
+                f"table: segment ratio within {tol:.1%} (+estimate) of reference",
+                at_most(abs(ratio - ratio_ref) / ratio_ref, budget),
             )
-
-    # optimal bound row: rhombus family trend toward j_{0,1}^2
-    try:
-        r10 = fem.mu_k(geometry.Rhombus(2.0, math.radians(10.0)), 1, refinements)
-        r5 = fem.mu_k(geometry.Rhombus(2.0, math.radians(5.0)), 1, refinements)
-        ladders += [r10, r5]
-        trend = r5.value + (r5.value - r10.value) / 3.0
-        add_row(
-            "optimal_bound",
-            trend,
-            j01sq,
-            SEGMENT_MU1_D2 / j01sq,
-            r5.error_estimate,
-            note="rhombus theta->0 trend (10deg, 5deg extrapolation)",
-            tol=0.01,
         )
-    except fem.NonConvergenceError as exc:
-        add_row("optimal_bound", None, j01sq, SEGMENT_MU1_D2 / j01sq, None, note=str(exc))
-
-    def fem_row(name, spec, reference, ratio_ref, tol, note=""):
-        try:
-            res = fem.mu_k(spec, 1, refinements=refinements)
-            ladders.append(res)
-            add_row(name, res.value, reference, ratio_ref, res.error_estimate, note, tol)
-        except fem.NonConvergenceError as exc:
-            add_row(name, None, reference, ratio_ref, None, note=f"{note} {exc}".strip())
-
-    fem_row("square", geometry.Square(math.sqrt(2.0)), PI2 / 2.0, 0.5, TABLE_TOLERANCES["square"])
-
-    # optimal sector: small grid of openings, report the extremal one
-    try:
-        grid = _pmap(
-            lambda a: (a, _sector_mu1_normalized(a, max(2, refinements - 1))),
-            SECTOR_OPENING_GRID,
-        )
-        ladders += [res for _, (_, _, res) in grid]
-        best_opening, (best_val, best_err, _) = max(grid, key=lambda item: item[1][0])
-        add_row(
-            "optimal_sector",
-            best_val,
-            4.67,
-            SEGMENT_MU1_D2 / 4.67,
-            best_err,
-            note=f"extremal opening {best_opening:g} rad over grid {SECTOR_OPENING_GRID}",
-            tol=0.02,
-        )
-    except fem.NonConvergenceError as exc:
-        add_row("optimal_sector", None, 4.67, SEGMENT_MU1_D2 / 4.67, None, note=str(exc))
-
-    fem_row(
-        "equilateral_triangle",
-        geometry.EquilateralTriangle(2.0),
-        spectra.equilateral_triangle_mu1(2.0),
-        0.5625,
-        TABLE_TOLERANCES["equilateral_triangle"],
-    )
-    fem_row(
-        "reuleaux_triangle",
-        geometry.ReuleauxTriangle(2.0, 64),
-        3.487,
-        0.707,
-        TABLE_TOLERANCES["reuleaux_triangle"],
-        note="reference itself approximate",
-    )
-    fem_row(
-        "disk",
-        geometry.RegularPolygon(256, 1.0),
-        spectra.disk_mu1(1.0),
-        SEGMENT_MU1_D2 / spectra.disk_mu1(1.0),
-        TABLE_TOLERANCES["disk"],
-    )
 
     seg = spectra.segment_spectrum(2.0, "neumann", 2).values[1]
     dev = abs(seg - SEGMENT_MU1_D2)
@@ -433,12 +397,21 @@ def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
 
     report = ExperimentReport(
         command="table_mu1",
-        columns=columns,
+        columns=[
+            "domain",
+            "mu1_computed",
+            "mu1_reference",
+            "rel_deviation",
+            "ratio_segment",
+            "ratio_reference",
+            "error_estimate",
+            "note",
+        ],
         rows=rows,
         verdicts=verdicts,
         metadata=_metadata(refinements=refinements),
     )
-    report.metadata.update(_ladder_checks(ladders))
+    report.metadata.update(_ladder_checks(sum(solved.values(), [])))
     return _timed(report, t0)
 
 
@@ -452,29 +425,19 @@ def cmd_rhombus_sweep(
     """Squeeze the rhombus mu_1 between the two cone eigenvalues and check the
     divergence of the antisymmetric mode."""
     t0 = time.perf_counter()
-    thetas = sorted((float(t) for t in theta_deg_list), reverse=True)
+    thetas = sorted({float(t) for t in theta_deg_list}, reverse=True)
     if not thetas:
         raise ValueError("theta_deg_list must name at least one angle")
     if any(not (2.0 < t <= 45.0) for t in thetas):
         raise ValueError("sweep angles must lie in (2, 45] degrees")
     j01sq = spectra.cone_tau1(1.0, 2)
 
-    def run_theta(deg):
-        theta = math.radians(deg)
-        try:
-            full = fem.mu_k(geometry.Rhombus(2.0, theta), 1, refinements=refinements)
-            anti = fem.mu_k(geometry.HalfRhombus(2.0, theta), 1, refinements=refinements)
-        except fem.NonConvergenceError as exc:
-            return _not_converged(f"theta_{deg:g}", exc)
-        return deg, full, anti
-
-    results = []
-    verdicts_failed = []
-    for out in _pmap(run_theta, thetas):
-        if isinstance(out, Verdict):
-            verdicts_failed.append(out)
-        else:
-            results.append(out)
+    shapes = (geometry.Rhombus, geometry.HalfRhombus)
+    jobs = [
+        (f"theta_{deg:g}", [shape(2.0, math.radians(deg)) for shape in shapes], refinements)
+        for deg in thetas
+    ]
+    solved, verdicts = _solve_rows(jobs)
 
     columns = [
         "theta_deg",
@@ -485,15 +448,15 @@ def cmd_rhombus_sweep(
         "tau1_antisymmetric",
         "tau1_lower_bound",
     ]
-    rows = []
-    verdicts = list(verdicts_failed)
-    for deg, full, anti in results:
+    angles = []  # one row per angle, NaN-valued where the solve failed
+    for deg in thetas:
         theta = math.radians(deg)
+        full, anti = solved.get(f"theta_{deg:g}", [NAN_LADDER] * 2)
         normalized = full.value  # D = 2 so mu_1 D^2/4 = mu_1
         lo = math.cos(theta) ** 2 * j01sq
         eps = full.error_estimate
         tau_bound = PI2 / (4.0 * math.tan(theta) ** 2)
-        rows.append((deg, normalized, lo, j01sq, eps, anti.value, tau_bound))
+        angles.append((deg, normalized, lo, j01sq, eps, anti.value, tau_bound))
         verdicts.append(
             Verdict(
                 f"squeeze_band_theta_{deg:g}",
@@ -509,10 +472,11 @@ def cmd_rhombus_sweep(
                 at_least(anti.value, 0.995 * tau_bound),
             )
         )
+    rows = [row for row in angles if f"theta_{row[0]:g}" in solved]
 
-    values = [row[1] for row in rows]
+    values = [row[1] for row in angles]
     approach = [above(b, a) for a, b in zip(values, values[1:])]
-    approach += [below(row[1], j01sq + row[4]) for row in rows]
+    approach += [below(row[1], j01sq + row[4]) for row in angles]
     verdicts.append(
         Verdict(
             "monotone_approach",
@@ -521,11 +485,12 @@ def cmd_rhombus_sweep(
         )
     )
 
-    for (deg_i, _, anti_i), (deg_j, _, anti_j) in zip(results, results[1:]):
+    for row_i, row_j in zip(angles, angles[1:]):
         # theta_i > theta_j: the antisymmetric mode diverges at least like
         # 1/sin^2, with 20% slack
+        deg_i, deg_j = row_i[0], row_j[0]
         envelope = 0.8 * (math.sin(math.radians(deg_i)) / math.sin(math.radians(deg_j))) ** 2
-        ratio = anti_j.value / anti_i.value
+        ratio = row_j[5] / row_i[5]
         verdicts.append(
             Verdict(
                 f"antisymmetric_divergence_{deg_i:g}_to_{deg_j:g}",
@@ -550,16 +515,12 @@ def cmd_rhombus_sweep(
         plot_series=series,
         plot_labels=("rhombus sweep", "theta (degrees)", "mu_1 D^2 / 4"),
     )
-    report.metadata.update(_ladder_checks([res for _, full, anti in results for res in (full, anti)]))
+    report.metadata.update(_ladder_checks(sum(solved.values(), [])))
     return _timed(report, t0)
 
 
 # ---------------------------------------------------------------------------
 # ratio scan
-
-
-def _hull_spec(poly: np.ndarray) -> geometry.ConvexHullPolygon:
-    return geometry.ConvexHullPolygon(tuple(map(tuple, poly)))
 
 
 def cmd_ratio_scan(
@@ -593,21 +554,23 @@ def cmd_ratio_scan(
         "err_inner",
         "err_outer",
     ]
-    rows = []
+    pairs = []  # (pair_id, pair seed, inner hull, outer hull)
     skipped = 0
-
-    # A reference solve that fails is a failed verdict, and so is each verdict
-    # that reads the missing row (through a NaN slack); the scan still runs.
-    refs = {}
-    verdicts_failed = []
-    for name, spec in (
-        ("ref_identical", geometry.Square(math.sqrt(2.0))),
-        ("ref_thin_rect_in_square", geometry.Rectangle(1.9, 0.02)),
-    ):
+    for i in range(n_pairs):
         try:
-            refs[name] = fem.mu_k(spec, 1, refinements=refinements)
-        except fem.NonConvergenceError as exc:
-            verdicts_failed.append(_not_converged(name, exc))
+            inner, outer = geometry.inclusion_pair(seed + i, n_outer, n_inner)
+        except RuntimeError:  # no nondegenerate pair in 100 draws: skipped
+            skipped += 1
+            continue
+        hulls = [geometry.ConvexHullPolygon(tuple(map(tuple, poly))) for poly in (inner, outer)]
+        pairs.append((f"pair_{i:04d}", seed + i, *hulls))
+
+    jobs = [
+        ("ref_identical", [geometry.Square(math.sqrt(2.0))], refinements),
+        ("ref_thin_rect_in_square", [geometry.Rectangle(1.9, 0.02)], refinements),
+    ]
+    jobs += [(pair_id, [inner, outer], refinements) for pair_id, _, inner, outer in pairs]
+    solved, verdicts = _solve_rows(jobs)
 
     def row(pair_id, row_seed, kind, inner, outer):
         return (
@@ -621,42 +584,21 @@ def cmd_ratio_scan(
             outer.error_estimate,
         )
 
-    square = refs.get("ref_identical")
-    thin = refs.get("ref_thin_rect_in_square")
-    if square is not None:
+    (square,) = solved.get("ref_identical", [NAN_LADDER])
+    (thin,) = solved.get("ref_thin_rect_in_square", [NAN_LADDER])
+    refs_converged = solved.keys() >= {"ref_identical", "ref_thin_rect_in_square"}
+    rows = []
+    if "ref_identical" in solved:
         rows.append(row("ref_identical", seed, "reference", square, square))
-        if thin is not None:
-            rows.append(row("ref_thin_rect_in_square", seed, "reference", thin, square))
-
-    def run_pair(i):
-        pair_id = f"pair_{i:04d}"
-        pair_seed = seed + i
-        try:
-            inner, outer = geometry.inclusion_pair(pair_seed, n_outer, n_inner)
-        except RuntimeError:  # no nondegenerate pair in 100 draws: skipped
-            return None
-        try:
-            res_in = fem.mu_k(_hull_spec(inner), 1, refinements=refinements)
-            res_out = fem.mu_k(_hull_spec(outer), 1, refinements=refinements)
-        except fem.NonConvergenceError as exc:
-            return _not_converged(pair_id, exc)  # a failed verdict, not a skipped draw
-        return row(pair_id, pair_seed, "random", res_in, res_out), res_in, res_out
-
-    ladders = list(refs.values())
-    for out in _pmap(run_pair, range(n_pairs)):
-        if out is None:
-            skipped += 1
-        elif isinstance(out, Verdict):
-            verdicts_failed.append(out)
-        else:
-            rows.append(out[0])
-            ladders += out[1:]
+    if refs_converged:  # the thin row reads the square's value too
+        rows.append(row("ref_thin_rect_in_square", seed, "reference", thin, square))
+    rows += [row(pid, pseed, "random", *solved[pid]) for pid, pseed, _, _ in pairs if pid in solved]
 
     min_id, min_ratio = min(((r[0], r[5]) for r in rows), key=lambda x: x[1], default=(None, math.nan))
     # the minimum over all rows is known only when both reference rows exist
-    scan_min = min_ratio if len(refs) == 2 else math.nan
+    scan_min = min_ratio if refs_converged else math.nan
     bound = 0.995 * alpha
-    verdicts = verdicts_failed + [
+    verdicts += [
         Verdict(
             "ratios_above_sharp_constant",
             "constants: mu_1(inner)/mu_1(outer) >= 0.995 alpha1_sharp(2)",
@@ -672,7 +614,7 @@ def cmd_ratio_scan(
         Verdict(
             "identical_pair_ratio_one",
             "fem: identical domains give ratio exactly 1",
-            exactly(rows[0][5] if square is not None else math.nan, 1.0),
+            exactly(square.value / square.value, 1.0),
         ),
     ]
 
@@ -692,9 +634,7 @@ def cmd_ratio_scan(
             min_ratio_pair=min_id,
         ),
     )
-    # largest eigenpair residual over every mesh of every ladder solved
-    report.metadata["max_residual"] = max((r.residual for r in ladders), default=math.nan)
-    report.metadata.update(_ladder_checks(ladders))
+    report.metadata.update(_ladder_checks(sum(solved.values(), [])))
     return _timed(report, t0)
 
 
@@ -822,13 +762,13 @@ def cmd_dimension_demo(k: int = 1, ell_list=(0.5, 0.9, 0.99, 1.01, 1.5, 5.0)) ->
             f"threshold {threshold:.12g}",
         )
     ]
-    below = [r for r in rows if r[5]]
-    if below:
+    preserving = [r for r in rows if r[5]]
+    if preserving:
         verdicts.append(
             Verdict(
                 "ratio_exact_below_threshold",
                 "spectra: below threshold the ratio matches to 1e-12",
-                smallest(at_most(abs(r[3] - base_ratio) / base_ratio, 1e-12) for r in below),
+                smallest(at_most(abs(r[3] - base_ratio) / base_ratio, 1e-12) for r in preserving),
             )
         )
 

@@ -10,6 +10,28 @@ import pytest
 from speclab import cli, experiments, fem, geometry
 
 
+def read_verdicts(path):
+    """A _verdicts.json payload, parsed as strict JSON: NaN or Infinity raises."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not valid JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def failing_mu_k(predicate):
+    """fem.mu_k, except that it raises NonConvergenceError on each spec the
+    predicate accepts."""
+    mu_k = fem.mu_k
+
+    def patched(spec, *args, **kwargs):
+        if predicate(spec):
+            raise fem.NonConvergenceError("forced failure")
+        return mu_k(spec, *args, **kwargs)
+
+    return patched
+
+
 def test_constants_report_and_verdicts():
     report = experiments.cmd_constants(2, 6)
     assert report.all_passed
@@ -137,14 +159,31 @@ def test_ratio_scan_small(tmp_path):
     assert report.all_passed
 
 
-def test_ratio_scan_reports_max_residual(tmp_path):
-    report = experiments.cmd_ratio_scan(n_pairs=2, seed=5, refinements=2)
-    report.write(tmp_path)
-    payload = json.loads((tmp_path / "ratio_scan_verdicts.json").read_text())
-    max_residual = payload["metadata"]["max_residual"]
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table-mu1", "--refinements=2"],
+        ["rhombus-sweep", "--theta-deg-list=20,10", "--refinements=2"],
+        ["ratio-scan", "--n-pairs=2", "--seed=5", "--refinements=2"],
+    ],
+    ids=["table-mu1", "rhombus-sweep", "ratio-scan"],
+)
+def test_fem_commands_report_max_residual(argv, monkeypatch, tmp_path):
+    # max_residual is the largest residual over every ladder the command solved
+    mu_k = fem.mu_k
+    residuals = []
+
+    def recording(*args, **kwargs):
+        res = mu_k(*args, **kwargs)
+        residuals.append(res.residual)
+        return res
+
+    monkeypatch.setattr(experiments.fem, "mu_k", recording)
+    cli.main(argv + ["--out", str(tmp_path)])
+    (path,) = tmp_path.glob("*_verdicts.json")
+    max_residual = read_verdicts(path)["metadata"]["max_residual"]
     assert 0.0 < max_residual <= fem.DEFAULT_TOL
-    square = fem.mu_k(geometry.Square(math.sqrt(2.0)), 1, refinements=2)
-    assert max_residual >= square.residual
+    assert max_residual == max(residuals)
 
 
 def test_ratio_scan_reports_ladder_checks(tmp_path):
@@ -160,36 +199,18 @@ def test_ratio_scan_reports_ladder_checks(tmp_path):
 
 def test_ladder_checks_count_nan_order_out_of_band():
     ladders = [
-        fem.ExtrapolationResult(1.0, 0.0, (1.0, 1.0, 1.0), 0.0, order, monotone)
-        for order, monotone in [(2.0, True), (1.5, True), (2.5, False), (1.49, True), (math.nan, False)]
+        fem.ExtrapolationResult(1.0, 0.0, (1.0, 1.0, 1.0), residual, order, monotone)
+        for residual, order, monotone in [
+            (1e-12, 2.0, True), (4e-12, 1.5, True), (2e-12, 2.5, False), (0.0, 1.49, True),
+            (3e-12, math.nan, False),
+        ]
     ]
     assert experiments._ladder_checks(ladders) == {
+        "max_residual": 4e-12,
         "ladders": 5,
         "fitted_order_out_of_band": 2,
         "non_monotone": 2,
     }
-
-
-def test_ratio_scan_reports_solver_failure_as_verdict(monkeypatch):
-    # a hull solve that fails to converge is a failed verdict, not a skipped draw
-    monkeypatch.delenv("SPECLAB_THREADS", raising=False)
-    mu_k = fem.mu_k
-    hull_calls = []
-
-    def failing_third_hull(spec, *args, **kwargs):
-        if isinstance(spec, geometry.ConvexHullPolygon):
-            hull_calls.append(spec)
-            if len(hull_calls) == 3:  # pair_0001's inner domain
-                raise fem.NonConvergenceError("forced failure")
-        return mu_k(spec, *args, **kwargs)
-
-    monkeypatch.setattr(experiments.fem, "mu_k", failing_third_hull)
-    report = experiments.cmd_ratio_scan(n_pairs=3, seed=7, refinements=2)
-    assert not report.all_passed
-    failed = [v for v in report.verdicts if not v.passed]
-    assert [v.name for v in failed] == ["fem_converged_pair_0001"]
-    assert report.metadata["params"]["skipped"] == 0
-    assert [r[0] for r in report.rows if r[2] == "random"] == ["pair_0000", "pair_0002"]
 
 
 @pytest.mark.parametrize(
@@ -211,21 +232,14 @@ def test_ratio_scan_reports_reference_failure_as_verdict(monkeypatch, tmp_path, 
     # a reference solve that fails to converge is a failed verdict, and each
     # verdict that reads its row fails through a NaN slack; the report is
     # still written and the CLI exits 1
-    mu_k = fem.mu_k
-
-    def failing_reference(spec, *args, **kwargs):
-        if isinstance(spec, failing):
-            raise fem.NonConvergenceError("forced failure")
-        return mu_k(spec, *args, **kwargs)
-
-    monkeypatch.setattr(experiments.fem, "mu_k", failing_reference)
+    monkeypatch.setattr(experiments.fem, "mu_k", failing_mu_k(lambda spec: isinstance(spec, failing)))
     out = tmp_path / "o"
     assert cli.main(["ratio-scan", "--n-pairs=2", "--refinements=2", "--out", str(out)]) == 1
-    payload = json.loads((out / "ratio_scan_verdicts.json").read_text())
+    payload = read_verdicts(out / "ratio_scan_verdicts.json")
     failed = [v for v in payload["verdicts"] if not v["passed"]]
     assert [v["name"] for v in failed] == failed_names
     assert "forced failure" in failed[0]["detail"]
-    assert all(math.isnan(v["slack"]) for v in failed)
+    assert all(v["slack"] is None for v in failed)
     ids = [line.split(",")[0] for line in (out / "ratio_scan.csv").read_text().splitlines()[1:]]
     assert ids == ["ref_identical"] * (failing is geometry.Rectangle) + ["pair_0000", "pair_0001"]
 
@@ -273,25 +287,61 @@ def test_ratio_scan_skips_only_degenerate_draws(monkeypatch):
         experiments.cmd_ratio_scan(n_pairs=3, seed=7, refinements=2)
 
 
-def test_table_reports_solver_failure_as_verdict(monkeypatch):
-    # a row whose solve fails to converge becomes a failed "row computed"
-    # verdict; every other row is still computed
-    mu_k = fem.mu_k
+def _pair_0001_inner_hull(spec):
+    # pair_0001 of a scan at seed 7 draws its pair from seed 8
+    inner, _ = geometry.inclusion_pair(8, 12, 6)
+    return spec == geometry.ConvexHullPolygon(tuple(map(tuple, inner)))
 
-    def failing_square(spec, *args, **kwargs):
-        if isinstance(spec, geometry.Square):
-            raise fem.NonConvergenceError("forced failure")
-        return mu_k(spec, *args, **kwargs)
 
-    monkeypatch.setattr(experiments.fem, "mu_k", failing_square)
-    report = experiments.cmd_table_mu1(refinements=2)
-    missing = [v for v in report.verdicts if v.invariant == "table: row computed"]
-    assert [v.name for v in missing] == ["table_square"]
-    assert not missing[0].passed and "forced failure" in missing[0].detail
-    assert math.isnan(missing[0].slack)
-    # the ten ladders that were solved: two rhombi, five sectors and three rows
-    assert report.metadata["ladders"] == 10
-    assert [r[0] for r in report.rows if math.isnan(r[1])] == ["square"]
+@pytest.mark.parametrize(
+    "argv, failing, failed_names, rows, ladders",
+    [
+        (
+            ["table-mu1", "--refinements=3"],
+            lambda spec: isinstance(spec, geometry.Square),
+            ["fem_converged_square", "table_square", "table_square_ratio"],
+            ["optimal_bound", "optimal_sector", "equilateral_triangle", "reuleaux_triangle",
+             "disk", "segment"],
+            10,  # two rhombi, five sectors and three single-domain rows
+        ),
+        (
+            ["rhombus-sweep", "--theta-deg-list=20,10,5", "--refinements=3"],
+            lambda spec: isinstance(spec, geometry.HalfRhombus) and spec.theta == math.radians(10.0),
+            ["fem_converged_theta_10", "squeeze_band_theta_10", "antisymmetric_lower_theta_10",
+             "monotone_approach", "antisymmetric_divergence_20_to_10",
+             "antisymmetric_divergence_10_to_5"],
+            ["20", "5"],
+            4,
+        ),
+        (
+            # a failed hull solve is a failed verdict, not a skipped draw
+            ["ratio-scan", "--n-pairs=3", "--seed=7", "--refinements=2"],
+            _pair_0001_inner_hull,
+            ["fem_converged_pair_0001"],
+            ["ref_identical", "ref_thin_rect_in_square", "pair_0000", "pair_0002"],
+            6,
+        ),
+    ],
+    ids=["table-mu1", "rhombus-sweep", "ratio-scan"],
+)
+def test_failed_fem_row_is_not_written_and_fails_its_readers(
+    argv, failing, failed_names, rows, ladders, monkeypatch, tmp_path
+):
+    # a row whose solve fails to converge gets a failed fem_converged verdict
+    # and is not written; each verdict that reads it fails with a null slack,
+    # every other row is still computed and written, and the CLI exits 1
+    monkeypatch.setattr(experiments.fem, "mu_k", failing_mu_k(failing))
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 1
+    (path,) = tmp_path.glob("*_verdicts.json")
+    payload = read_verdicts(path)
+    failed = [v for v in payload["verdicts"] if not v["passed"]]
+    assert [v["name"] for v in failed] == failed_names
+    assert "forced failure" in failed[0]["detail"]
+    assert all(v["slack"] is None for v in failed)
+    assert payload["metadata"]["ladders"] == ladders
+    assert payload["metadata"]["params"].get("skipped", 0) == 0  # not a skipped draw
+    (csv,) = tmp_path.glob("*.csv")
+    assert [line.split(",")[0] for line in csv.read_text().splitlines()[1:]] == rows
 
 
 def test_table_does_not_swallow_bugs(monkeypatch):
@@ -326,24 +376,13 @@ def test_rhombus_sweep_small():
     assert approach.slack == min(parts)
 
 
-def test_rhombus_sweep_reports_solver_failure_as_verdict(tmp_path, monkeypatch):
-    # a half-rhombus solve that fails to converge at 10 degrees is a failed
-    # verdict; the other angles' rows are still computed and written
-    mu_k = fem.mu_k
-
-    def failing_half_rhombus(spec, *args, **kwargs):
-        if isinstance(spec, geometry.HalfRhombus) and spec.theta == math.radians(10.0):
-            raise fem.NonConvergenceError("forced failure")
-        return mu_k(spec, *args, **kwargs)
-
-    monkeypatch.setattr(experiments.fem, "mu_k", failing_half_rhombus)
-    report = experiments.cmd_rhombus_sweep(theta_deg_list=(20.0, 10.0, 5.0), refinements=3)
-    failed = [v for v in report.verdicts if not v.passed]
-    assert [v.name for v in failed] == ["fem_converged_theta_10"]
-    assert "forced failure" in failed[0].detail and math.isnan(failed[0].slack)
-    report.write(tmp_path)
-    rows = (tmp_path / "rhombus_sweep.csv").read_text().splitlines()[1:]
-    assert [float(line.split(",")[0]) for line in rows] == [20.0, 5.0]
+def test_rhombus_sweep_solves_each_angle_once():
+    # an angle named twice is one row, one pair of ladders and one set of verdicts
+    report = experiments.cmd_rhombus_sweep(theta_deg_list=(20.0, 20.0), refinements=2)
+    assert [row[0] for row in report.rows] == [20.0]
+    assert report.metadata["ladders"] == 2
+    names = [v.name for v in report.verdicts]
+    assert len(names) == len(set(names))
 
 
 def test_rhombus_sweep_rejects_tiny_angle():
@@ -373,11 +412,20 @@ def test_constants_full_dimension_sweep():
     assert verdict.passed
 
 
-def test_thread_count_does_not_change_results(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "runner, params",
+    [
+        (experiments.cmd_table_mu1, {"refinements": 3}),
+        (experiments.cmd_rhombus_sweep, {"theta_deg_list": (20.0, 10.0), "refinements": 3}),
+        (experiments.cmd_ratio_scan, {"n_pairs": 4, "refinements": 2}),
+    ],
+    ids=["table-mu1", "rhombus-sweep", "ratio-scan"],
+)
+def test_thread_count_does_not_change_results(runner, params, tmp_path, monkeypatch):
     monkeypatch.setenv("SPECLAB_THREADS", "1")
-    serial = experiments.cmd_rhombus_sweep(theta_deg_list=(20.0, 10.0), refinements=3)
+    serial = runner(**params)
     monkeypatch.setenv("SPECLAB_THREADS", "4")
-    parallel = experiments.cmd_rhombus_sweep(theta_deg_list=(20.0, 10.0), refinements=3)
+    parallel = runner(**params)
     pa, pb = tmp_path / "serial.csv", tmp_path / "parallel.csv"
     serial.write_csv(pa)
     parallel.write_csv(pb)
@@ -445,10 +493,11 @@ def test_cli_failing_verdict_sets_exit_code(tmp_path):
 def test_passed_iff_slack_nonnegative(argv, tmp_path):
     code = cli.main(argv + ["--out", str(tmp_path)])
     (path,) = tmp_path.glob("*_verdicts.json")
-    payload = json.loads(path.read_text())
+    payload = read_verdicts(path)
     verdicts = {v["name"]: v for v in payload["verdicts"]}
     for v in verdicts.values():
-        assert v["passed"] == (v["slack"] >= 0), v
+        # a NaN slack is written as null, and fails
+        assert v["passed"] == (v["slack"] is not None and v["slack"] >= 0), v
     assert payload["all_passed"] == all(v["passed"] for v in verdicts.values())
     assert code == (0 if payload["all_passed"] else 1)
     if "--rect1=1x1" in argv:
