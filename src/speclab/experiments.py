@@ -20,6 +20,8 @@ failed.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import math
 import os
@@ -86,13 +88,13 @@ def smallest(parts):
 
 @dataclass
 class ExperimentReport:
-    command: str
     columns: list
     rows: list
     verdicts: list
     metadata: dict = field(default_factory=dict)
     plot_series: list = field(default_factory=list)
     plot_labels: tuple = ("", "", "")
+    command: str = ""  # set by _command
 
     @property
     def all_passed(self) -> bool:
@@ -132,7 +134,7 @@ class ExperimentReport:
             ],
         }
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(_nan_to_null(payload), fh, indent=2, allow_nan=False)
+            json.dump(_json_values(payload), fh, indent=2, allow_nan=False)
             fh.write("\n")
 
     def summary_lines(self):
@@ -142,14 +144,17 @@ class ExperimentReport:
             yield f"  {mark} {v.name} (slack {v.slack:.3e}) [{v.invariant}]"
 
 
-def _nan_to_null(obj):
-    """obj with every NaN float in it replaced by None, as JSON has no NaN."""
+def _json_values(obj):
+    """obj as plain JSON values: numpy scalars and arrays become Python numbers
+    and lists, tuples become lists, and every NaN becomes None (JSON has no NaN)."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        obj = obj.tolist()
     if isinstance(obj, float):
         return None if math.isnan(obj) else obj
     if isinstance(obj, dict):
-        return {key: _nan_to_null(value) for key, value in obj.items()}
+        return {key: _json_values(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_nan_to_null(value) for value in obj]
+        return [_json_values(value) for value in obj]
     return obj
 
 
@@ -172,16 +177,6 @@ def _fmt_cell(c) -> str:
     return str(c)
 
 
-def _metadata(**params) -> dict:
-    return {
-        "speclab_version": __version__,
-        "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
-        "python_version": platform.python_version(),
-        "params": params,
-    }
-
-
 def _pmap(fn, items):
     """Order-preserving map, parallel over SPECLAB_THREADS workers."""
     items = list(items)
@@ -192,9 +187,31 @@ def _pmap(fn, items):
         return list(pool.map(fn, items))
 
 
-def _timed(report: ExperimentReport, t0: float) -> ExperimentReport:
-    report.metadata["wall_time_s"] = round(time.perf_counter() - t0, 3)
-    return report
+def _command(fn):
+    """Run cmd_<name> as the command <name>: its report gets that name, and its
+    metadata the library versions, the call's arguments (defaults applied) as
+    params, the command's own keys, and the wall time of the call."""
+    signature = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        t0 = time.perf_counter()
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        report = fn(*args, **kwargs)
+        report.command = fn.__name__.removeprefix("cmd_")
+        report.metadata = {
+            "speclab_version": __version__,
+            "numpy_version": np.__version__,
+            "scipy_version": scipy.__version__,
+            "python_version": platform.python_version(),
+            "params": bound.arguments,
+            **report.metadata,
+            "wall_time_s": round(time.perf_counter() - t0, 3),
+        }
+        return report
+
+    return run
 
 
 # P1 eigenvalues converge at order 2 in h: a ladder whose fitted order falls
@@ -241,9 +258,9 @@ NAN_LADDER = fem.ExtrapolationResult(math.nan, math.nan, (math.nan,) * 3, math.n
 # constants
 
 
+@_command
 def cmd_constants(k_max: int = 3, d_max: int = 10) -> ExperimentReport:
     """Emit the full constant grid and run the closed-form invariant suite."""
-    t0 = time.perf_counter()
     records = constants.emit_constant_table(k_max, d_max)
 
     worst = max(r.value for r in records if r.name == "c_upper")
@@ -302,14 +319,11 @@ def cmd_constants(k_max: int = 3, d_max: int = 10) -> ExperimentReport:
         ),
     ]
 
-    report = ExperimentReport(
-        command="constants",
+    return ExperimentReport(
         columns=["name", "k", "d", "value", "formula"],
         rows=records,
         verdicts=verdicts,
-        metadata=_metadata(k_max=k_max, d_max=d_max),
     )
-    return _timed(report, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +335,9 @@ SEGMENT_MU1_D2 = PI2 / 4.0
 SECTOR_OPENING_GRID = (1.50, 1.58, 1.654, 1.73, 1.81)
 
 
+@_command
 def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
     """Reproduce the diameter-2 table of mu_1 values and the segment ratios."""
-    t0 = time.perf_counter()
     j01sq = spectra.cone_tau1(1.0, 2)
     disk = spectra.disk_mu1(1.0)
     triangle = spectra.equilateral_triangle_mu1(2.0)
@@ -395,8 +409,7 @@ def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
         )
     )
 
-    report = ExperimentReport(
-        command="table_mu1",
+    return ExperimentReport(
         columns=[
             "domain",
             "mu1_computed",
@@ -409,27 +422,27 @@ def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
         ],
         rows=rows,
         verdicts=verdicts,
-        metadata=_metadata(refinements=refinements),
+        metadata=_ladder_checks(sum(solved.values(), [])),
     )
-    report.metadata.update(_ladder_checks(sum(solved.values(), [])))
-    return _timed(report, t0)
 
 
 # ---------------------------------------------------------------------------
 # rhombus sweep
 
 
+@_command
 def cmd_rhombus_sweep(
     theta_deg_list=(20.0, 10.0, 5.0), refinements: int = 4
 ) -> ExperimentReport:
     """Squeeze the rhombus mu_1 between the two cone eigenvalues and check the
     divergence of the antisymmetric mode."""
-    t0 = time.perf_counter()
     thetas = sorted({float(t) for t in theta_deg_list}, reverse=True)
     if not thetas:
         raise ValueError("theta_deg_list must name at least one angle")
     if any(not (2.0 < t <= 45.0) for t in thetas):
         raise ValueError("sweep angles must lie in (2, 45] degrees")
+    if len({f"{t:g}" for t in thetas}) < len(thetas):
+        raise ValueError("sweep angles must differ in the 6 significant digits that name their rows")
     j01sq = spectra.cone_tau1(1.0, 2)
 
     shapes = (geometry.Rhombus, geometry.HalfRhombus)
@@ -506,23 +519,21 @@ def cmd_rhombus_sweep(
             ("band low", [r[0] for r in rows], [r[2] for r in rows]),
             ("band high", [r[0] for r in rows], [r[3] for r in rows]),
         ]
-    report = ExperimentReport(
-        command="rhombus_sweep",
+    return ExperimentReport(
         columns=columns,
         rows=rows,
         verdicts=verdicts,
-        metadata=_metadata(theta_deg_list=list(thetas), refinements=refinements),
+        metadata=_ladder_checks(sum(solved.values(), [])),
         plot_series=series,
         plot_labels=("rhombus sweep", "theta (degrees)", "mu_1 D^2 / 4"),
     )
-    report.metadata.update(_ladder_checks(sum(solved.values(), [])))
-    return _timed(report, t0)
 
 
 # ---------------------------------------------------------------------------
 # ratio scan
 
 
+@_command
 def cmd_ratio_scan(
     n_pairs: int = 200,
     seed: int = 1,
@@ -538,7 +549,6 @@ def cmd_ratio_scan(
     failure).  Random pairs are hulls of uniform points, deterministic from
     the seed.
     """
-    t0 = time.perf_counter()
     if not 1 <= n_pairs <= 1000:
         raise ValueError("n_pairs must be 1..1000")
     if n_outer < 3 or n_inner < 3:
@@ -618,37 +628,30 @@ def cmd_ratio_scan(
         ),
     ]
 
-    report = ExperimentReport(
-        command="ratio_scan",
+    return ExperimentReport(
         columns=columns,
         rows=rows,
         verdicts=verdicts,
-        metadata=_metadata(
-            n_pairs=n_pairs,
-            seed=seed,
-            refinements=refinements,
-            n_outer=n_outer,
-            n_inner=n_inner,
-            skipped=skipped,
-            min_ratio=min_ratio,
-            min_ratio_pair=min_id,
-        ),
+        metadata={
+            "skipped": skipped,
+            "min_ratio": min_ratio,
+            "min_ratio_pair": min_id,
+            **_ladder_checks(sum(solved.values(), [])),
+        },
     )
-    report.metadata.update(_ladder_checks(sum(solved.values(), [])))
-    return _timed(report, t0)
 
 
 # ---------------------------------------------------------------------------
 # Weyl trend
 
 
+@_command
 def cmd_weyl(
     k_list=(10**3, 10**4, 10**5),
     rect1=(1.0, 1.0),
     rect2=(2.0, 1.3),
 ) -> ExperimentReport:
     """Eigenvalue-ratio trend toward the area-ratio limit for nested rectangles."""
-    t0 = time.perf_counter()
     ks = [int(k) for k in k_list]
     if not ks:
         raise ValueError("k_list must name at least one index")
@@ -698,29 +701,26 @@ def cmd_weyl(
         )
     )
 
-    report = ExperimentReport(
-        command="weyl",
+    return ExperimentReport(
         columns=["k", "mu_k_inner", "mu_k_outer", "ratio", "target", "abs_dev", "rel_dev"],
         rows=rows,
         verdicts=verdicts,
-        metadata=_metadata(k_list=ks, rect1=[a1, b1], rect2=[a2, b2]),
         plot_series=[
             ("relative deviation", [math.log10(r[0]) for r in rows], [r[6] for r in rows])
         ],
         plot_labels=("ratio trend toward the area-ratio limit", "log10(k)", "|ratio-target|/target"),
     )
-    return _timed(report, t0)
 
 
 # ---------------------------------------------------------------------------
 # dimension monotonicity demo
 
 
+@_command
 def cmd_dimension_demo(k: int = 1, ell_list=(0.5, 0.9, 0.99, 1.01, 1.5, 5.0)) -> ExperimentReport:
     """Product-domain construction: the mu_k ratio of nested segments is
     preserved by short cylinder factors and breaks past the explicit
     threshold."""
-    t0 = time.perf_counter()
     if k < 1:
         raise ValueError("k must be >= 1")
     ells = [float(e) for e in ell_list]
@@ -733,15 +733,9 @@ def cmd_dimension_demo(k: int = 1, ell_list=(0.5, 0.9, 0.99, 1.01, 1.5, 5.0)) ->
     threshold = math.pi / math.sqrt(max(mu_inner, mu_outer))
 
     def product_mu_k(D, ell):
-        n_base = max(64, 4 * k + 8)
-        while True:
-            base = spectra.segment_spectrum(D, "neumann", n_base)
-            try:
-                return spectra.product_spectrum(base, ell, k + 1).values[k]
-            except spectra.MergeCertificationError:
-                n_base *= 2
-                if n_base > 10**6:
-                    raise
+        # with j = 0 alone, these n_base >= k + 1 base values certify k + 1 product values
+        base = spectra.segment_spectrum(D, "neumann", max(64, 4 * k + 8))
+        return spectra.product_spectrum(base, ell, k + 1).values[k]
 
     rows = []
     preserved = []
@@ -772,8 +766,7 @@ def cmd_dimension_demo(k: int = 1, ell_list=(0.5, 0.9, 0.99, 1.01, 1.5, 5.0)) ->
             )
         )
 
-    report = ExperimentReport(
-        command="dimension_demo",
+    return ExperimentReport(
         columns=[
             "ell",
             "mu_k_product_inner",
@@ -785,18 +778,17 @@ def cmd_dimension_demo(k: int = 1, ell_list=(0.5, 0.9, 0.99, 1.01, 1.5, 5.0)) ->
         ],
         rows=rows,
         verdicts=verdicts,
-        metadata=_metadata(k=k, ell_list=ells, threshold=threshold),
+        metadata={"threshold": threshold},
     )
-    return _timed(report, t0)
 
 
 # ---------------------------------------------------------------------------
 # counterexamples
 
 
+@_command
 def cmd_counterexamples() -> ExperimentReport:
     """The two classical failures of Neumann domain monotonicity."""
-    t0 = time.perf_counter()
     rows = []
     verdicts = []
 
@@ -853,11 +845,8 @@ def cmd_counterexamples() -> ExperimentReport:
             )
         )
 
-    report = ExperimentReport(
-        command="counterexamples",
+    return ExperimentReport(
         columns=["case", "description", "value"],
         rows=rows,
         verdicts=verdicts,
-        metadata=_metadata(),
     )
-    return _timed(report, t0)

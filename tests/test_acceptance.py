@@ -123,7 +123,7 @@ def test_criterion_5_ratio_scan(scan_report):
     ok = len(random_rows) == 200
     ok &= all(r >= bound for r in ratios)
     ok &= any(r < 1.0 for r in ratios)  # monotonicity failure witnessed
-    min_ratio = scan_report.metadata["params"]["min_ratio"]
+    min_ratio = scan_report.metadata["min_ratio"]
     elapsed = scan_report.metadata["wall_time_s"]
     ok &= elapsed < 1800.0
     _report(

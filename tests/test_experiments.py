@@ -32,6 +32,12 @@ def failing_mu_k(predicate):
     return patched
 
 
+def stub_mu_k(spec, k, refinements):
+    """A fixed converged ladder in place of fem.mu_k, for tests of what a
+    command records rather than what it computes."""
+    return fem.ExtrapolationResult(1.0, 0.0, (1.0, 1.0, 1.0), 1e-12, 2.0, True)
+
+
 def test_constants_report_and_verdicts():
     report = experiments.cmd_constants(2, 6)
     assert report.all_passed
@@ -272,7 +278,7 @@ def test_ratio_scan_skips_only_degenerate_draws(monkeypatch):
 
     monkeypatch.setattr(experiments.geometry, "inclusion_pair", degenerate_second_draw)
     report = experiments.cmd_ratio_scan(n_pairs=3, seed=7, refinements=2)
-    assert report.metadata["params"]["skipped"] == 1
+    assert report.metadata["skipped"] == 1
     assert [r[0] for r in report.rows if r[2] == "random"] == ["pair_0000", "pair_0002"]
 
     mu_k = fem.mu_k
@@ -339,7 +345,7 @@ def test_failed_fem_row_is_not_written_and_fails_its_readers(
     assert "forced failure" in failed[0]["detail"]
     assert all(v["slack"] is None for v in failed)
     assert payload["metadata"]["ladders"] == ladders
-    assert payload["metadata"]["params"].get("skipped", 0) == 0  # not a skipped draw
+    assert payload["metadata"].get("skipped", 0) == 0  # not a skipped draw
     (csv,) = tmp_path.glob("*.csv")
     assert [line.split(",")[0] for line in csv.read_text().splitlines()[1:]] == rows
 
@@ -395,6 +401,10 @@ def test_rhombus_45_degrees_is_rotated_square():
     report = experiments.cmd_rhombus_sweep(theta_deg_list=(45.0,), refinements=4)
     normalized = report.rows[0][1]
     assert normalized == pytest.approx(math.pi**2 / 2.0, rel=0.002)
+    # its half is that square cut along a Dirichlet diagonal, so its tau_1 is
+    # the square's first mode odd about that diagonal: pi^2/2 again
+    tau1 = report.rows[0][5]
+    assert tau1 == pytest.approx(math.pi**2 / 2.0, rel=1e-5)
 
 
 def test_ratio_scan_reference_value():
@@ -475,6 +485,37 @@ def test_cli_failing_verdict_sets_exit_code(tmp_path):
     assert code == 1
 
 
+# each command's verdict names at the benchmark's smoke sizes, in order
+VERDICT_NAMES = {
+    "constants": [
+        "c_upper_below_one", "c_upper_increasing_toward_one", "c_upper_dimension_monotone",
+        "c_upper_dimension_envelope", "sandwich_funano_simple_sharp",
+        "alpha1_sharp_normalized_increasing",
+    ],
+    "table-mu1": [
+        "table_optimal_bound", "table_optimal_bound_ratio", "table_square", "table_square_ratio",
+        "table_optimal_sector", "table_optimal_sector_ratio", "table_equilateral_triangle",
+        "table_equilateral_triangle_ratio", "table_reuleaux_triangle",
+        "table_reuleaux_triangle_ratio", "table_disk", "table_disk_ratio", "table_segment_exact",
+    ],
+    "rhombus-sweep": [
+        "squeeze_band_theta_20", "antisymmetric_lower_theta_20", "squeeze_band_theta_10",
+        "antisymmetric_lower_theta_10", "squeeze_band_theta_5", "antisymmetric_lower_theta_5",
+        "monotone_approach", "antisymmetric_divergence_20_to_10",
+        "antisymmetric_divergence_10_to_5",
+    ],
+    "ratio-scan": [
+        "ratios_above_sharp_constant", "monotonicity_failure_witnessed", "identical_pair_ratio_one",
+    ],
+    "weyl": ["weyl_band_k_1000", "weyl_deviation_decreasing", "weyl_equal_rectangles"],
+    "dimension-demo": ["ratio_preservation_matches_threshold", "ratio_exact_below_threshold"],
+    "counterexamples": [
+        "segment_in_square_ratio_half", "disks_zero_mode_j2", "disks_first_positive_j2",
+        "disks_zero_mode_j3", "disks_first_positive_j3",
+    ],
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -494,6 +535,7 @@ def test_passed_iff_slack_nonnegative(argv, tmp_path):
     code = cli.main(argv + ["--out", str(tmp_path)])
     (path,) = tmp_path.glob("*_verdicts.json")
     payload = read_verdicts(path)
+    assert [v["name"] for v in payload["verdicts"]] == VERDICT_NAMES[argv[0]]
     verdicts = {v["name"]: v for v in payload["verdicts"]}
     for v in verdicts.values():
         # a NaN slack is written as null, and fails
@@ -529,9 +571,13 @@ def test_cli_rejects_unknown_flags():
 
 
 def test_cli_invalid_parameter_exit_code(tmp_path, capsys):
-    code = cli.main(["rhombus-sweep", "--theta-deg-list=50", "--out", str(tmp_path)])
-    assert code == 2
-    assert "speclab:" in capsys.readouterr().err
+    # an angle out of range, and two angles whose rows and verdicts would
+    # share one name (rows are named by 6 significant digits)
+    for angles, reason in [("50", "(2, 45]"), ("20,10.0000001,10.0000002", "significant digits")]:
+        code = cli.main(["rhombus-sweep", f"--theta-deg-list={angles}", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "speclab:" in err and reason in err
 
 
 def test_cli_list_parsers():
@@ -557,3 +603,53 @@ def test_empty_list_parameter_is_rejected(command, runner, params, tmp_path, cap
     assert code == 2
     assert "speclab:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+# ---------------------------------------------------------------------------
+# the command runner
+
+VERSION_KEYS = ["speclab_version", "numpy_version", "scipy_version", "python_version"]
+LADDER_KEYS = ["max_residual", "ladders", "fitted_order_out_of_band", "non_monotone"]
+OWN_KEYS = {
+    "constants": [],
+    "table-mu1": LADDER_KEYS,
+    "rhombus-sweep": LADDER_KEYS,
+    "ratio-scan": ["skipped", "min_ratio", "min_ratio_pair"] + LADDER_KEYS,
+    "weyl": [],
+    "dimension-demo": ["threshold"],
+    "counterexamples": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_runner_names_the_report_and_records_its_defaults(command, monkeypatch, tmp_path):
+    # run at the defaults; the runner's record does not depend on the solver
+    monkeypatch.setattr(experiments.fem, "mu_k", stub_mu_k)
+    runner, _ = cli.COMMANDS[command]
+    cli.main([command, "--out", str(tmp_path)])
+    name = command.replace("-", "_")
+    payload = read_verdicts(tmp_path / f"{name}_verdicts.json")
+    assert payload["command"] == name
+    assert (tmp_path / f"{name}.csv").exists()
+    metadata = payload["metadata"]
+    assert list(metadata) == VERSION_KEYS + ["params"] + OWN_KEYS[command] + ["wall_time_s"]
+    defaults = {key: p.default for key, p in inspect.signature(runner).parameters.items()}
+    assert metadata["params"] == json.loads(json.dumps(defaults))
+
+
+def test_numpy_parameters_write_valid_json(monkeypatch, tmp_path):
+    monkeypatch.setattr(experiments.fem, "mu_k", stub_mu_k)
+    reports = [
+        experiments.cmd_table_mu1(refinements=np.int64(2)),
+        experiments.cmd_rhombus_sweep(theta_deg_list=np.array([20.0, 10.0]), refinements=np.int64(2)),
+        experiments.cmd_dimension_demo(k=np.int64(1), ell_list=np.array([0.5, 2.0])),
+    ]
+    params = []
+    for report in reports:
+        report.write(tmp_path)
+        params.append(read_verdicts(tmp_path / f"{report.command}_verdicts.json")["metadata"]["params"])
+    assert params == [
+        {"refinements": 2},
+        {"theta_deg_list": [20.0, 10.0], "refinements": 2},
+        {"k": 1, "ell_list": [0.5, 2.0]},
+    ]
