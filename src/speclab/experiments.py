@@ -254,6 +254,24 @@ def _solve_rows(jobs):
 NAN_LADDER = fem.ExtrapolationResult(math.nan, math.nan, (math.nan,) * 3, math.nan, math.nan, False)
 
 
+def _symmetric_lowest(symmetric, antisymmetric_floors) -> float:
+    """Slack of the claim that a rhombus's mu_1 is its symmetric half's.
+
+    The rhombus mesh is its Neumann-cut half plus that half's mirror image,
+    so the rhombus pencil splits exactly into the pencils of the Neumann-cut
+    (symmetric) and Dirichlet-cut (antisymmetric) halves, and the rhombus's
+    mu_1 on each rung is the smaller of the two halves' first eigenvalues.
+    symmetric is the Neumann-cut half's mu_1 ladder; antisymmetric_floors
+    holds, per rung, a lower bound on the Dirichlet-cut half's tau_1 on that
+    mesh.  Compared within fem.DEFAULT_TOL relative, so that an exact tie
+    (the square's double mu_1) passes.
+    """
+    return smallest(
+        at_least(floor, mu * (1.0 - fem.DEFAULT_TOL))
+        for mu, floor in zip(symmetric.values, antisymmetric_floors)
+    )
+
+
 # ---------------------------------------------------------------------------
 # constants
 
@@ -341,7 +359,10 @@ def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
     j01sq = spectra.cone_tau1(1.0, 2)
     disk = spectra.disk_mu1(1.0)
     triangle = spectra.equilateral_triangle_mu1(2.0)
-    rhombi = [geometry.Rhombus(2.0, math.radians(deg)) for deg in (10.0, 5.0)]
+    # each rhombus is solved on its symmetric half (see _symmetric_lowest)
+    rhombi = [
+        geometry.HalfRhombus(2.0, math.radians(deg), geometry.NEUMANN) for deg in (10.0, 5.0)
+    ]
     sectors = [geometry.Sector(1.0, opening, 64) for opening in SECTOR_OPENING_GRID]
     n = refinements
     # (row, specs, refinements, mu_1 reference, ratio reference, tolerance)
@@ -398,6 +419,21 @@ def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
             )
         )
 
+    # Poincare on the vertical fibres of the Dirichlet-cut half, of height at
+    # most h = (D/2) tan(theta), gives tau_1 >= pi^2/(4 h^2), and every
+    # discrete tau_1 is at least the continuous one (min-max)
+    floors = [PI2 / (4.0 * (0.5 * spec.D * math.tan(spec.theta)) ** 2) for spec in rhombi]
+    ladders = solved.get("optimal_bound", [NAN_LADDER] * len(rhombi))
+    verdicts.append(
+        Verdict(
+            "table_optimal_bound_symmetric_lowest",
+            "fem: each rhombus mu_1 is its Neumann-cut half's, as on every rung it lies "
+            "below the antisymmetric floor pi^2/(4 h^2) <= tau_1",
+            smallest(_symmetric_lowest(res, [floor] * 3) for res, floor in zip(ladders, floors)),
+            f"floors {', '.join(f'{floor:.6g}' for floor in floors)}",
+        )
+    )
+
     seg = spectra.segment_spectrum(2.0, "neumann", 2).values[1]
     dev = abs(seg - SEGMENT_MU1_D2)
     rows.append(("segment", seg, SEGMENT_MU1_D2, dev, 1.0, 1.0, 0.0, "analytic"))
@@ -435,7 +471,12 @@ def cmd_rhombus_sweep(
     theta_deg_list=(20.0, 10.0, 5.0), refinements: int = 4
 ) -> ExperimentReport:
     """Squeeze the rhombus mu_1 between the two cone eigenvalues and check the
-    divergence of the antisymmetric mode."""
+    divergence of the antisymmetric mode.
+
+    Each rhombus is solved as its two mirror halves: the Neumann-cut half
+    gives its mu_1 and the Dirichlet-cut half its antisymmetric tau_1, and
+    the symmetric_lowest verdict checks, rung by rung, that the first is the
+    rhombus's mu_1."""
     thetas = sorted({float(t) for t in theta_deg_list}, reverse=True)
     if not thetas:
         raise ValueError("theta_deg_list must name at least one angle")
@@ -445,9 +486,13 @@ def cmd_rhombus_sweep(
         raise ValueError("sweep angles must differ in the 6 significant digits that name their rows")
     j01sq = spectra.cone_tau1(1.0, 2)
 
-    shapes = (geometry.Rhombus, geometry.HalfRhombus)
+    cuts = (geometry.NEUMANN, geometry.DIRICHLET)
     jobs = [
-        (f"theta_{deg:g}", [shape(2.0, math.radians(deg)) for shape in shapes], refinements)
+        (
+            f"theta_{deg:g}",
+            [geometry.HalfRhombus(2.0, math.radians(deg), cut) for cut in cuts],
+            refinements,
+        )
         for deg in thetas
     ]
     solved, verdicts = _solve_rows(jobs)
@@ -464,10 +509,10 @@ def cmd_rhombus_sweep(
     angles = []  # one row per angle, NaN-valued where the solve failed
     for deg in thetas:
         theta = math.radians(deg)
-        full, anti = solved.get(f"theta_{deg:g}", [NAN_LADDER] * 2)
-        normalized = full.value  # D = 2 so mu_1 D^2/4 = mu_1
+        symmetric, anti = solved.get(f"theta_{deg:g}", [NAN_LADDER] * 2)
+        normalized = symmetric.value  # D = 2 so mu_1 D^2/4 = mu_1
         lo = math.cos(theta) ** 2 * j01sq
-        eps = full.error_estimate
+        eps = symmetric.error_estimate
         tau_bound = PI2 / (4.0 * math.tan(theta) ** 2)
         angles.append((deg, normalized, lo, j01sq, eps, anti.value, tau_bound))
         verdicts.append(
@@ -483,6 +528,14 @@ def cmd_rhombus_sweep(
                 f"antisymmetric_lower_theta_{deg:g}",
                 "fem: half-rhombus Dirichlet base tau_1 >= 0.995 pi^2/(4 M^2)",
                 at_least(anti.value, 0.995 * tau_bound),
+            )
+        )
+        verdicts.append(
+            Verdict(
+                f"symmetric_lowest_theta_{deg:g}",
+                "fem: rhombus mu_1 is its Neumann-cut half's, as on every rung it is at most "
+                "the Dirichlet-cut half's tau_1",
+                _symmetric_lowest(symmetric, anti.values),
             )
         )
     rows = [row for row in angles if f"theta_{row[0]:g}" in solved]

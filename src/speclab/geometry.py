@@ -7,7 +7,7 @@ vertices never leave it.
 
 Each spec describes itself by its `outline()`: the polygon, a class for
 each edge ('side', 'base', 'arc', 'radial', ...) and the classes that are
-Dirichlet by definition (the base of a half rhombus).
+Dirichlet by definition (the cut of a half rhombus, when it is Dirichlet).
 
 Meshing: each family has one base mesh.  Rhombi, half rhombi and rectangles
 are meshed as affine images of a structured triangulated reference square
@@ -71,13 +71,27 @@ class Rhombus:
 
 @dataclass(frozen=True)
 class HalfRhombus(Rhombus):
-    """Upper half of the rhombus, cut along the long diagonal.  The cut is
-    Dirichlet: the half rhombus carries the antisymmetric nodal mode."""
+    """Upper half of the rhombus, cut along the long diagonal (the 'base').
+
+    The rhombus is this half and its mirror image across the cut, and so is
+    the rhombus mesh (see `_rhombus_grid`), so each eigenpair of the rhombus
+    is even or odd about the cut and is an eigenpair of one of the two
+    halves.  The cut condition picks the class: a Dirichlet cut (the
+    default) carries the odd modes, a Neumann cut the even ones.
+    """
+
+    cut: str = DIRICHLET
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.cut not in (NEUMANN, DIRICHLET):
+            raise ValueError(f"half rhombus cut must be {NEUMANN!r} or {DIRICHLET!r}")
 
     def outline(self) -> Outline:
         h = 0.5 * self.D * math.tan(self.theta)
         poly = np.array([(-0.5 * self.D, 0.0), (0.5 * self.D, 0.0), (0.0, h)])
-        return Outline(poly, ("base", "side", "side"), frozenset({"base"}))
+        dirichlet = frozenset({"base"}) if self.cut == DIRICHLET else frozenset()
+        return Outline(poly, ("base", "side", "side"), dirichlet)
 
 
 @dataclass(frozen=True)
@@ -446,7 +460,13 @@ def _structured_grid(nx: int, ny: int):
 def _rhombus_grid(spec, poly: np.ndarray):
     """The rhombus (D, theta) as the affine image of the 8 x 8 unit-square
     grid, keeping the triangles whose centroid lies in poly (for a half
-    rhombus, those above the long diagonal, which the grid resolves)."""
+    rhombus, those above the long diagonal, which the grid resolves).
+
+    The grid map (u, v) -> (1 - v, 1 - u) maps every cell and its split onto
+    another's and is the mirror y -> -y across the long diagonal; with
+    power-of-two grid coordinates the image is exact in floating point, so
+    at every refinement the rhombus mesh is the half mesh plus its mirror
+    image, bit for bit."""
     D = spec.D
     h = 0.5 * D * math.tan(spec.theta)
     uv, tris = _structured_grid(8, 8)

@@ -116,6 +116,21 @@ def test_criterion_4_rhombus_sweep(sweep_report):
     _report("criterion 4: rhombus squeeze sweep", bool(ok), f"{elapsed:.1f}s")
 
 
+def test_rhombus_rows_match_full_rhombus_solves(table_report, sweep_report):
+    # both commands solve each rhombus on its Neumann-cut half; a ladder on
+    # the full rhombus at the same refinements gives the same mu_1
+    full = {
+        deg: fem.mu_k(geometry.Rhombus(2.0, math.radians(deg)), 1, refinements=4).value
+        for deg in (20.0, 10.0, 5.0)
+    }
+    assert [row[0] for row in sweep_report.rows] == list(full)
+    for deg, normalized, *_ in sweep_report.rows:
+        assert normalized == pytest.approx(full[deg], rel=1e-9, abs=0.0)
+    trend = full[5.0] + (full[5.0] - full[10.0]) / 3.0
+    (bound,) = [row for row in table_report.rows if row[0] == "optimal_bound"]
+    assert bound[1] == pytest.approx(trend, rel=1e-9, abs=0.0)
+
+
 def test_criterion_5_ratio_scan(scan_report):
     bound = 0.995 * constants.alpha1_sharp(2)
     ratios = [row[5] for row in scan_report.rows]

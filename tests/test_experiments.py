@@ -311,12 +311,35 @@ def _pair_0001_inner_hull(spec):
             10,  # two rhombi, five sectors and three single-domain rows
         ),
         (
+            ["table-mu1", "--refinements=3"],
+            lambda spec: isinstance(spec, geometry.HalfRhombus) and spec.theta == math.radians(5.0),
+            ["fem_converged_optimal_bound", "table_optimal_bound", "table_optimal_bound_ratio",
+             "table_optimal_bound_symmetric_lowest"],
+            ["square", "optimal_sector", "equilateral_triangle", "reuleaux_triangle", "disk",
+             "segment"],
+            9,  # five sectors and four single-domain rows
+        ),
+        (
+            # the antisymmetric (Dirichlet-cut) half of the 10-degree rhombus fails
             ["rhombus-sweep", "--theta-deg-list=20,10,5", "--refinements=3"],
-            lambda spec: isinstance(spec, geometry.HalfRhombus) and spec.theta == math.radians(10.0),
+            lambda spec: isinstance(spec, geometry.HalfRhombus)
+            and spec.theta == math.radians(10.0)
+            and spec.cut == geometry.DIRICHLET,
             ["fem_converged_theta_10", "squeeze_band_theta_10", "antisymmetric_lower_theta_10",
-             "monotone_approach", "antisymmetric_divergence_20_to_10",
-             "antisymmetric_divergence_10_to_5"],
+             "symmetric_lowest_theta_10", "monotone_approach",
+             "antisymmetric_divergence_20_to_10", "antisymmetric_divergence_10_to_5"],
             ["20", "5"],
+            4,
+        ),
+        (
+            # the symmetric (Neumann-cut) half, which gives the row its mu_1
+            ["rhombus-sweep", "--theta-deg-list=20,10,5", "--refinements=3"],
+            lambda spec: isinstance(spec, geometry.HalfRhombus)
+            and spec.theta == math.radians(5.0)
+            and spec.cut == geometry.NEUMANN,
+            ["fem_converged_theta_5", "squeeze_band_theta_5", "antisymmetric_lower_theta_5",
+             "symmetric_lowest_theta_5", "monotone_approach", "antisymmetric_divergence_10_to_5"],
+            ["20", "10"],
             4,
         ),
         (
@@ -328,7 +351,7 @@ def _pair_0001_inner_hull(spec):
             6,
         ),
     ],
-    ids=["table-mu1", "rhombus-sweep", "ratio-scan"],
+    ids=["table-mu1", "table-mu1-rhombus", "rhombus-sweep", "rhombus-sweep-symmetric", "ratio-scan"],
 )
 def test_failed_fem_row_is_not_written_and_fails_its_readers(
     argv, failing, failed_names, rows, ladders, monkeypatch, tmp_path
@@ -405,6 +428,21 @@ def test_rhombus_45_degrees_is_rotated_square():
     # the square's first mode odd about that diagonal: pi^2/2 again
     tau1 = report.rows[0][5]
     assert tau1 == pytest.approx(math.pi**2 / 2.0, rel=1e-5)
+    # the square's mu_1 is double, one mode in each half: a tie within the
+    # certificate's tolerance, which passes
+    (tie,) = [v for v in report.verdicts if v.name == "symmetric_lowest_theta_45"]
+    assert 0.0 <= tie.slack <= 1e-8 * normalized
+    assert report.all_passed
+
+
+def test_symmetric_lowest_fails_below_mu1():
+    # slack of floor >= mu_1 (1 - DEFAULT_TOL), minimised over the rungs
+    symmetric = fem.ExtrapolationResult(4.7, 0.1, (5.0, 4.8, 4.75), 1e-12, 2.0, True)
+    tol = fem.DEFAULT_TOL
+    assert experiments._symmetric_lowest(symmetric, (5.0, 4.8, 4.75)) == pytest.approx(4.75 * tol)
+    assert experiments._symmetric_lowest(symmetric, (6.0, 4.79, 5.0)) < 0.0
+    assert experiments._symmetric_lowest(symmetric, (5.0, 4.8 * (1.0 - 2.0 * tol), 5.0)) < 0.0
+    assert math.isnan(experiments._symmetric_lowest(experiments.NAN_LADDER, (5.0,) * 3))
 
 
 def test_ratio_scan_reference_value():
@@ -496,11 +534,13 @@ VERDICT_NAMES = {
         "table_optimal_bound", "table_optimal_bound_ratio", "table_square", "table_square_ratio",
         "table_optimal_sector", "table_optimal_sector_ratio", "table_equilateral_triangle",
         "table_equilateral_triangle_ratio", "table_reuleaux_triangle",
-        "table_reuleaux_triangle_ratio", "table_disk", "table_disk_ratio", "table_segment_exact",
+        "table_reuleaux_triangle_ratio", "table_disk", "table_disk_ratio",
+        "table_optimal_bound_symmetric_lowest", "table_segment_exact",
     ],
     "rhombus-sweep": [
-        "squeeze_band_theta_20", "antisymmetric_lower_theta_20", "squeeze_band_theta_10",
-        "antisymmetric_lower_theta_10", "squeeze_band_theta_5", "antisymmetric_lower_theta_5",
+        "squeeze_band_theta_20", "antisymmetric_lower_theta_20", "symmetric_lowest_theta_20",
+        "squeeze_band_theta_10", "antisymmetric_lower_theta_10", "symmetric_lowest_theta_10",
+        "squeeze_band_theta_5", "antisymmetric_lower_theta_5", "symmetric_lowest_theta_5",
         "monotone_approach", "antisymmetric_divergence_20_to_10",
         "antisymmetric_divergence_10_to_5",
     ],

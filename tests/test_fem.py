@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sparse
 
 from speclab import constants, fem, geometry as geo, spectra
 
@@ -219,6 +220,39 @@ def test_rayleigh_ritz_failure_raises(monkeypatch):
         fem.solve_mesh(mesh, 2)
 
 
+def test_nan_eigenpairs_raise(monkeypatch):
+    # NaN > tol is False: a NaN residual must fail the check, not slip past it
+    eigh = scipy.linalg.eigh
+
+    def nan_eigh(*args, **kwargs):
+        vals, vecs = eigh(*args, **kwargs)
+        return vals, np.full_like(vecs, np.nan)
+
+    monkeypatch.setattr(fem.scipy.linalg, "eigh", nan_eigh)
+    mesh = refined(geo.Square(1.0), 1)
+    assert len(mesh.vertices) <= 400
+    with pytest.raises(fem.NonConvergenceError, match="nan"):
+        fem.solve_mesh(mesh, 2)
+
+
+class _NoIndexing(sparse.csr_matrix):
+    """A sparse matrix that may not be indexed, so not copied by elimination."""
+
+    def __getitem__(self, key):
+        raise AssertionError("an unconstrained pencil was copied by elimination")
+
+
+def test_unconstrained_sparse_solve_skips_elimination():
+    # with nothing constrained the pencil is solved as given, and bit for bit
+    # as its elimination by an all-true mask
+    K, M = fem.assemble(refined(geo.Rhombus(2.0, math.radians(20.0)), 2))
+    keep = np.ones(K.shape[0], dtype=bool)
+    direct = fem.solve_smallest(_NoIndexing(K), _NoIndexing(M), [], 3)
+    eliminated = fem.solve_smallest(K[keep][:, keep], M[keep][:, keep], [], 3)
+    assert np.array_equal(direct.eigenvalues, eliminated.eigenvalues)
+    assert np.array_equal(direct.residuals, eliminated.residuals)
+
+
 class _CountingFactor:
     """splu result whose solve counts right-hand sides."""
 
@@ -398,6 +432,23 @@ def test_half_rhombus_mixed_lower_bound():
         res = fem.mu_k(geo.HalfRhombus(2.0, theta), 1, refinements=4)
         M = math.tan(theta)
         assert res.value >= 0.995 * PI2 / (4.0 * M * M)
+
+
+@pytest.mark.parametrize("deg", [20.0, 40.0, 45.0])
+def test_rhombus_spectrum_is_merge_of_mirror_halves(deg):
+    # the rhombus mesh is the half mesh plus its mirror image, so the rhombus
+    # pencil splits exactly into the Neumann-cut (even) and Dirichlet-cut
+    # (odd) halves' pencils
+    theta = math.radians(deg)
+    full = fem.solve_mesh(refined(geo.Rhombus(2.0, theta), 2), 5).eigenvalues[1:]
+    even = fem.solve_mesh(refined(geo.HalfRhombus(2.0, theta, geo.NEUMANN), 2), 5).eigenvalues[1:]
+    odd = fem.solve_mesh(refined(geo.HalfRhombus(2.0, theta), 2), 4).eigenvalues
+    merged = np.sort(np.concatenate([even, odd]))[:4]
+    assert np.allclose(full, merged, rtol=1e-9, atol=0.0)
+    if deg == 40.0:
+        # the odd tau_1 = 6.78 sits between the even mu_1 = 5.10 and mu_2 = 11.41
+        assert even[0] < odd[0] < even[1]
+        assert full[1] == pytest.approx(odd[0], rel=1e-9)
 
 
 def test_mu_spectrum_indexes_constrained_problems_from_one():

@@ -216,6 +216,35 @@ def test_half_rhombus_base_dirichlet():
     assert others and all(m == "N" for m in others)
 
 
+def test_half_rhombus_cut_condition():
+    assert geo.HalfRhombus(2.0, 0.3).cut == geo.DIRICHLET
+    mesh = geo.triangulate(geo.HalfRhombus(2.0, 0.3, geo.NEUMANN))
+    mesh.validate()
+    assert set(mesh.boundary_markers) == {"N"}
+    with pytest.raises(ValueError, match="cut"):
+        geo.HalfRhombus(2.0, 0.3, "*")
+
+
+@pytest.mark.parametrize("deg", [5.0, 20.0, 45.0])
+def test_rhombus_mesh_is_half_mesh_and_its_mirror_image(deg):
+    # (u, v) -> (1 - v, 1 - u) maps the rhombus grid onto itself as the mirror
+    # y -> -y, so the rhombus mesh is the half mesh plus that mesh's mirror
+    # image, with bit-exact coordinates, at every refinement
+    full = geo.triangulate(geo.Rhombus(2.0, math.radians(deg)))
+    half = geo.triangulate(geo.HalfRhombus(2.0, math.radians(deg), geo.NEUMANN))
+
+    def triangles(mesh, sign=1.0):
+        points = mesh.vertices * (1.0, sign)
+        return {frozenset(map(tuple, points[t].tolist())) for t in mesh.triangles}
+
+    for _ in range(3):
+        upper, lower = triangles(half), triangles(half, -1.0)
+        assert not upper & lower
+        assert triangles(full) == upper | lower
+        assert len(full.triangles) == 2 * len(half.triangles)
+        full, half = geo.refine_mesh(full), geo.refine_mesh(half)
+
+
 def test_sector_arc_dirichlet_count():
     mesh = geo.triangulate(geo.Sector(1.0, math.pi / 3, 32), dirichlet_classes=frozenset({"arc"}))
     mesh.validate()
