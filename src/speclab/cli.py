@@ -1,9 +1,16 @@
 """Command-line entry point: `speclab <command> [--key=value ...] --out DIR`.
 
+The commands are experiments.COMMANDS, and a command's flags are its
+runner's parameters: `--k-list` sets `k_list`, parsed by the parser of the
+parameter's annotation (PARSERS), with the parameter's default.  A `--config`
+file of key=value lines sets the same parameters through the same parsers,
+and a flag overrides a config line.
+
 Every command writes <command>.csv (data; byte-identical across reruns of
 the same configuration), <command>_verdicts.json (verdicts and metadata,
 including wall time) and, where defined, <command>.svg.  The process exits
-0 iff every verdict passed.  SPECLAB_THREADS limits worker threads for the
+0 if every verdict passed, 1 if a verdict failed and 2 on a usage, config
+file or output error.  SPECLAB_THREADS limits worker threads for the
 embarrassingly parallel rows.
 """
 
@@ -12,7 +19,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import experiments
@@ -33,70 +39,38 @@ def _rect(text: str):
     return (float(parts[0]), float(parts[1]))
 
 
-# per-command option schema: name -> (type converter, help); the defaults
-# are those of the experiments function
-COMMANDS = {
-    "constants": (
-        experiments.cmd_constants,
-        {
-            "k_max": (int, "largest eigenvalue order in the grid"),
-            "d_max": (int, "largest dimension in the grid"),
-        },
-    ),
-    "table-mu1": (
-        experiments.cmd_table_mu1,
-        {"refinements": (int, "finest refinement level of the mesh ladder")},
-    ),
-    "rhombus-sweep": (
-        experiments.cmd_rhombus_sweep,
-        {
-            "theta_deg_list": (_floats, "half-opening angles in degrees"),
-            "refinements": (int, "finest refinement level"),
-        },
-    ),
-    "ratio-scan": (
-        experiments.cmd_ratio_scan,
-        {
-            "n_pairs": (int, "number of seeded random pairs"),
-            "seed": (int, "base seed of the pair stream"),
-            "refinements": (int, "finest refinement level"),
-            "n_outer": (int, "points sampled for the outer hull"),
-            "n_inner": (int, "points sampled for the inner hull"),
-        },
-    ),
-    "weyl": (
-        experiments.cmd_weyl,
-        {
-            "k_list": (_ints, "sampled eigenvalue indices"),
-            "rect1": (_rect, "inner rectangle sides AxB"),
-            "rect2": (_rect, "outer rectangle sides AxB"),
-        },
-    ),
-    "dimension-demo": (
-        experiments.cmd_dimension_demo,
-        {
-            "k": (int, "eigenvalue order"),
-            "ell_list": (_floats, "cylinder lengths"),
-        },
-    ),
-    "counterexamples": (experiments.cmd_counterexamples, {}),
+# the parser of each parameter annotation, for flags and config lines alike
+PARSERS = {
+    int: int,
+    tuple[int, ...]: _ints,
+    tuple[float, ...]: _floats,
+    tuple[float, float]: _rect,
+}
+
+# one description per parameter name, shared by every command that takes it
+HELP = {
+    "k_max": "largest eigenvalue order in the grid",
+    "d_max": "largest dimension in the grid",
+    "refinements": "finest refinement level of the mesh ladder",
+    "theta_deg_list": "half-opening angles in degrees",
+    "n_pairs": "number of seeded random pairs",
+    "seed": "base seed of the pair stream",
+    "n_outer": "points sampled for the outer hull",
+    "n_inner": "points sampled for the inner hull",
+    "k_list": "sampled eigenvalue indices",
+    "rect1": "inner rectangle sides AxB",
+    "rect2": "outer rectangle sides AxB",
+    "k": "eigenvalue order",
+    "ell_list": "cylinder lengths",
 }
 
 
-@dataclass
-class ExperimentConfig:
-    """Validated invocation: command plus typed key=value parameters."""
-
-    command: str
-    params: dict = field(default_factory=dict)
-    out: Path = Path("speclab_out")
-
-
-def _defaults(runner) -> dict:
+def _parameters(command: str) -> dict:
+    """The command's parameters: name -> (parser, default)."""
+    runner = experiments.COMMANDS[command.replace("-", "_")]
     return {
-        key: param.default
-        for key, param in inspect.signature(runner).parameters.items()
-        if param.default is not inspect.Parameter.empty
+        key: (PARSERS[p.annotation], p.default)
+        for key, p in inspect.signature(runner, eval_str=True).parameters.items()
     }
 
 
@@ -106,25 +80,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Neumann eigenvalue comparison experiments on convex domains",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (runner, schema) in COMMANDS.items():
-        defaults = _defaults(runner)
-        cmd = sub.add_parser(name, help=f"run the {name.replace('-', ' ')} experiment")
+    for command in experiments.COMMANDS:
+        name = command.replace("_", "-")
+        cmd = sub.add_parser(name, help=f"run the {command.replace('_', ' ')} experiment")
         cmd.add_argument("--out", type=Path, default=Path("speclab_out"), help="output directory")
         cmd.add_argument("--config", type=Path, default=None, help="key=value config file")
-        for key, (conv, helptext) in schema.items():
+        for key, (conv, default) in _parameters(name).items():
             cmd.add_argument(
                 f"--{key.replace('_', '-')}",
-                dest=key,
                 type=conv,
                 default=None,
-                help=f"{helptext} (default {defaults[key]})",
+                help=f"{HELP.get(key, key.replace('_', ' '))} (default {default})",
             )
     return parser
 
 
-def _load_config_file(path: Path, schema: dict) -> dict:
+def _load_config_file(path: Path, parameters: dict) -> dict:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror}") from exc
     out = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -132,43 +109,48 @@ def _load_config_file(path: Path, schema: dict) -> dict:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in schema:
+        if key not in parameters:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        conv = schema[key][0]
-        out[key] = conv(value)
+        try:
+            out[key] = parameters[key][0](value)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from exc
     return out
 
 
-def parse_config(argv) -> ExperimentConfig:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    runner, schema = COMMANDS[args.command]
-    params = _defaults(runner)
+def parse_config(argv) -> tuple[str, dict, Path]:
+    """(command, params, out) of a command line: each parameter from its
+    flag, else its config line, else its default."""
+    args = build_parser().parse_args(argv)
+    parameters = _parameters(args.command)
+    params = {key: default for key, (_, default) in parameters.items()}
     if args.config is not None:
-        params.update(_load_config_file(args.config, schema))
-    for key in schema:
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = value
-    return ExperimentConfig(command=args.command, params=params, out=args.out)
+        params.update(_load_config_file(args.config, parameters))
+    for key in parameters:
+        if getattr(args, key) is not None:
+            params[key] = getattr(args, key)
+    return args.command, params, args.out
 
 
 def main(argv=None) -> int:
     try:
-        config = parse_config(argv if argv is not None else sys.argv[1:])
+        command, params, out = parse_config(argv if argv is not None else sys.argv[1:])
     except ValueError as exc:
         print(f"speclab: {exc}", file=sys.stderr)
         return 2
-    runner, _ = COMMANDS[config.command]
     try:
-        report = runner(**config.params)
+        report = experiments.COMMANDS[command.replace("-", "_")](**params)
     except (ValueError, OverflowError) as exc:
-        print(f"speclab: {config.command}: {exc}", file=sys.stderr)
+        print(f"speclab: {command}: {exc}", file=sys.stderr)
         return 2
-    report.write(config.out)
+    try:
+        report.write(out)
+    except OSError as exc:
+        print(f"speclab: {command}: cannot write {out}: {exc.strerror}", file=sys.stderr)
+        return 2
     for line in report.summary_lines():
         print(line)
-    print(f"wrote {config.out}/{report.command}.csv")
+    print(f"wrote {out}/{report.command}.csv")
     return 0 if report.all_passed else 1
 
 

@@ -187,10 +187,17 @@ def _pmap(fn, items):
         return list(pool.map(fn, items))
 
 
+# Every command by name (cmd_<name> registers as <name>), in definition order.
+# The CLI builds each subcommand from its runner's signature: a parameter's
+# name, annotation and default are its flag, its parser and its default.
+COMMANDS = {}
+
+
 def _command(fn):
     """Run cmd_<name> as the command <name>: its report gets that name, and its
     metadata the library versions, the call's arguments (defaults applied) as
     params, the command's own keys, and the wall time of the call."""
+    name = fn.__name__.removeprefix("cmd_")
     signature = inspect.signature(fn)
 
     @functools.wraps(fn)
@@ -199,7 +206,7 @@ def _command(fn):
         bound = signature.bind(*args, **kwargs)
         bound.apply_defaults()
         report = fn(*args, **kwargs)
-        report.command = fn.__name__.removeprefix("cmd_")
+        report.command = name
         report.metadata = {
             "speclab_version": __version__,
             "numpy_version": np.__version__,
@@ -211,6 +218,7 @@ def _command(fn):
         }
         return report
 
+    COMMANDS[name] = run
     return run
 
 
@@ -468,7 +476,7 @@ def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
 
 @_command
 def cmd_rhombus_sweep(
-    theta_deg_list=(20.0, 10.0, 5.0), refinements: int = 4
+    theta_deg_list: tuple[float, ...] = (20.0, 10.0, 5.0), refinements: int = 4
 ) -> ExperimentReport:
     """Squeeze the rhombus mu_1 between the two cone eigenvalues and check the
     divergence of the antisymmetric mode.
@@ -700,9 +708,9 @@ def cmd_ratio_scan(
 
 @_command
 def cmd_weyl(
-    k_list=(10**3, 10**4, 10**5),
-    rect1=(1.0, 1.0),
-    rect2=(2.0, 1.3),
+    k_list: tuple[int, ...] = (10**3, 10**4, 10**5),
+    rect1: tuple[float, float] = (1.0, 1.0),
+    rect2: tuple[float, float] = (2.0, 1.3),
 ) -> ExperimentReport:
     """Eigenvalue-ratio trend toward the area-ratio limit for nested rectangles."""
     ks = [int(k) for k in k_list]
@@ -745,12 +753,13 @@ def cmd_weyl(
                 f"deviations {[f'{d:.3e}' for d in devs]}",
             )
         )
-    equal_ratio = spectra.rectangle_mu_k(a1, b1, ks[0]) / spectra.rectangle_mu_k(a1, b1, ks[0])
+    # mu_k scales as length^-2, and doubling both sides is exact in floats
+    scaling = rows[0][1] / (4.0 * spectra.rectangle_mu_k(2.0 * a1, 2.0 * b1, ks[0]))
     verdicts.append(
         Verdict(
             "weyl_equal_rectangles",
-            "spectra: equal rectangles give ratio exactly 1",
-            exactly(equal_ratio, 1.0),
+            "spectra: mu_k(rect1) = 4 mu_k(2 rect1) exactly, the length^-2 scaling",
+            exactly(scaling, 1.0),
         )
     )
 
@@ -770,7 +779,9 @@ def cmd_weyl(
 
 
 @_command
-def cmd_dimension_demo(k: int = 1, ell_list=(0.5, 0.9, 0.99, 1.01, 1.5, 5.0)) -> ExperimentReport:
+def cmd_dimension_demo(
+    k: int = 1, ell_list: tuple[float, ...] = (0.5, 0.9, 0.99, 1.01, 1.5, 5.0)
+) -> ExperimentReport:
     """Product-domain construction: the mu_k ratio of nested segments is
     preserved by short cylinder factors and breaks past the explicit
     threshold."""

@@ -3,11 +3,19 @@
 import inspect
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from speclab import cli, experiments, fem, geometry
+
+# each command as the CLI names it
+CLI_COMMANDS = [name.replace("_", "-") for name in experiments.COMMANDS]
 
 
 def read_verdicts(path):
@@ -494,8 +502,8 @@ def test_cli_runs_and_writes(tmp_path):
 def test_cli_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("k_max=2\n# comment\nd_max = 4\n")
-    config = cli.parse_config(["constants", "--config", str(cfg), "--out", str(tmp_path)])
-    assert config.params == {"k_max": 2, "d_max": 4}
+    command, params, out = cli.parse_config(["constants", "--config", str(cfg), "--out", str(tmp_path)])
+    assert (command, params, out) == ("constants", {"k_max": 2, "d_max": 4}, tmp_path)
 
 
 def test_cli_config_rejects_unknown_keys(tmp_path):
@@ -508,10 +516,41 @@ def test_cli_config_rejects_unknown_keys(tmp_path):
 def test_cli_flag_overrides_config(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("k_max=2\nd_max=4\n")
-    config = cli.parse_config(
+    _, params, _ = cli.parse_config(
         ["constants", "--config", str(cfg), "--k-max=3", "--out", str(tmp_path)]
     )
-    assert config.params["k_max"] == 3
+    assert params == {"k_max": 3, "d_max": 4}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("rect1=1\n", "run.cfg:1: rect1: expected AxB rectangle sides"),
+        ("# sides\nk_list=1000,x\n", "run.cfg:2: k_list:"),
+        ("rect1\n", "run.cfg:1: expected key=value"),
+    ],
+)
+def test_cli_bad_config_line_exits_2(text, message, tmp_path, capsys):
+    # a value its parameter's parser rejects is a usage error, not a traceback
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert cli.main(["weyl", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"speclab: {tmp_path}/{message}")
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_missing_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "missing.cfg"
+    assert cli.main(["weyl", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"speclab: {cfg}: No such file or directory\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory\n")
+    assert cli.main(["counterexamples", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"speclab: counterexamples: cannot write {out}:")
 
 
 def test_cli_failing_verdict_sets_exit_code(tmp_path):
@@ -521,6 +560,45 @@ def test_cli_failing_verdict_sets_exit_code(tmp_path):
         ["weyl", "--k-list=1000,10000", "--rect1=1x1", "--rect2=1x1", "--out", str(tmp_path / "o")]
     )
     assert code == 1
+
+
+def test_cli_process_exit_codes(tmp_path):
+    # 0 = every verdict passed, 1 = a verdict failed, 2 = usage or I/O error
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("rect1=1\n")
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "speclab.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    ok = run("counterexamples", "--out", str(tmp_path / "ok"))
+    assert ok.returncode == 0, ok.stderr
+    assert (tmp_path / "ok" / "counterexamples.csv").exists()
+    failed = run("weyl", "--k-list=1000,10000", "--rect1=1x1", "--rect2=1x1", "--out", str(tmp_path / "f"))
+    assert failed.returncode == 1, failed.stderr
+    bad = run("weyl", "--config", str(cfg), "--out", str(tmp_path / "b"))
+    assert bad.returncode == 2
+    assert bad.stderr.startswith(f"speclab: {cfg}:1: rect1:")
+    assert "Traceback" not in bad.stderr
+
+
+def test_weyl_equal_rectangles_checks_the_scaling_law(monkeypatch):
+    # mu_k(rect1) = 4 mu_k(2 rect1) holds bit-exactly; a rectangle spectrum
+    # that breaks the length^-2 scaling fails the verdict
+    def verdict(report):
+        return {v.name: v for v in report.verdicts}["weyl_equal_rectangles"]
+
+    assert verdict(experiments.cmd_weyl(k_list=(1000, 10000))).passed
+    mu_k = experiments.spectra.rectangle_mu_k
+    monkeypatch.setattr(
+        experiments.spectra, "rectangle_mu_k", lambda a, b, k: mu_k(a, b, k) * (1.0 + 1e-15 * a)
+    )
+    broken = verdict(experiments.cmd_weyl(k_list=(1000, 10000)))
+    assert not broken.passed and broken.slack < 0
 
 
 # each command's verdict names at the benchmark's smoke sizes, in order
@@ -588,13 +666,28 @@ def test_passed_iff_slack_nonnegative(argv, tmp_path):
         assert code == 1
 
 
-@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def signature_parameters(command):
+    return inspect.signature(experiments.COMMANDS[command.replace("-", "_")]).parameters
+
+
+@pytest.mark.parametrize("command", CLI_COMMANDS)
 def test_cli_defaults_are_the_signature_defaults(command):
-    runner, schema = cli.COMMANDS[command]
-    params = inspect.signature(runner).parameters
-    assert set(schema) == set(params)
-    config = cli.parse_config([command])
-    assert config.params == {key: p.default for key, p in params.items()}
+    params = signature_parameters(command)
+    assert cli.parse_config([command]) == (
+        command, {key: p.default for key, p in params.items()}, Path("speclab_out")
+    )
+
+
+@pytest.mark.parametrize("command", CLI_COMMANDS)
+def test_cli_help_lists_the_signature_parameters(command, capsys):
+    with pytest.raises(SystemExit):
+        cli.parse_config([command, "--help"])
+    text = capsys.readouterr().out
+    flags = set(re.findall(r"(?<![\w-])--[a-z0-9][a-z0-9-]*", text))
+    params = signature_parameters(command)
+    assert flags == {"--help", "--out", "--config"} | {f"--{key.replace('_', '-')}" for key in params}
+    for p in params.values():
+        assert f"(default {p.default})" in " ".join(text.split())
 
 
 def test_cli_help_shows_defaults(capsys):
@@ -661,13 +754,13 @@ OWN_KEYS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+@pytest.mark.parametrize("command", CLI_COMMANDS)
 def test_runner_names_the_report_and_records_its_defaults(command, monkeypatch, tmp_path):
     # run at the defaults; the runner's record does not depend on the solver
     monkeypatch.setattr(experiments.fem, "mu_k", stub_mu_k)
-    runner, _ = cli.COMMANDS[command]
-    cli.main([command, "--out", str(tmp_path)])
     name = command.replace("-", "_")
+    runner = experiments.COMMANDS[name]
+    cli.main([command, "--out", str(tmp_path)])
     payload = read_verdicts(tmp_path / f"{name}_verdicts.json")
     assert payload["command"] == name
     assert (tmp_path / f"{name}.csv").exists()
