@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -270,19 +269,17 @@ class ExtrapolationResult:
     monotone: bool
 
 
-_ALL_DIRICHLET = frozenset({geometry.ALL_CLASSES})
-
-
-def _extrapolate(spec: DomainSpec, ks, refinements: int, dirichlet_classes) -> list:
+def _extrapolate(spec: DomainSpec, ks, refinements: int, dirichlet: bool) -> list:
     """Extrapolated k-th eigenvalues, k in ks, from one mesh ladder.
 
-    The ladder is triangulated first: its markers decide whether k counts
-    from 0 (pure Neumann) or from 1 (any Dirichlet edge), and every mesh is
-    solved for exactly the pairs up to the largest k.
+    The ladder is triangulated first (`geometry.triangulate(spec,
+    dirichlet)`): its markers decide whether k counts from 0 (pure Neumann)
+    or from 1 (any Dirichlet edge), and every mesh is solved for exactly the
+    pairs up to the largest k.
     """
     if refinements < 2:
         raise ValueError("need at least 2 refinements for h, h/2, h/4 meshes")
-    mesh = geometry.triangulate(spec, dirichlet_classes=dirichlet_classes)
+    mesh = geometry.triangulate(spec, dirichlet)
     for _ in range(refinements - 2):
         mesh = geometry.refine_mesh(mesh)
     ladder = [mesh]
@@ -319,30 +316,25 @@ def _extrapolate(spec: DomainSpec, ks, refinements: int, dirichlet_classes) -> l
     return out
 
 
-def mu_k(
-    spec: DomainSpec,
-    k: int,
-    refinements: int = 3,
-    dirichlet_classes: Optional[frozenset] = None,
-) -> ExtrapolationResult:
-    """Extrapolated k-th eigenvalue: from k = 0 (mu_0 = 0) for a pure
-    Neumann boundary, from k = 1 once any edge is Dirichlet (by
-    dirichlet_classes or by the domain, as the base of a half rhombus)."""
-    return _extrapolate(spec, [k], refinements, dirichlet_classes)[0]
+def mu_k(spec: DomainSpec, k: int, refinements: int = 3) -> ExtrapolationResult:
+    """Extrapolated k-th eigenvalue of the Neumann problem: from k = 0
+    (mu_0 = 0) for a pure Neumann boundary, from k = 1 when the domain
+    declares a Dirichlet edge (the base of a Dirichlet-cut half rhombus)."""
+    return _extrapolate(spec, [k], refinements, False)[0]
 
 
 def mu_spectrum(spec: DomainSpec, k_max: int, refinements: int = 3) -> list:
     """Extrapolated k = 1..k_max eigenvalues from a single mesh ladder:
     mu_1..mu_k_max for a pure Neumann boundary (mu_0 = 0 is skipped), the
     first k_max constrained eigenvalues when the domain has a Dirichlet edge."""
-    return _extrapolate(spec, range(1, k_max + 1), refinements, None)
+    return _extrapolate(spec, range(1, k_max + 1), refinements, False)
 
 
 def dirichlet_lambda_k(spec: DomainSpec, k: int, refinements: int = 3) -> ExtrapolationResult:
     """Extrapolated k-th Dirichlet eigenvalue (k >= 1), all markers Dirichlet."""
-    return _extrapolate(spec, [k], refinements, _ALL_DIRICHLET)[0]
+    return _extrapolate(spec, [k], refinements, True)[0]
 
 
 def dirichlet_spectrum(spec: DomainSpec, k_max: int, refinements: int = 3) -> list:
     """Extrapolated lambda_1..lambda_k_max from a single mesh ladder."""
-    return _extrapolate(spec, range(1, k_max + 1), refinements, _ALL_DIRICHLET)
+    return _extrapolate(spec, range(1, k_max + 1), refinements, True)

@@ -5,9 +5,9 @@ boundaries (sector arcs, constant-width arcs) are approximated by inscribed
 chords, so the polygon is always a subset of the true domain and mesh
 vertices never leave it.
 
-Each spec describes itself by its `outline()`: the polygon, a class for
-each edge ('side', 'base', 'arc', 'radial', ...) and the classes that are
-Dirichlet by definition (the cut of a half rhombus, when it is Dirichlet).
+Each spec describes itself by its `outline()`: the polygon and the edges
+that are Dirichlet by definition of the domain (the cut of a half rhombus,
+when it is Dirichlet).
 
 Meshing: each family has one base mesh.  Rhombi, half rhombi and rectangles
 are meshed as affine images of a structured triangulated reference square
@@ -15,8 +15,9 @@ are meshed as affine images of a structured triangulated reference square
 degrades); generic convex polygons are fan-triangulated from the centroid.
 Finer meshes are uniform refinements of the base mesh; on a structured grid
 they are the same grid with 2^r times the cells per side.
-Boundary edges take the class of the outline edge they lie on and carry
-condition markers ('N' or 'D') assigned by a dirichlet class set.
+Boundary edges carry condition markers ('N' or 'D') set by one rule: the
+problem is Neumann or Dirichlet (`triangulate`'s flag), and a Neumann
+problem is 'D' on the outline edges that the domain declares Dirichlet.
 
 Random inclusion pairs use an explicit 64-bit shift-register generator
 (xorshift64*, published constants) so ratio scans reproduce across
@@ -27,13 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
 NEUMANN = "N"
 DIRICHLET = "D"
-ALL_CLASSES = "*"
 
 
 # ---------------------------------------------------------------------------
@@ -42,11 +42,10 @@ ALL_CLASSES = "*"
 
 class Outline(NamedTuple):
     """What a domain spec says about itself: a counterclockwise convex polygon
-    (inscribed in the domain), the class of each edge i -> i+1, and the edge
-    classes that are Dirichlet by definition of the domain."""
+    (inscribed in the domain) and the indices i of its edges i -> i+1 that
+    are Dirichlet by definition of the domain."""
 
     polygon: np.ndarray
-    classes: tuple
     dirichlet: frozenset = frozenset()
 
 
@@ -66,12 +65,13 @@ class Rhombus:
     def outline(self) -> Outline:
         h = 0.5 * self.D * math.tan(self.theta)
         poly = np.array([(-0.5 * self.D, 0.0), (0.0, -h), (0.5 * self.D, 0.0), (0.0, h)])
-        return Outline(poly, ("side",) * 4)
+        return Outline(poly)
 
 
 @dataclass(frozen=True)
 class HalfRhombus(Rhombus):
-    """Upper half of the rhombus, cut along the long diagonal (the 'base').
+    """Upper half of the rhombus, cut along the long diagonal (the base,
+    outline edge 0, which the outline declares Dirichlet for a Dirichlet cut).
 
     The rhombus is this half and its mirror image across the cut, and so is
     the rhombus mesh (see `_rhombus_grid`), so each eigenpair of the rhombus
@@ -90,8 +90,7 @@ class HalfRhombus(Rhombus):
     def outline(self) -> Outline:
         h = 0.5 * self.D * math.tan(self.theta)
         poly = np.array([(-0.5 * self.D, 0.0), (0.5 * self.D, 0.0), (0.0, h)])
-        dirichlet = frozenset({"base"}) if self.cut == DIRICHLET else frozenset()
-        return Outline(poly, ("base", "side", "side"), dirichlet)
+        return Outline(poly, frozenset({0}) if self.cut == DIRICHLET else frozenset())
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,7 @@ class Rectangle:
     def outline(self) -> Outline:
         a, b = self.a, self.b
         poly = np.array([(0.0, 0.0), (a, 0.0), (a, b), (0.0, b)])
-        return Outline(poly, ("bottom", "right", "top", "left"))
+        return Outline(poly)
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,7 @@ class EquilateralTriangle:
     def outline(self) -> Outline:
         s = self.side
         poly = np.array([(0.0, 0.0), (s, 0.0), (0.5 * s, 0.5 * math.sqrt(3.0) * s)])
-        return Outline(poly, ("side",) * 3)
+        return Outline(poly)
 
 
 @dataclass(frozen=True)
@@ -150,7 +149,7 @@ class RegularPolygon:
         n, R = self.n_vertices, self.circumradius
         ang = 2.0 * math.pi * np.arange(n) / n
         poly = np.column_stack([R * np.cos(ang), R * np.sin(ang)])
-        return Outline(poly, ("side",) * n)
+        return Outline(poly)
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,7 @@ class Sector:
         ang = np.linspace(-half, half, self.n_arc + 1)
         arc = np.column_stack([self.R * np.cos(ang), self.R * np.sin(ang)])
         poly = np.vstack([[0.0, 0.0], arc])
-        return Outline(poly, ("radial",) + ("arc",) * self.n_arc + ("radial",))
+        return Outline(poly)
 
 
 @dataclass(frozen=True)
@@ -204,7 +203,7 @@ class ReuleauxTriangle:
             for t in range(self.n_arc):
                 a = a0 + (t / self.n_arc) * (math.pi / 3.0)
                 pts.append(center + w * np.array([math.cos(a), math.sin(a)]))
-        return Outline(np.array(pts), ("arc",) * (3 * self.n_arc))
+        return Outline(np.array(pts))
 
 
 @dataclass(frozen=True)
@@ -228,7 +227,7 @@ class ConvexHullPolygon:
                 raise ValueError("polygon vertices must be in convex position")
 
     def outline(self) -> Outline:
-        return Outline(np.array(self.vertices), ("side",) * len(self.vertices))
+        return Outline(np.array(self.vertices))
 
 
 DomainSpec = Union[
@@ -550,15 +549,13 @@ _GRID_MESHES = {
 }
 
 
-def triangulate(spec: DomainSpec, dirichlet_classes: Optional[frozenset] = None) -> Mesh:
+def triangulate(spec: DomainSpec, dirichlet: bool = False) -> Mesh:
     """The base mesh of the spec's family, with boundary markers.
 
-    Finer meshes are uniform refinements of it (`refine_mesh`).  Each
-    boundary edge takes the class of the outline edge it lies on.
-    dirichlet_classes marks matching edge classes 'D' ('*' matches every
-    class), on top of the classes the outline makes Dirichlet; the default
-    is otherwise a pure Neumann boundary.  Requesting a class that matches
-    no edge is an error.
+    Finer meshes are uniform refinements of it (`refine_mesh`).  dirichlet
+    marks every boundary edge 'D' (the Dirichlet Laplacian).  Otherwise an
+    edge is 'D' when it lies on an outline edge that the domain declares
+    Dirichlet (the base of a Dirichlet-cut half rhombus) and 'N' elsewhere.
     """
     outline = spec.outline()
     poly = outline.polygon
@@ -572,13 +569,7 @@ def triangulate(spec: DomainSpec, dirichlet_classes: Optional[frozenset] = None)
         verts, tris = grid(spec, poly)
     edges = _boundary_edges_of(tris)
     nearest = _nearest_outline_edge(poly, 0.5 * (verts[edges[:, 0]] + verts[edges[:, 1]]))
-    dirichlet = set(dirichlet_classes or ()) | outline.dirichlet
-    markers = [
-        DIRICHLET if ALL_CLASSES in dirichlet or outline.classes[i] in dirichlet else NEUMANN
-        for i in nearest
-    ]
-    if dirichlet and DIRICHLET not in markers:
-        raise ValueError(f"dirichlet classes {sorted(dirichlet)} matched no boundary edge")
+    markers = [DIRICHLET if dirichlet or i in outline.dirichlet else NEUMANN for i in nearest]
     return Mesh(
         vertices=verts,
         triangles=tris,

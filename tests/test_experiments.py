@@ -201,12 +201,13 @@ def test_fem_commands_report_max_residual(argv, monkeypatch, tmp_path):
 
 
 def test_ratio_scan_reports_ladder_checks(tmp_path):
-    # 2 reference ladders and 2 per pair; at refinements 3 the fitted order
-    # of 6 of these 14 falls outside [1.5, 2.5], and every ladder is monotone
+    # 3 reference ladders (the identical pair solves its square twice) and 2
+    # per pair; at refinements 3 the fitted order of 6 of these 15 falls
+    # outside [1.5, 2.5], and every ladder is monotone
     report = experiments.cmd_ratio_scan(n_pairs=6, seed=1, refinements=3)
     report.write(tmp_path)
     metadata = json.loads((tmp_path / "ratio_scan_verdicts.json").read_text())["metadata"]
-    assert metadata["ladders"] == 14
+    assert metadata["ladders"] == 15
     assert metadata["fitted_order_out_of_band"] == 6
     assert metadata["non_monotone"] == 0
 
@@ -256,6 +257,23 @@ def test_ratio_scan_reports_reference_failure_as_verdict(monkeypatch, tmp_path, 
     assert all(v["slack"] is None for v in failed)
     ids = [line.split(",")[0] for line in (out / "ratio_scan.csv").read_text().splitlines()[1:]]
     assert ids == ["ref_identical"] * (failing is geometry.Rectangle) + ["pair_0000", "pair_0001"]
+
+
+def test_identical_pair_verdict_compares_two_independent_solves(monkeypatch):
+    # the identical pair solves its square twice and divides one solve by the
+    # other, so a solver whose repeated solves of one domain differ fails it
+    monkeypatch.delenv("SPECLAB_THREADS", raising=False)
+    solves = iter(range(1, 100))
+
+    def drifting_mu_k(spec, k, refinements):
+        value = 5.0 + next(solves) * 1e-12
+        return fem.ExtrapolationResult(value, 0.0, (value,) * 3, 1e-12, 2.0, True)
+
+    monkeypatch.setattr(experiments.fem, "mu_k", drifting_mu_k)
+    report = experiments.cmd_ratio_scan(n_pairs=2, seed=1, refinements=2)
+    assert report.rows[0][0] == "ref_identical" and report.rows[0][5] < 1.0
+    assert [v.name for v in report.verdicts if not v.passed] == ["identical_pair_ratio_one"]
+    assert report.metadata["ladders"] == 7
 
 
 def test_ratio_scan_rejects_impossible_hull_sizes(tmp_path, capsys):
@@ -356,7 +374,7 @@ def _pair_0001_inner_hull(spec):
             _pair_0001_inner_hull,
             ["fem_converged_pair_0001"],
             ["ref_identical", "ref_thin_rect_in_square", "pair_0000", "pair_0002"],
-            6,
+            7,  # the identical pair's two solves, the thin rectangle, two pairs
         ),
     ],
     ids=["table-mu1", "table-mu1-rhombus", "rhombus-sweep", "rhombus-sweep-symmetric", "ratio-scan"],

@@ -1,5 +1,6 @@
 """Tests for P1 assembly, the eigensolver, and Richardson extrapolation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,9 +13,28 @@ from speclab import constants, fem, geometry as geo, spectra
 PI2 = math.pi**2
 
 
-def refined(spec, times, dirichlet_classes=None):
-    """The spec's base mesh after `times` uniform refinements."""
-    mesh = geo.triangulate(spec, dirichlet_classes=dirichlet_classes)
+def with_dirichlet(spec, mesh, edges):
+    """The mesh with 'D' on each boundary edge whose midpoint is nearest to
+    an outline edge i -> i+1 of spec, i in edges, as if the domain declared
+    those edges Dirichlet.  refine_mesh carries markers down, so marking a
+    base mesh marks every mesh refined from it."""
+    midpoints = mesh.vertices[mesh.boundary_edges].mean(axis=1)
+    nearest = geo._nearest_outline_edge(geo.build(spec), midpoints)
+    markers = [geo.DIRICHLET if i in edges else m for i, m in zip(nearest, mesh.boundary_markers)]
+    return dataclasses.replace(mesh, boundary_markers=markers)
+
+
+# a rectangle's outline edges, from the bottom counterclockwise
+BOTTOM, RIGHT, TOP, LEFT = range(4)
+
+
+def refined(spec, times, dirichlet=False):
+    """The spec's base mesh after `times` uniform refinements.  dirichlet is
+    triangulate's flag, or a set of outline edges for `with_dirichlet`."""
+    if isinstance(dirichlet, bool):
+        mesh = geo.triangulate(spec, dirichlet)
+    else:
+        mesh = with_dirichlet(spec, geo.triangulate(spec), dirichlet)
     for _ in range(times):
         mesh = geo.refine_mesh(mesh)
     return mesh
@@ -77,11 +97,11 @@ def test_assemble_rejects_degenerate_triangle():
     [
         (geo.RegularPolygon(7, 1.0), None),  # centroid fan
         (geo.Rhombus(2.0, math.radians(25.0)), None),  # affine grid
-        (geo.Square(1.0), frozenset({"left", "bottom"})),  # Dirichlet edges
+        (geo.Square(1.0), frozenset({LEFT, BOTTOM})),  # Dirichlet edges
     ],
 )
 def test_dense_assembly_matches_sparse(monkeypatch, spec, dirichlet):
-    mesh = geo.refine_mesh(geo.triangulate(spec, dirichlet_classes=dirichlet))
+    mesh = refined(spec, 1, dirichlet or False)
     dense = fem._assemble_dense(mesh)
     sparse_km = fem.assemble(mesh)
     for D, S in zip(dense, sparse_km):
@@ -133,7 +153,7 @@ def test_thin_rectangle_segment_surrogate():
 
 def test_mixed_square_one_side_dirichlet():
     # separable closed form: tau_1 = pi^2/4 (mixed segment times Neumann factor)
-    mesh = refined(geo.Square(1.0), 4, frozenset({"left"}))
+    mesh = refined(geo.Square(1.0), 4, frozenset({LEFT}))
     K, M = fem.assemble(mesh)
     res = fem.solve_smallest(K, M, fem.dirichlet_dofs(mesh), 1)
     ref = spectra.segment_spectrum(1.0, "mixed", 1).values[0]
@@ -141,7 +161,7 @@ def test_mixed_square_one_side_dirichlet():
 
 
 def test_dirichlet_square():
-    mesh = refined(geo.Square(1.0), 4, frozenset({"*"}))
+    mesh = refined(geo.Square(1.0), 4, True)
     res = fem.solve_mesh(mesh, 1)
     assert res.eigenvalues[0] == pytest.approx(2 * PI2, rel=0.01)
 
@@ -156,8 +176,8 @@ def test_solver_determinism():
 def test_dense_path_matches_full_dense_solve():
     # at most 400 unknowns: only the wanted pairs are computed, and they must
     # agree with the full generalized spectrum of the unshifted pencil
-    for spec, dirichlet in ((geo.Sector(1.0, 1.0, 16), None), (geo.Square(1.0), frozenset("*"))):
-        mesh = geo.refine_mesh(geo.triangulate(spec, dirichlet_classes=dirichlet))
+    for spec, dirichlet in ((geo.Sector(1.0, 1.0, 16), False), (geo.Square(1.0), True)):
+        mesh = refined(spec, 1, dirichlet)
         K, M = fem._assemble_dense(mesh)
         constrained = fem.dirichlet_dofs(mesh)
         keep = np.setdiff1d(np.arange(K.shape[0]), constrained)
@@ -180,8 +200,8 @@ def test_dense_solve_builds_no_sparse_matrix_and_calls_eigh_once(monkeypatch):
 
     monkeypatch.setattr(fem.sparse, "csr_matrix", no_sparse)
     monkeypatch.setattr(fem.scipy.linalg, "eigh", counting_eigh)
-    for dirichlet in (None, frozenset({"*"})):
-        mesh = geo.refine_mesh(geo.triangulate(geo.RegularPolygon(9, 1.0), dirichlet_classes=dirichlet))
+    for dirichlet in (False, True):
+        mesh = refined(geo.RegularPolygon(9, 1.0), 1, dirichlet)
         assert len(mesh.vertices) <= 400
         eigh_calls.clear()
         res = fem.solve_mesh(mesh, 2)
@@ -362,7 +382,7 @@ def test_discrete_eigenvalues_decrease_under_refinement():
 def test_neumann_below_dirichlet_same_mesh():
     for spec, times in ((geo.Square(1.0), 2), (geo.RegularPolygon(16, 1.0), 3)):
         mesh_n = refined(spec, times)
-        mesh_d = refined(spec, times, frozenset({"*"}))
+        mesh_d = refined(spec, times, True)
         rn = fem.solve_mesh(mesh_n, 6)
         K, M = fem.assemble(mesh_d)
         rd = fem.solve_smallest(K, M, fem.dirichlet_dofs(mesh_d), 5)
@@ -466,14 +486,17 @@ def test_mu_spectrum_indexes_constrained_problems_from_one():
 
 def test_cone_squeeze_via_sector():
     # flat cone tau_1 in [cos^2(theta) j01^2, j01^2] * 4/D^2, widened by the
-    # FEM estimate; the sector realizes the cone with a Dirichlet cap
+    # FEM estimate; the sector realizes the cone with a Dirichlet cap.  The
+    # Richardson step of fem.mu_k at refinements 3, from its two finer rungs
     j01sq = spectra.cone_tau1(1.0, 2)
     for deg in (10.0, 5.0):
         theta = math.radians(deg)
         spec = geo.Sector(1.0, 2.0 * theta, 64)
-        res = fem.mu_k(spec, 1, refinements=3, dirichlet_classes=frozenset({"arc"}))
-        pad = res.error_estimate + 2e-3 * j01sq
-        assert math.cos(theta) ** 2 * j01sq - pad <= res.value <= j01sq + pad
+        arc = frozenset(range(1, spec.n_arc + 1))  # edges 0 and n_arc + 1 are radii
+        v1, v2 = (fem.solve_mesh(refined(spec, r, arc), 1).eigenvalues[0] for r in (2, 3))
+        value = v2 + (v2 - v1) / 3.0
+        pad = abs(value - v2) + 2e-3 * j01sq
+        assert math.cos(theta) ** 2 * j01sq - pad <= value <= j01sq + pad
 
 
 def test_solve_from_mesh_file(tmp_path):

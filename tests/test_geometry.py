@@ -1,5 +1,6 @@
 """Tests for domain construction, measures, inclusion pairs and meshing."""
 
+import dataclasses
 import math
 import typing
 
@@ -15,12 +16,32 @@ def brute_diameter(poly):
     )
 
 
-def refined(spec, times, dirichlet_classes=None):
+def refined(spec, times):
     """The spec's base mesh after `times` uniform refinements."""
-    mesh = geo.triangulate(spec, dirichlet_classes=dirichlet_classes)
+    mesh = geo.triangulate(spec)
     for _ in range(times):
         mesh = geo.refine_mesh(mesh)
     return mesh
+
+
+def with_dirichlet(spec, mesh, edges):
+    """The mesh with 'D' on each boundary edge whose midpoint is nearest to
+    an outline edge i -> i+1 of spec, i in edges, as if the domain declared
+    those edges Dirichlet.  refine_mesh carries markers down, so marking a
+    base mesh marks every mesh refined from it."""
+    midpoints = mesh.vertices[mesh.boundary_edges].mean(axis=1)
+    nearest = geo._nearest_outline_edge(geo.build(spec), midpoints)
+    markers = [geo.DIRICHLET if i in edges else m for i, m in zip(nearest, mesh.boundary_markers)]
+    return dataclasses.replace(mesh, boundary_markers=markers)
+
+
+# outline edge indices: a rectangle's sides from the bottom counterclockwise,
+# and a sector's arc chords (edges 0 and n_arc + 1 are its radii)
+BOTTOM, RIGHT, TOP, LEFT = range(4)
+
+
+def arc(sector):
+    return frozenset(range(1, sector.n_arc + 1))
 
 
 def rotate(poly, angle, center=(0.3, -0.7)):
@@ -80,8 +101,7 @@ def test_build_polygons_ccw_convex(spec_type):
     spec = EXAMPLES[spec_type]
     outline = spec.outline()
     poly = geo.build(spec)
-    assert len(outline.classes) == len(poly)
-    assert outline.dirichlet <= set(outline.classes)
+    assert outline.dirichlet <= set(range(len(poly)))
     assert geo._signed_area(poly) > 0
     n = len(poly)
     for i in range(n):
@@ -225,6 +245,36 @@ def test_half_rhombus_cut_condition():
         geo.HalfRhombus(2.0, 0.3, "*")
 
 
+# every spec family, and the half rhombus with each cut
+MARKER_EXAMPLES = {t.__name__: spec for t, spec in EXAMPLES.items()}
+MARKER_EXAMPLES["HalfRhombus-Neumann-cut"] = geo.HalfRhombus(2.0, 0.3, geo.NEUMANN)
+
+
+def refinements_0_to_2(mesh):
+    return [mesh, geo.refine_mesh(mesh), geo.refine_mesh(geo.refine_mesh(mesh))]
+
+
+@pytest.mark.parametrize("name", MARKER_EXAMPLES)
+def test_dirichlet_problem_marks_every_boundary_edge(name):
+    for mesh in refinements_0_to_2(geo.triangulate(MARKER_EXAMPLES[name], dirichlet=True)):
+        mesh.validate()
+        assert mesh.boundary_markers == [geo.DIRICHLET] * len(mesh.boundary_edges)
+
+
+@pytest.mark.parametrize("name", MARKER_EXAMPLES)
+def test_neumann_problem_marks_only_the_edges_the_domain_declares(name):
+    # the one declared edge is the base (y = 0) of a Dirichlet-cut half rhombus
+    spec = MARKER_EXAMPLES[name]
+    declares_base = isinstance(spec, geo.HalfRhombus) and spec.cut == geo.DIRICHLET
+    for mesh in refinements_0_to_2(geo.triangulate(spec)):
+        expected = [
+            geo.DIRICHLET if declares_base and p[1] == q[1] == 0.0 else geo.NEUMANN
+            for p, q in mesh.vertices[mesh.boundary_edges]
+        ]
+        assert mesh.boundary_markers == expected
+        assert (geo.DIRICHLET in expected) == declares_base
+
+
 @pytest.mark.parametrize("deg", [5.0, 20.0, 45.0])
 def test_rhombus_mesh_is_half_mesh_and_its_mirror_image(deg):
     # (u, v) -> (1 - v, 1 - u) maps the rhombus grid onto itself as the mirror
@@ -243,17 +293,6 @@ def test_rhombus_mesh_is_half_mesh_and_its_mirror_image(deg):
         assert triangles(full) == upper | lower
         assert len(full.triangles) == 2 * len(half.triangles)
         full, half = geo.refine_mesh(full), geo.refine_mesh(half)
-
-
-def test_sector_arc_dirichlet_count():
-    mesh = geo.triangulate(geo.Sector(1.0, math.pi / 3, 32), dirichlet_classes=frozenset({"arc"}))
-    mesh.validate()
-    assert sum(1 for m in mesh.boundary_markers if m == "D") == 32
-
-
-def test_dirichlet_selector_no_match_errors():
-    with pytest.raises(ValueError):
-        geo.triangulate(geo.Square(1.0), dirichlet_classes=frozenset({"arc"}))
 
 
 def test_refinement_halves_h_quadruples_triangles():
@@ -304,12 +343,12 @@ def reference_refine(mesh):
         (geo.RegularPolygon(256, 1.0), None),
         (geo.Rhombus(2.0, math.radians(5.0)), None),
         (geo.HalfRhombus(2.0, 0.3), None),
-        (geo.Square(1.0), frozenset({"left"})),
-        (geo.Sector(1.0, math.pi / 3, 32), frozenset({"arc"})),
+        (geo.Square(1.0), frozenset({LEFT})),
+        (geo.Sector(1.0, math.pi / 3, 32), arc(geo.Sector(1.0, math.pi / 3, 32))),
     ],
 )
 def test_refine_mesh_matches_reference(spec, dirichlet):
-    mesh = ref = geo.triangulate(spec, dirichlet_classes=dirichlet)
+    mesh = ref = with_dirichlet(spec, geo.triangulate(spec), dirichlet or ())
     for _ in range(3):
         mesh, ref = geo.refine_mesh(mesh), reference_refine(ref)
         for field in ("vertices", "triangles", "boundary_edges"):
@@ -349,7 +388,9 @@ def reference_structured_grid(nx, ny):
 def reference_grid_mesh(spec, refinements, dirichlet):
     """Rhombus and rectangle meshes with 2^refinements times the base mesh's
     cells per side, built one cell, triangle and edge at a time, each type by
-    its own branch (oracle for triangulate and refine_mesh)."""
+    its own branch (oracle for triangulate and refine_mesh).  An edge is 'D'
+    on the base of a Dirichlet-cut half rhombus and on the outline edges
+    whose indices are in dirichlet."""
     dirichlet = set(dirichlet or ())
     scale = 2**refinements
     if isinstance(spec, geo.Rhombus):
@@ -365,53 +406,59 @@ def reference_grid_mesh(spec, refinements, dirichlet):
             remap = -np.ones(len(verts), dtype=np.int64)
             remap[used] = np.arange(len(used))
             verts, tris = verts[used], remap[tris]
-            dirichlet.add("base")
-        classes = {}
+            if spec.cut == geo.DIRICHLET:
+                dirichlet.add(0)
+        sides = {}
         for a, b in reference_boundary_edges(tris):
             on_base = abs(verts[a, 1]) < 1e-12 * D and abs(verts[b, 1]) < 1e-12 * D
-            classes[(a, b)] = "base" if half and on_base else "side"
+            x, y = 0.5 * (verts[a] + verts[b])
+            if half:  # base, right side, left side
+                sides[(a, b)] = 0 if on_base else 1 if x > 0 else 2
+            else:  # lower left, lower right, upper right, upper left
+                sides[(a, b)] = (1 if y < 0 else 2) if x > 0 else (0 if y < 0 else 3)
     else:
         a, b = (spec.a, spec.b) if isinstance(spec, geo.Rectangle) else (spec.side, spec.side)
         side = 0.25 * max(a, b)
         uv, tris = reference_structured_grid(math.ceil(a / side) * scale, math.ceil(b / side) * scale)
         verts = np.column_stack([uv[:, 0] * a, uv[:, 1] * b])
-        classes = {}
+        sides = {}
         for i, j in reference_boundary_edges(tris):
             (x0, y0), (x1, y1) = verts[i], verts[j]
             if y0 == 0.0 and y1 == 0.0:
-                classes[(i, j)] = "bottom"
+                sides[(i, j)] = BOTTOM
             elif y0 == b and y1 == b:
-                classes[(i, j)] = "top"
+                sides[(i, j)] = TOP
             elif x0 == 0.0 and x1 == 0.0:
-                classes[(i, j)] = "left"
+                sides[(i, j)] = LEFT
             else:
-                classes[(i, j)] = "right"
-    markers = ["D" if "*" in dirichlet or c in dirichlet else "N" for c in classes.values()]
-    return verts, tris, np.array(list(classes), dtype=np.int64), markers
+                sides[(i, j)] = RIGHT
+    markers = ["D" if side in dirichlet else "N" for side in sides.values()]
+    return verts, tris, np.array(list(sides), dtype=np.int64), markers
 
 
 @pytest.mark.parametrize(
     "spec,max_h,dirichlet",
     [
         (geo.Rhombus(2.0, math.radians(5.0)), None, None),
-        (geo.Rhombus(2.0, 1.2), 0.3, frozenset({"*"})),
+        (geo.Rhombus(2.0, 1.2), 0.3, frozenset(range(4))),
         (geo.HalfRhombus(2.0, 0.3), None, None),
         (geo.HalfRhombus(2.0, math.radians(5.0)), 0.25, None),
-        (geo.HalfRhombus(2.0, 1.3), 0.5, frozenset({"side"})),
+        (geo.HalfRhombus(2.0, 1.3), 0.5, frozenset({1, 2})),
         (geo.Rectangle(1.9, 0.02), None, None),
-        (geo.Rectangle(1.0, 0.01), 0.05, frozenset({"left"})),
-        (geo.Square(1.0), None, frozenset({"top"})),
-        (geo.Square(math.sqrt(2.0)), 0.3, frozenset({"bottom", "right"})),
+        (geo.Rectangle(1.0, 0.01), 0.05, frozenset({LEFT})),
+        (geo.Square(1.0), None, frozenset({TOP})),
+        (geo.Square(math.sqrt(2.0)), 0.3, frozenset({BOTTOM, RIGHT})),
         (geo.Rhombus(2.0, math.radians(5.0)), 0.1, None),
-        (geo.HalfRhombus(2.0, math.radians(5.0)), 0.1, frozenset({"side"})),
+        (geo.HalfRhombus(2.0, math.radians(5.0)), 0.1, frozenset({1, 2})),
     ],
 )
 def test_grid_meshes_match_reference(spec, max_h, dirichlet):
     """The base mesh is the oracle's array for array.  Refined r times, the
     fewest with h <= max_h, it is the oracle's grid with 2^r times the cells,
     up to vertex numbering: every finer mesh of these families is a
-    refinement of the base mesh, and this is the grid it stands for."""
-    mesh, r = geo.triangulate(spec, dirichlet_classes=dirichlet), 0
+    refinement of the base mesh, and this is the grid it stands for.  The
+    outline edges in dirichlet are marked on the base mesh and carried down."""
+    mesh, r = with_dirichlet(spec, geo.triangulate(spec), dirichlet or ()), 0
     while max_h is not None and mesh.h > max_h:
         mesh, r = geo.refine_mesh(mesh), r + 1
     verts, tris, edges, markers = reference_grid_mesh(spec, r, dirichlet)
@@ -459,7 +506,9 @@ def test_thin_rectangle_mesh_quality():
 
 
 def test_mesh_io_roundtrip(tmp_path):
-    mesh = geo.triangulate(geo.Sector(1.0, 1.0, 8), dirichlet_classes=frozenset({"arc"}))
+    spec = geo.Sector(1.0, 1.0, 8)
+    mesh = with_dirichlet(spec, geo.triangulate(spec), arc(spec))
+    assert mesh.boundary_markers.count(geo.DIRICHLET) == spec.n_arc
     path = tmp_path / "mesh.txt"
     geo.write_mesh(mesh, path)
     back = geo.read_mesh(path)
