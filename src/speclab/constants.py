@@ -10,8 +10,10 @@ explicit.
 records from one table that gives each constant's formula, index set and
 value, in name order; each index set runs through (k, d) lexicographically,
 so the grid comes out sorted.  The grid evaluates each bound once per
-(k, d): `c_upper` and the `kroger_upper` rows share one `kroger_upper`
-call, and every emitted value is checked to be positive.
+(k, d), from what it reads per dimension evaluated once per dimension (the
+zeros of J_{d/2-1} and the unit-ball volume): `c_upper` and the
+`kroger_upper` rows share one evaluation of Kroger's bound, and every
+emitted value is checked to be positive.
 
 The improved lower bound of the form pi^2/(16 j^2) is deliberately not
 implemented: the zero index it requires is not pinned down, so it is
@@ -41,37 +43,37 @@ class ConstantRecord(NamedTuple):
     formula: str
 
 
-def _validate_dimension(d: int, d_min: int = 2) -> None:
-    if not isinstance(d, int) or isinstance(d, bool):
-        raise ValueError(f"dimension must be an integer, got {d!r}")
+def _validate_dimension(d: int, d_min: int = 2) -> int:
+    d = specfun.as_index(d, "dimension")
     if d < d_min or d > D_MAX:
         raise ValueError(f"dimension d={d} outside supported range {d_min}..{D_MAX}")
+    return d
 
 
-def _validate_order_index(k: int) -> None:
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"eigenvalue order must be an integer, got {k!r}")
+def _validate_order_index(k: int) -> int:
+    k = specfun.as_index(k, "eigenvalue order")
     if k < 1:
         raise ValueError(f"eigenvalue order k={k} must be >= 1")
+    return k
 
 
 def alpha1_sharp(d: int) -> float:
     """Sharp infimum of mu_1(inner)/mu_1(outer) over nested convex domains:
     pi^2 / (4 j_{d/2-1,1}^2)."""
-    _validate_dimension(d)
+    d = _validate_dimension(d)
     j = specfun.bessel_j_zero(d / 2.0 - 1.0, 1)
     return math.pi**2 / (4.0 * j * j)
 
 
 def alpha1_simple(d: int) -> float:
     """Non-sharp first-eigenvalue comparison constant pi^2 / (2 d (d+4))."""
-    _validate_dimension(d)
+    d = _validate_dimension(d)
     return math.pi**2 / (2.0 * d * (d + 4.0))
 
 
 def funano_lower(d: int) -> float:
     """Universal all-order lower bound (1/92^2) / d^2."""
-    _validate_dimension(d)
+    d = _validate_dimension(d)
     return 1.0 / (92.0**2 * d * d)
 
 
@@ -89,33 +91,44 @@ def kroger_upper(k: int, d: int, diameter: float) -> float:
     d >= 3, k odd:     4 j_{d/2-1,(k+1)/2}^2 / D^2
     d >= 3, k even:    (j_{d/2-1,k/2} + j_{d/2-1,k/2+1})^2 / D^2
     """
-    _validate_order_index(k)
-    _validate_dimension(d)
+    k = _validate_order_index(k)
+    d = _validate_dimension(d)
     if not diameter > 0:
         raise ValueError(f"diameter must be positive, got {diameter}")
+    zeros = specfun.bessel_j_zeros(d / 2.0 - 1.0, _kroger_zeros(k, d))
+    return _kroger_unit(k, d, zeros) / diameter**2
+
+
+def _kroger_zeros(k: int, d: int) -> int:
+    """How many zeros of J_{d/2-1} `_kroger_unit` reads."""
+    return 1 if d == 2 else k // 2 + 1
+
+
+def _kroger_unit(k: int, d: int, zeros) -> float:
+    """kroger_upper(k, d, 1) from zeros[m - 1] = j_{d/2-1,m}."""
     if d == 2:
-        j01 = specfun.bessel_j_zero(0.0, 1)
-        return (2.0 * j01 + math.pi * (k - 1)) ** 2 / diameter**2
-    nu = d / 2.0 - 1.0
+        return (2.0 * zeros[0] + math.pi * (k - 1)) ** 2
     if k % 2 == 1:
-        j = specfun.bessel_j_zero(nu, (k + 1) // 2)
-        return 4.0 * j * j / diameter**2
-    ja = specfun.bessel_j_zero(nu, k // 2)
-    jb = specfun.bessel_j_zero(nu, k // 2 + 1)
-    return (ja + jb) ** 2 / diameter**2
+        j = zeros[(k + 1) // 2 - 1]
+        return 4.0 * j * j
+    return (zeros[k // 2 - 1] + zeros[k // 2]) ** 2
 
 
 def c_upper(k: int, d: int) -> float:
     """Upper bound on the k-th ratio infimum: segment mu_k over the diameter
     upper bound.  The diameter cancels; c(k,3) = k^2/(k+1)^2 in closed form."""
-    return math.pi**2 * k**2 / kroger_upper(k, d, 1.0)
+    return _c_upper(k, kroger_upper(k, d, 1.0))
+
+
+def _c_upper(k: int, kroger_unit: float) -> float:
+    return math.pi**2 * k**2 / kroger_unit
 
 
 def alpha_lower_nonsharp(k: int, d: int) -> float:
     """Non-sharp lower bounds available in two index families only:
     d = 2 (any k <= 1000) and k = 2 (any d >= 3)."""
-    _validate_order_index(k)
-    _validate_dimension(d)
+    k = _validate_order_index(k)
+    d = _validate_dimension(d)
     if d == 2:
         if k > 1000:
             raise ValueError(f"k={k} outside supported range for d=2 (k <= 1000)")
@@ -131,15 +144,20 @@ def alpha_lower_nonsharp(k: int, d: int) -> float:
 
 def unit_ball_volume(d: int) -> float:
     """Volume of the unit ball in R^d: pi^(d/2) / Gamma(d/2 + 1)."""
-    _validate_dimension(d, d_min=1)
+    d = _validate_dimension(d, d_min=1)
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
 def polya_bound(k: int, d: int) -> float:
     """Conjectured bound 4 pi^2 k^(2/d) / omega_d^(2/d) for unit-volume mu_k."""
-    _validate_order_index(k)
-    _validate_dimension(d)
-    return 4.0 * math.pi**2 * k ** (2.0 / d) / unit_ball_volume(d) ** (2.0 / d)
+    k = _validate_order_index(k)
+    d = _validate_dimension(d)
+    return _polya(k, d, unit_ball_volume(d))
+
+
+def _polya(k: int, d: int, omega: float) -> float:
+    """polya_bound(k, d), given omega = unit_ball_volume(d)."""
+    return 4.0 * math.pi**2 * k ** (2.0 / d) / omega ** (2.0 / d)
 
 
 def emit_constant_table(k_max: int, d_max: int) -> list[ConstantRecord]:
@@ -150,13 +168,16 @@ def emit_constant_table(k_max: int, d_max: int) -> list[ConstantRecord]:
     diameter bounds are evaluated at D = TABLE_DIAMETER.  A non-positive
     value raises ValueError naming its constant.
     """
-    _validate_order_index(k_max)
-    _validate_dimension(d_max)
+    k_max = _validate_order_index(k_max)
+    d_max = _validate_dimension(d_max)
     D = TABLE_DIAMETER
     dims = range(2, d_max + 1)
     grid = [(k, d) for k in range(1, k_max + 1) for d in dims]
     per_dim = [(1, d) for d in dims]
-    u = {(k, d): kroger_upper(k, d, 1.0) for k, d in grid}
+    # what the grid reads per dimension, evaluated once per dimension
+    zeros = {d: specfun.bessel_j_zeros(d / 2.0 - 1.0, _kroger_zeros(k_max, d)) for d in dims}
+    omega = {d: unit_ball_volume(d) for d in dims}
+    u = {(k, d): _kroger_unit(k, d, zeros[d]) for k, d in grid}
     table = (
         ("alpha1_sharp", "pi^2 / (4 j_{d/2-1,1}^2)", per_dim, lambda k, d: alpha1_sharp(d)),
         ("alpha1_simple", "pi^2 / (2 d (d+4))", per_dim, lambda k, d: alpha1_simple(d)),
@@ -176,7 +197,7 @@ def emit_constant_table(k_max: int, d_max: int) -> list[ConstantRecord]:
             "c_upper",
             "pi^2 k^2 / (D^2 kroger_upper)",
             grid,
-            lambda k, d: math.pi**2 * k**2 / u[k, d],  # c_upper's own expression
+            lambda k, d: _c_upper(k, u[k, d]),
         ),
         ("funano_lower", "(1/92^2) / d^2", per_dim, lambda k, d: funano_lower(d)),
         # bit-identical to kroger_upper(k, d, D), which divides by D^2 last
@@ -187,7 +208,12 @@ def emit_constant_table(k_max: int, d_max: int) -> list[ConstantRecord]:
             [(1, 2)],
             lambda k, d: payne_weinberger_lower(D),
         ),
-        ("polya_bound", "4 pi^2 k^(2/d) / omega_d^(2/d)", grid, polya_bound),
+        (
+            "polya_bound",
+            "4 pi^2 k^(2/d) / omega_d^(2/d)",
+            grid,
+            lambda k, d: _polya(k, d, omega[d]),
+        ),
     )
     records = [
         ConstantRecord(name, k, d, value(k, d), formula)

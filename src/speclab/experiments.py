@@ -94,6 +94,9 @@ class ExperimentReport:
     metadata: dict = field(default_factory=dict)
     plot_series: list = field(default_factory=list)
     plot_labels: tuple = ("", "", "")
+    # a str.format template for a whole CSV row, for a report whose columns
+    # each hold one type; empty formats every cell by its type (_fmt_cell)
+    row_format: str = ""
     command: str = ""  # set by _command
 
     @property
@@ -114,6 +117,10 @@ class ExperimentReport:
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(self.columns) + "\n")
+            if self.row_format:
+                line = (self.row_format + "\n").format
+                fh.writelines(line(*row) for row in self.rows)
+                return
             for row in self.rows:
                 fh.write(",".join(_fmt_cell(c) for c in row) + "\n")
 
@@ -263,16 +270,18 @@ NAN_LADDER = fem.ExtrapolationResult(math.nan, math.nan, (math.nan,) * 3, math.n
 
 
 def _symmetric_lowest(symmetric, antisymmetric_floors) -> float:
-    """Slack of the claim that a rhombus's mu_1 is its symmetric half's.
+    """Slack of the claim that a mirror-symmetric domain's mu_1 is its
+    Neumann-cut half's.
 
-    The rhombus mesh is its Neumann-cut half plus that half's mirror image,
-    so the rhombus pencil splits exactly into the pencils of the Neumann-cut
-    (symmetric) and Dirichlet-cut (antisymmetric) halves, and the rhombus's
-    mu_1 on each rung is the smaller of the two halves' first eigenvalues.
-    symmetric is the Neumann-cut half's mu_1 ladder; antisymmetric_floors
-    holds, per rung, a lower bound on the Dirichlet-cut half's tau_1 on that
-    mesh.  Compared within fem.DEFAULT_TOL relative, so that an exact tie
-    (the square's double mu_1) passes.
+    The domain's mesh is its Neumann-cut half plus that half's mirror image
+    (bit for bit for a rhombus, to rounding for a regular polygon), so the
+    pencil splits into the pencils of the Neumann-cut (symmetric) and
+    Dirichlet-cut (antisymmetric) halves, and the domain's mu_1 on each rung
+    is the smaller of the two halves' first eigenvalues.  symmetric is the
+    Neumann-cut half's mu_1 ladder; antisymmetric_floors holds, per rung, a
+    lower bound on every antisymmetric eigenvalue on that mesh that no
+    symmetric mode shares.  Compared within fem.DEFAULT_TOL relative, so that
+    an exact tie (the square's double mu_1) passes.
     """
     return smallest(
         at_least(floor, mu * (1.0 - fem.DEFAULT_TOL))
@@ -349,6 +358,7 @@ def cmd_constants(k_max: int = 3, d_max: int = 10) -> ExperimentReport:
         columns=["name", "k", "d", "value", "formula"],
         rows=records,
         verdicts=verdicts,
+        row_format="{},{},{},{:.15g},{}",  # _fmt_cell's formats, one row at a time
     )
 
 
@@ -372,6 +382,8 @@ def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
         geometry.HalfRhombus(2.0, math.radians(deg), geometry.NEUMANN) for deg in (10.0, 5.0)
     ]
     sectors = [geometry.Sector(1.0, opening, 64) for opening in SECTOR_OPENING_GRID]
+    # the disk's 256-gon is solved on its symmetric half too
+    polygon = geometry.HalfRegularPolygon(256, 1.0)
     n = refinements
     # (row, specs, refinements, mu_1 reference, ratio reference, tolerance)
     table = [
@@ -380,7 +392,7 @@ def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
         ("optimal_sector", sectors, max(2, n - 1), 4.67, SEGMENT_MU1_D2 / 4.67, 0.02),
         ("equilateral_triangle", [geometry.EquilateralTriangle(2.0)], n, triangle, 0.5625, 0.005),
         ("reuleaux_triangle", [geometry.ReuleauxTriangle(2.0, 64)], n, 3.487, 0.707, 0.01),
-        ("disk", [geometry.RegularPolygon(256, 1.0)], n, disk, SEGMENT_MU1_D2 / disk, 0.005),
+        ("disk", [polygon], n, disk, SEGMENT_MU1_D2 / disk, 0.005),
     ]
     solved, verdicts = _solve_rows([entry[:3] for entry in table])
 
@@ -439,6 +451,24 @@ def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
             "below the antisymmetric floor pi^2/(4 h^2) <= tau_1",
             smallest(_symmetric_lowest(res, [floor] * 3) for res, floor in zip(ladders, floors)),
             f"floors {', '.join(f'{floor:.6g}' for floor in floors)}",
+        )
+    )
+    # The rotation by 2 pi/n maps the n-gon's fan mesh onto itself.  An odd
+    # mode in a 2-dimensional representation of the dihedral group shares its
+    # eigenvalue with an even one; one in a 1-dimensional representation is
+    # odd about every vertex axis, so it vanishes on all n spokes, and on each
+    # circle of radius r <= R the angular Poincare inequality gives it
+    # |grad u|^2 >= (n/(2r))^2 u^2 in the mean: its eigenvalue is at least
+    # (n/(2R))^2 on every mesh (min-max)
+    spokes = (polygon.n_vertices / (2.0 * polygon.circumradius)) ** 2
+    (disk_ladder,) = solved.get("disk", [NAN_LADDER])
+    verdicts.append(
+        Verdict(
+            "table_disk_symmetric_lowest",
+            "fem: the 256-gon's mu_1 is its Neumann-cut half's, as on every rung it lies "
+            "below the floor (n/(2R))^2 of the odd modes that no even mode shares",
+            _symmetric_lowest(disk_ladder, [spokes] * 3),
+            f"floor {spokes:.6g}",
         )
     )
 

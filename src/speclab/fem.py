@@ -156,7 +156,8 @@ def solve_smallest(K, M, constrained_dofs, n_eigs: int) -> EigResult:
     min(dim, 2 n_eigs + 2) Krylov vectors and stopping tolerance 1e-11, and
     refined by one Rayleigh-Ritz pass, which supplies the digits the early
     stop leaves out.  Residuals ||K u - mu M u|| / ||u||_M are computed for
-    every pair and must not exceed DEFAULT_TOL.
+    every pair and must not exceed DEFAULT_TOL.  Every failure of either
+    solver raises NonConvergenceError.
     """
     if n_eigs < 1 or n_eigs > N_EIGS_MAX:
         raise ValueError(f"n_eigs must be 1..{N_EIGS_MAX}")
@@ -177,9 +178,12 @@ def solve_smallest(K, M, constrained_dofs, n_eigs: int) -> EigResult:
     if not sparse.issparse(K):
         if dim < n_full:  # a fancy-indexed copy costs ~1 ms at 400 unknowns
             Kc, Mc = K[np.ix_(keep, keep)], M[np.ix_(keep, keep)]
-        vals, vecs = scipy.linalg.eigh(
-            Kc + sigma * Mc, Mc, subset_by_index=[0, n_eigs - 1]
-        )
+        try:
+            vals, vecs = scipy.linalg.eigh(
+                Kc + sigma * Mc, Mc, subset_by_index=[0, n_eigs - 1]
+            )
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            raise NonConvergenceError(f"dense eigensolve failed: {exc}") from exc
     else:
         if dim < n_full:
             Kc, Mc = K[keep][:, keep], M[keep][:, keep]

@@ -12,7 +12,8 @@ when it is Dirichlet).
 Meshing: each family has one base mesh.  Rhombi, half rhombi and rectangles
 are meshed as affine images of a structured triangulated reference square
 (quality is preserved under the anisotropy of thin rhombi, where fan meshing
-degrades); generic convex polygons are fan-triangulated from the centroid.
+degrades); generic convex polygons are fan-triangulated from the centroid,
+and a half regular polygon keeps the upper half of the whole polygon's fan.
 Finer meshes are uniform refinements of the base mesh; on a structured grid
 they are the same grid with 2^r times the cells per side.
 Boundary edges carry condition markers ('N' or 'D') set by one rule: the
@@ -153,6 +154,26 @@ class RegularPolygon:
 
 
 @dataclass(frozen=True)
+class HalfRegularPolygon(RegularPolygon):
+    """Upper half of the regular polygon with an even vertex count, cut along
+    the axis through vertex 0 with a Neumann condition (outline edge n/2).
+
+    Its mesh is the upper half of the polygon's centroid fan (see
+    `_half_polygon_fan`), so it carries the polygon's modes that are even
+    about the cut.  The odd ones share their eigenvalue with an even mode
+    or vanish on every spoke of the fan (see `experiments.cmd_table_mu1`).
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.n_vertices % 2:
+            raise ValueError("half regular polygon needs an even vertex count")
+
+    def outline(self) -> Outline:
+        return Outline(super().outline().polygon[: self.n_vertices // 2 + 1])
+
+
+@dataclass(frozen=True)
 class Sector:
     """Circular sector of radius R and opening angle `opening`, apex at the
     origin, symmetric about the x axis; the arc is inscribed with n_arc chords."""
@@ -237,6 +258,7 @@ DomainSpec = Union[
     Square,
     EquilateralTriangle,
     RegularPolygon,
+    HalfRegularPolygon,
     Sector,
     ReuleauxTriangle,
     ConvexHullPolygon,
@@ -456,10 +478,23 @@ def _structured_grid(nx: int, ny: int):
     return verts, np.stack([a, b, d, b, c, d], axis=-1).reshape(-1, 3)
 
 
+def _keep_inside(verts: np.ndarray, tris: np.ndarray, poly: np.ndarray):
+    """The triangles whose centroid lies strictly inside the ccw convex poly,
+    in their order, on the vertices they use, renumbered in their order."""
+    edge = np.roll(poly, -1, axis=0) - poly
+    rel = verts[tris].mean(axis=1)[:, None, :] - poly[None]
+    inside = np.all(edge[:, 0] * rel[..., 1] - edge[:, 1] * rel[..., 0] > 0, axis=1)
+    tris = tris[inside]
+    used = np.unique(tris)
+    remap = np.empty(len(verts), dtype=np.int64)
+    remap[used] = np.arange(len(used))
+    return verts[used], remap[tris]
+
+
 def _rhombus_grid(spec, poly: np.ndarray):
     """The rhombus (D, theta) as the affine image of the 8 x 8 unit-square
-    grid, keeping the triangles whose centroid lies in poly (for a half
-    rhombus, those above the long diagonal, which the grid resolves).
+    grid, keeping the triangles inside poly (for a half rhombus, those above
+    the long diagonal, which the grid resolves).
 
     The grid map (u, v) -> (1 - v, 1 - u) maps every cell and its split onto
     another's and is the mirror y -> -y across the long diagonal; with
@@ -470,14 +505,25 @@ def _rhombus_grid(spec, poly: np.ndarray):
     h = 0.5 * D * math.tan(spec.theta)
     uv, tris = _structured_grid(8, 8)
     verts = np.column_stack([(uv[:, 0] - uv[:, 1]) * (0.5 * D), (uv[:, 0] + uv[:, 1] - 1.0) * h])
-    edge = np.roll(poly, -1, axis=0) - poly
-    rel = verts[tris].mean(axis=1)[:, None, :] - poly[None]
-    inside = np.all(edge[:, 0] * rel[..., 1] - edge[:, 1] * rel[..., 0] > 0, axis=1)
-    tris = tris[inside]
-    used = np.unique(tris)
-    remap = np.empty(len(verts), dtype=np.int64)
-    remap[used] = np.arange(len(used))
-    return verts[used], remap[tris]
+    return _keep_inside(verts, tris, poly)
+
+
+def _centroid_fan(poly: np.ndarray):
+    """The polygon fan-triangulated from its vertex centroid."""
+    n = len(poly)
+    i = np.arange(n)
+    verts = np.vstack([poly, poly.mean(axis=0)])
+    return verts, np.column_stack([i, (i + 1) % n, np.full(n, n)])
+
+
+def _half_polygon_fan(spec, poly: np.ndarray):
+    """The triangles of the whole regular polygon's centroid fan that lie
+    inside the half's outline poly.  They are built from the whole polygon's
+    vertices and centroid, and a midpoint is the same sum whatever the
+    numbering, so at every refinement the half mesh is the upper half of the
+    polygon's mesh, bit for bit."""
+    whole = RegularPolygon(spec.n_vertices, spec.circumradius).outline().polygon
+    return _keep_inside(*_centroid_fan(whole), poly)
 
 
 def _rectangle_grid(spec, poly: np.ndarray):
@@ -540,12 +586,14 @@ def refine_mesh(mesh: Mesh) -> Mesh:
 
 
 # Structured grids keep their quality under the anisotropy of thin rhombi and
-# rectangles; every spec type not listed is fan-triangulated.
+# rectangles, and a half polygon is cut from its whole polygon's fan; every
+# spec type not listed is fan-triangulated.
 _GRID_MESHES = {
     Rhombus: _rhombus_grid,
     HalfRhombus: _rhombus_grid,
     Rectangle: _rectangle_grid,
     Square: _rectangle_grid,
+    HalfRegularPolygon: _half_polygon_fan,
 }
 
 
@@ -560,13 +608,7 @@ def triangulate(spec: DomainSpec, dirichlet: bool = False) -> Mesh:
     outline = spec.outline()
     poly = outline.polygon
     grid = _GRID_MESHES.get(type(spec))
-    if grid is None:
-        n = len(poly)
-        i = np.arange(n)
-        verts = np.vstack([poly, poly.mean(axis=0)])
-        tris = np.column_stack([i, (i + 1) % n, np.full(n, n)])
-    else:
-        verts, tris = grid(spec, poly)
+    verts, tris = _centroid_fan(poly) if grid is None else grid(spec, poly)
     edges = _boundary_edges_of(tris)
     nearest = _nearest_outline_edge(poly, 0.5 * (verts[edges[:, 0]] + verts[edges[:, 1]]))
     markers = [DIRICHLET if dirichlet or i in outline.dirichlet else NEUMANN for i in nearest]

@@ -25,6 +25,7 @@ computes zeros 1..k of that order.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 
 from scipy import special as _special
@@ -60,6 +61,17 @@ def _validate_order(nu: float) -> None:
         raise ValueError(f"order nu={nu} outside domain (need finite nu >= 0)")
     if nu > NU_MAX:
         raise ValueError(f"order nu={nu} outside supported range nu <= {NU_MAX}")
+
+
+def as_index(value, name: str) -> int:
+    """value as a Python int: an int or a numpy integer, never a bool or a
+    float.  Raises ValueError naming the index otherwise."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _mcmahon(nu: float, k: int) -> float | None:
@@ -154,14 +166,31 @@ def bessel_j_zero(nu: float, k: int) -> float:
     computed one way whatever was requested before, so results do not
     depend on the order of requests.
     """
+    k = _validate_zero_request(nu, k)
+    return _zeros(nu, k)[k - 1]
+
+
+def bessel_j_zeros(nu: float, k: int) -> list[float]:
+    """The first k positive zeros of J_nu, each as `bessel_j_zero` gives it,
+    validated once: for a caller that reads many zeros of one order."""
+    k = _validate_zero_request(nu, k)
+    return _zeros(nu, k)[:k]
+
+
+def _validate_zero_request(nu: float, k) -> int:
     _validate_order(nu)
-    if not isinstance(k, (int,)) or isinstance(k, bool):
-        raise ValueError(f"zero index must be an integer, got {k!r}")
+    k = as_index(k, "zero index")
     if k < 1 or k > ZERO_INDEX_MAX:
         raise ValueError(f"zero index k={k} outside supported range 1..{ZERO_INDEX_MAX}")
+    return k
+
+
+def _zeros(nu: float, k: int) -> list[float]:
+    """The cached list of the zeros of J_nu, extended to at least k entries
+    (see `bessel_j_zero`); the caller must not modify it."""
     zeros = _zero_cache.get(nu, ())
     if len(zeros) >= k:
-        return zeros[k - 1]
+        return zeros
 
     fd = lambda x: _j_derivatives(nu, x)
     with _zero_lock:
@@ -189,7 +218,7 @@ def bessel_j_zero(nu: float, k: int) -> float:
                     flo = bessel_j(nu, lo)
                 x0 = lo - flo * (hi - lo) / (fhi - flo)
             zeros.append(_refine_root(fd, lo, hi, negative, x0))
-        return zeros[k - 1]
+        return zeros
 
 
 # Keyed by index, not appended to: a race only stores the same root twice.
@@ -207,8 +236,7 @@ def bessel_j_prime_zero(nu: float, k: int) -> float:
     interval's midpoint and memoized by (nu, k).
     """
     _validate_order(nu)
-    if not isinstance(k, (int,)) or isinstance(k, bool):
-        raise ValueError(f"zero index must be an integer, got {k!r}")
+    k = as_index(k, "zero index")
     if k < 1 or k > PRIME_ZERO_INDEX_MAX:
         raise ValueError(
             f"derivative zero index k={k} outside supported range 1..{PRIME_ZERO_INDEX_MAX}"

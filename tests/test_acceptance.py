@@ -131,6 +131,14 @@ def test_rhombus_rows_match_full_rhombus_solves(table_report, sweep_report):
     assert bound[1] == pytest.approx(trend, rel=1e-9, abs=0.0)
 
 
+def test_disk_row_matches_full_polygon_solve(table_report):
+    # the table solves the 256-gon on its Neumann-cut half; a ladder on the
+    # whole 256-gon at the same refinements gives the same mu_1
+    full = fem.mu_k(geometry.RegularPolygon(256, 1.0), 1, refinements=4)
+    (disk,) = [row for row in table_report.rows if row[0] == "disk"]
+    assert disk[1] == pytest.approx(full.value, rel=1e-9, abs=0.0)
+
+
 def test_criterion_5_ratio_scan(scan_report):
     bound = 0.995 * constants.alpha1_sharp(2)
     ratios = [row[5] for row in scan_report.rows]

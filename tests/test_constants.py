@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from speclab import constants, experiments, specfun
@@ -247,22 +248,35 @@ def test_emit_constant_table_matches_reference_loops(k_max, d_max):
 
 
 def test_emit_constant_table_evaluates_kroger_once_per_pair(monkeypatch):
-    calls = []
-    kroger = constants.kroger_upper
+    # Kroger's bound once per (k, d), shared by the c_upper and kroger_upper
+    # rows; the zeros and the unit-ball volume it reads, once per dimension
+    calls = {}
 
-    def counted(k, d, diameter):
-        calls.append((k, d))
-        return kroger(k, d, diameter)
+    def count(owner, name):
+        fn = getattr(owner, name)
 
-    monkeypatch.setattr(constants, "kroger_upper", counted)
+        def counted(*args):
+            calls.setdefault(name, []).append(args[:2])
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(constants, "_kroger_unit")
+    count(constants, "unit_ball_volume")
+    count(constants.specfun, "bessel_j_zeros")
     k_max, d_max = 7, 9
     constants.emit_constant_table(k_max, d_max)
-    assert len(calls) == k_max * (d_max - 1)
-    assert len(set(calls)) == len(calls)
+    dims = range(2, d_max + 1)
+    assert sorted(calls["_kroger_unit"]) == [(k, d) for k in range(1, k_max + 1) for d in dims]
+    assert sorted(calls["unit_ball_volume"]) == [(d,) for d in dims]
+    assert sorted(nu for nu, _ in calls["bessel_j_zeros"]) == [d / 2.0 - 1.0 for d in dims]
 
 
 def test_emit_constant_table_rejects_non_positive_value(monkeypatch):
-    monkeypatch.setattr(constants, "polya_bound", lambda k, d: 0.0 if (k, d) == (2, 3) else 1.0)
+    polya = constants._polya
+    monkeypatch.setattr(
+        constants, "_polya", lambda k, d, omega: 0.0 if (k, d) == (2, 3) else polya(k, d, omega)
+    )
     with pytest.raises(ValueError, match="polya_bound"):
         constants.emit_constant_table(2, 3)
 
@@ -276,6 +290,18 @@ def test_constant_csv_roundtrip(tmp_path):
     assert len(lines) == len(records) + 1
     row = next(l for l in lines if l.startswith("alpha1_sharp,1,3,"))
     assert float(row.split(",")[3]) == pytest.approx(0.25, abs=1e-12)
+
+
+def test_indices_accept_numpy_integers_only():
+    assert constants.kroger_upper(np.int64(3), 3, 1.0) == constants.kroger_upper(3, 3, 1.0)
+    assert constants.polya_bound(np.int64(2), np.int8(3)) == constants.polya_bound(2, 3)
+    table = constants.emit_constant_table(np.int64(2), np.int64(3))
+    assert table == constants.emit_constant_table(2, 3)
+    for bad in (True, 3.0, np.float64(3.0)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            constants.kroger_upper(bad, 3, 1.0)
+        with pytest.raises(ValueError, match="must be an integer"):
+            constants.alpha1_sharp(bad)
 
 
 def test_dimension_range_errors():

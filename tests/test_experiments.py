@@ -346,6 +346,14 @@ def _pair_0001_inner_hull(spec):
             9,  # five sectors and four single-domain rows
         ),
         (
+            ["table-mu1", "--refinements=3"],
+            lambda spec: isinstance(spec, geometry.HalfRegularPolygon),
+            ["fem_converged_disk", "table_disk", "table_disk_ratio", "table_disk_symmetric_lowest"],
+            ["optimal_bound", "square", "optimal_sector", "equilateral_triangle",
+             "reuleaux_triangle", "segment"],
+            10,  # two rhombi, five sectors and three single-domain rows
+        ),
+        (
             # the antisymmetric (Dirichlet-cut) half of the 10-degree rhombus fails
             ["rhombus-sweep", "--theta-deg-list=20,10,5", "--refinements=3"],
             lambda spec: isinstance(spec, geometry.HalfRhombus)
@@ -377,7 +385,10 @@ def _pair_0001_inner_hull(spec):
             7,  # the identical pair's two solves, the thin rectangle, two pairs
         ),
     ],
-    ids=["table-mu1", "table-mu1-rhombus", "rhombus-sweep", "rhombus-sweep-symmetric", "ratio-scan"],
+    ids=[
+        "table-mu1", "table-mu1-rhombus", "table-mu1-disk", "rhombus-sweep",
+        "rhombus-sweep-symmetric", "ratio-scan",
+    ],
 )
 def test_failed_fem_row_is_not_written_and_fails_its_readers(
     argv, failing, failed_names, rows, ladders, monkeypatch, tmp_path
@@ -397,6 +408,50 @@ def test_failed_fem_row_is_not_written_and_fails_its_readers(
     assert payload["metadata"].get("skipped", 0) == 0  # not a skipped draw
     (csv,) = tmp_path.glob("*.csv")
     assert [line.split(",")[0] for line in csv.read_text().splitlines()[1:]] == rows
+
+
+def test_dense_solve_failure_is_a_failed_verdict(monkeypatch, tmp_path):
+    # a dense eigensolve that fails is a failed fem_converged verdict, as a
+    # sparse one is: the 5th dense solve is the second square of ref_identical
+    monkeypatch.delenv("SPECLAB_THREADS", raising=False)
+    eigh = fem.scipy.linalg.eigh
+    calls = iter(range(1, 1000))
+
+    def failing_fifth(*args, **kwargs):
+        if next(calls) == 5:
+            raise np.linalg.LinAlgError("forced dense failure")
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(fem.scipy.linalg, "eigh", failing_fifth)
+    out = tmp_path / "o"
+    assert cli.main(["ratio-scan", "--n-pairs=3", "--refinements=2", "--out", str(out)]) == 1
+    payload = read_verdicts(out / "ratio_scan_verdicts.json")
+    failed = [v for v in payload["verdicts"] if not v["passed"]]
+    assert [v["name"] for v in failed] == [
+        "fem_converged_ref_identical", "ratios_above_sharp_constant",
+        "monotonicity_failure_witnessed", "identical_pair_ratio_one",
+    ]
+    assert "forced dense failure" in failed[0]["detail"]
+    ids = [line.split(",")[0] for line in (out / "ratio_scan.csv").read_text().splitlines()[1:]]
+    assert ids == ["pair_0000", "pair_0001", "pair_0002"]
+
+
+def test_table_largest_system_is_the_reuleaux_rung(monkeypatch):
+    # the disk row solves the 256-gon's half (4,617 unknowns at refinements
+    # 3), so the largest system is the Reuleaux triangle's finest rung, not
+    # the whole 256-gon's 9,217
+    sizes = []
+    solve = fem.solve_smallest
+
+    def counted(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        sizes.append(result.dof_count)
+        return result
+
+    monkeypatch.setattr(fem, "solve_smallest", counted)
+    assert experiments.cmd_table_mu1(refinements=3).all_passed
+    assert max(sizes) == 6913
+    assert 9217 not in sizes
 
 
 def test_table_does_not_swallow_bugs(monkeypatch):
@@ -631,7 +686,8 @@ VERDICT_NAMES = {
         "table_optimal_sector", "table_optimal_sector_ratio", "table_equilateral_triangle",
         "table_equilateral_triangle_ratio", "table_reuleaux_triangle",
         "table_reuleaux_triangle_ratio", "table_disk", "table_disk_ratio",
-        "table_optimal_bound_symmetric_lowest", "table_segment_exact",
+        "table_optimal_bound_symmetric_lowest", "table_disk_symmetric_lowest",
+        "table_segment_exact",
     ],
     "rhombus-sweep": [
         "squeeze_band_theta_20", "antisymmetric_lower_theta_20", "symmetric_lowest_theta_20",
@@ -794,6 +850,7 @@ def test_numpy_parameters_write_valid_json(monkeypatch, tmp_path):
         experiments.cmd_table_mu1(refinements=np.int64(2)),
         experiments.cmd_rhombus_sweep(theta_deg_list=np.array([20.0, 10.0]), refinements=np.int64(2)),
         experiments.cmd_dimension_demo(k=np.int64(1), ell_list=np.array([0.5, 2.0])),
+        experiments.cmd_constants(k_max=np.int64(3), d_max=np.int64(10)),
     ]
     params = []
     for report in reports:
@@ -803,4 +860,8 @@ def test_numpy_parameters_write_valid_json(monkeypatch, tmp_path):
         {"refinements": 2},
         {"theta_deg_list": [20.0, 10.0], "refinements": 2},
         {"k": 1, "ell_list": [0.5, 2.0]},
+        {"k_max": 3, "d_max": 10},
     ]
+    plain = tmp_path / "plain.csv"
+    experiments.cmd_constants(k_max=3, d_max=10).write_csv(plain)
+    assert (tmp_path / "constants.csv").read_bytes() == plain.read_bytes()

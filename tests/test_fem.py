@@ -471,6 +471,22 @@ def test_rhombus_spectrum_is_merge_of_mirror_halves(deg):
         assert full[1] == pytest.approx(odd[0], rel=1e-9)
 
 
+def test_polygon_spectrum_is_merge_of_mirror_halves():
+    # the 256-gon's fan is its upper half plus the lower half, a mirror image
+    # up to rounding, so its spectrum is the merge of the Neumann-cut (even)
+    # and Dirichlet-cut (odd) halves'; the cut is outline edge 128
+    spec = geo.HalfRegularPolygon(256, 1.0)
+    full = fem.solve_mesh(refined(geo.RegularPolygon(256, 1.0), 2), 10).eigenvalues
+    even = fem.solve_mesh(refined(spec, 2), 10).eigenvalues
+    odd = fem.solve_mesh(refined(spec, 2, {128}), 10).eigenvalues
+    merged = np.sort(np.concatenate([even, odd]))[:10]
+    assert abs(full[0]) < 1e-9 and abs(merged[0]) < 1e-9  # the constant mode
+    assert np.allclose(full[1:], merged[1:], rtol=1e-9, atol=0.0)
+    # mu_1 is double: the odd mode's partner in its 2-dimensional
+    # representation of the dihedral group is even
+    assert odd[0] == pytest.approx(even[1], rel=1e-9, abs=0.0)
+
+
 def test_mu_spectrum_indexes_constrained_problems_from_one():
     # the half rhombus's Dirichlet base makes it a constrained problem: its
     # spectrum is tau_1, tau_2, ... exactly as mu_k indexes it

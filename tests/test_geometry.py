@@ -90,6 +90,7 @@ EXAMPLES = {
     geo.Square: geo.Square(1.0),
     geo.EquilateralTriangle: geo.EquilateralTriangle(2.0),
     geo.RegularPolygon: geo.RegularPolygon(7, 1.0),
+    geo.HalfRegularPolygon: geo.HalfRegularPolygon(8, 1.0),
     geo.Sector: geo.Sector(1.0, 1.654, 16),
     geo.ReuleauxTriangle: geo.ReuleauxTriangle(1.0, 8),
     geo.ConvexHullPolygon: geo.ConvexHullPolygon(((0, 0), (1, 0), (1.2, 0.7), (0.3, 0.9))),
@@ -293,6 +294,29 @@ def test_rhombus_mesh_is_half_mesh_and_its_mirror_image(deg):
         assert triangles(full) == upper | lower
         assert len(full.triangles) == 2 * len(half.triangles)
         full, half = geo.refine_mesh(full), geo.refine_mesh(half)
+
+
+def test_half_polygon_mesh_is_upper_half_of_polygon_mesh():
+    # the half is cut from the whole 256-gon's fan, so at every refinement
+    # its mesh is the upper half of the 256-gon's, bit-exact up to numbering
+    full = geo.triangulate(geo.RegularPolygon(256, 1.0))
+    half = geo.triangulate(geo.HalfRegularPolygon(256, 1.0))
+
+    def triangles(mesh, keep):
+        return {frozenset(map(tuple, mesh.vertices[t].tolist())) for t in mesh.triangles[keep]}
+
+    for _ in range(3):
+        upper = full.vertices[full.triangles].mean(axis=1)[:, 1] > 0.0
+        assert triangles(half, slice(None)) == triangles(full, upper)
+        assert len(half.triangles) == np.count_nonzero(upper) == len(full.triangles) // 2
+        assert set(half.boundary_markers) == {geo.NEUMANN}
+        full, half = geo.refine_mesh(full), geo.refine_mesh(half)
+
+
+def test_half_polygon_needs_even_vertex_count():
+    assert len(geo.build(geo.HalfRegularPolygon(6, 1.0))) == 4
+    with pytest.raises(ValueError, match="even"):
+        geo.HalfRegularPolygon(7, 1.0)
 
 
 def test_refinement_halves_h_quadruples_triangles():

@@ -11,6 +11,7 @@ import sys
 import threading
 
 import mpmath
+import numpy as np
 import pytest
 
 from speclab import constants, specfun
@@ -186,6 +187,18 @@ def test_zero_range_errors():
         specfun.bessel_j_zero(1.0, 10_001)
     with pytest.raises(ValueError):
         specfun.bessel_j_zero(1.0, 2.5)
+
+
+def test_zero_indices_accept_numpy_integers_only():
+    # an index is an int or a numpy integer; a bool or a float is rejected
+    assert specfun.bessel_j_zero(0.0, np.int64(2)) == specfun.bessel_j_zero(0.0, 2)
+    first_two = [specfun.bessel_j_zero(0.0, k) for k in (1, 2)]
+    assert specfun.bessel_j_zeros(0.0, np.int64(2)) == first_two
+    assert specfun.bessel_j_prime_zero(1.0, np.int32(2)) == specfun.bessel_j_prime_zero(1.0, 2)
+    for fn in (specfun.bessel_j_zero, specfun.bessel_j_zeros, specfun.bessel_j_prime_zero):
+        for bad in (True, np.True_, 2.0, np.float64(2.0)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                fn(0.0, bad)
 
 
 def _clear_zero_caches():
