@@ -3,8 +3,9 @@
 Every command returns an ExperimentReport: named numeric columns, a list of
 verdicts (each citing the invariant it checks), and run metadata.  Reports
 serialize to CSV (data; byte-identical across reruns of the same
-configuration), JSON (verdicts and metadata, including wall time) and, for
-the sweep and trend commands, an SVG line plot.
+configuration at the same BLAS thread count, which moves FEM values in their
+last digits), JSON (verdicts and metadata, including wall time) and, for the
+sweep and trend commands, an SVG line plot.
 
 A verdict's slack is the signed margin of its inequality, and it passed iff
 slack >= 0, so a NaN slack fails.  An exact check's slack is -|deviation|;
@@ -94,9 +95,6 @@ class ExperimentReport:
     metadata: dict = field(default_factory=dict)
     plot_series: list = field(default_factory=list)
     plot_labels: tuple = ("", "", "")
-    # a str.format template for a whole CSV row, for a report whose columns
-    # each hold one type; empty formats every cell by its type (_fmt_cell)
-    row_format: str = ""
     command: str = ""  # set by _command
 
     @property
@@ -115,14 +113,15 @@ class ExperimentReport:
             )
 
     def write_csv(self, path) -> None:
+        """One line per row through a template read off the first row: a float
+        cell as 15 significant digits, any other cell as its str().  Each
+        column must hold one kind of cell."""
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(self.columns) + "\n")
-            if self.row_format:
-                line = (self.row_format + "\n").format
+            if self.rows:
+                kinds = (isinstance(c, (float, np.floating)) for c in self.rows[0])
+                line = (",".join("{:.15g}" if f else "{}" for f in kinds) + "\n").format
                 fh.writelines(line(*row) for row in self.rows)
-                return
-            for row in self.rows:
-                fh.write(",".join(_fmt_cell(c) for c in row) + "\n")
 
     def write_verdicts(self, path) -> None:
         payload = {
@@ -165,30 +164,15 @@ def _json_values(obj):
     return obj
 
 
-def _fmt_cell(c) -> str:
-    # exact float, str and int cells are nearly all of them: test those types
-    # first, then let the isinstance chain serve bools and numpy scalars
-    kind = type(c)
-    if kind is float:
-        return f"{c:.15g}"
-    if kind is str:
-        return c
-    if kind is int:
-        return str(c)
-    if isinstance(c, (bool, np.bool_)):
-        return str(bool(c)).lower()
-    if isinstance(c, (int, np.integer)):
-        return str(int(c))
-    if isinstance(c, (float, np.floating)):
-        return f"{float(c):.15g}"
-    return str(c)
-
-
 def _pmap(fn, items):
-    """Order-preserving map, parallel over SPECLAB_THREADS workers."""
+    """Order-preserving map, parallel over SPECLAB_THREADS workers (unset or
+    empty: 1); raises ValueError unless it is a positive integer."""
     items = list(items)
-    workers = int(os.environ.get("SPECLAB_THREADS", "1") or "1")
-    if workers <= 1 or len(items) <= 1:
+    text = os.environ.get("SPECLAB_THREADS") or "1"
+    if not text.isdecimal() or int(text) < 1:
+        raise ValueError(f"SPECLAB_THREADS must be a positive integer, got {text!r}")
+    workers = int(text)
+    if workers == 1 or len(items) <= 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
@@ -358,7 +342,6 @@ def cmd_constants(k_max: int = 3, d_max: int = 10) -> ExperimentReport:
         columns=["name", "k", "d", "value", "formula"],
         rows=records,
         verdicts=verdicts,
-        row_format="{},{},{},{:.15g},{}",  # _fmt_cell's formats, one row at a time
     )
 
 
@@ -833,14 +816,19 @@ def cmd_dimension_demo(
 
     rows = []
     preserved = []
+    exact = []  # relative deviations of the ratio at the ells below threshold
     for ell in ells:
         p_in = product_mu_k(d_inner, ell)
         p_out = product_mu_k(d_outer, ell)
         ratio = p_in / p_out
         dev, tol = abs(ratio - base_ratio), 1e-12 * base_ratio
         predicted_equal = ell <= threshold
-        rows.append((ell, p_in, p_out, ratio, base_ratio, predicted_equal, dev <= tol))
+        # written as the text true/false: a row template would write True/False
+        flags = (str(predicted_equal).lower(), str(dev <= tol).lower())
+        rows.append((ell, p_in, p_out, ratio, base_ratio, *flags))
         preserved.append(at_most(dev, tol) if predicted_equal else above(dev, tol))
+        if predicted_equal:
+            exact.append(at_most(dev / base_ratio, 1e-12))
 
     verdicts = [
         Verdict(
@@ -850,13 +838,12 @@ def cmd_dimension_demo(
             f"threshold {threshold:.12g}",
         )
     ]
-    preserving = [r for r in rows if r[5]]
-    if preserving:
+    if exact:
         verdicts.append(
             Verdict(
                 "ratio_exact_below_threshold",
                 "spectra: below threshold the ratio matches to 1e-12",
-                smallest(at_most(abs(r[3] - base_ratio) / base_ratio, 1e-12) for r in preserving),
+                smallest(exact),
             )
         )
 

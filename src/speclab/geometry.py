@@ -426,7 +426,11 @@ class Mesh:
 
     def validate(self) -> None:
         v, t = self.vertices, self.triangles
-        if t.size and (t.min() < 0 or t.max() >= len(v)):
+        if v.ndim != 2 or v.shape[1] != 2:
+            raise ValueError(f"vertices must be an (n, 2) array, got shape {v.shape}")
+        if t.ndim != 2 or t.shape[1] != 3 or not len(t):
+            raise ValueError(f"triangles must be a nonempty (n, 3) array, got shape {t.shape}")
+        if t.min() < 0 or t.max() >= len(v):
             raise ValueError("triangle vertex index out of range")
         p = v[t]
         areas = 0.5 * (

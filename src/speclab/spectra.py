@@ -9,6 +9,8 @@ it, and an explicit error is raised otherwise.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -122,29 +124,31 @@ def product_spectrum(base: Spectrum, ell: float, n: int) -> Spectrum:
     """First n eigenvalues of base x [0, ell]: merge of base[m] + pi^2 j^2/ell^2.
 
     With prefix semantics the merge only emits values that cannot be
-    undercut by unseen base entries (all >= base[-1]).
+    undercut by unseen base entries (all >= base[-1]).  The merge is lazy,
+    one increasing sequence per base value, so it reads n values whatever ell.
     """
-    if not ell > 0:
-        raise ValueError(f"cylinder length must be positive, got {ell}")
+    if not 0 < ell < math.inf:
+        raise ValueError(f"cylinder length must be positive and finite, got {ell}")
     if n < 1:
         raise ValueError("need n >= 1")
     step = (math.pi / ell) ** 2
     cutoff = base.values[-1]
-    cands = []
-    for bv in base.values:
-        if bv > cutoff:
-            break
+
+    def shifted(bv):  # bv + pi^2 j^2/ell^2 for j = 0, 1, ... up to the cutoff
         j = 0
         while bv + step * j * j <= cutoff:
-            cands.append(bv + step * j * j)
+            yield bv + step * j * j
             j += 1
-    cands.sort()
-    if len(cands) < n:
+
+    # the first n base values are n candidates, none above base[n-1], so no
+    # later base value can undercut the nth smallest
+    merged = list(itertools.islice(heapq.merge(*map(shifted, base.values[:n])), n))
+    if len(merged) < n:
         raise MergeCertificationError(
             f"cannot certify {n} merged values from a base prefix of "
-            f"{base.values.size} entries (only {len(cands)} certified)"
+            f"{base.values.size} entries (only {len(merged)} certified)"
         )
-    return Spectrum(np.array(cands[:n]))
+    return Spectrum(np.array(merged))
 
 
 def disjoint_union_spectrum(parts: Sequence[Spectrum], n: int) -> Spectrum:

@@ -64,7 +64,7 @@ def test_constants_csv_determinism(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def _isinstance_fmt_cell(c):
+def _isinstance_cell_text(c):
     # reference: the isinstance chain alone, without the exact-type shortcut
     if isinstance(c, (bool, np.bool_)):
         return str(bool(c)).lower()
@@ -75,18 +75,52 @@ def _isinstance_fmt_cell(c):
     return str(c)
 
 
-def test_csv_cells_format_as_before():
+def test_csv_cells_format_as_before(tmp_path):
+    # each cell kind as the isinstance chain formats it; bools are written by
+    # the commands as the text true/false (test_dimension_demo_threshold_flip)
     class Label(str):
         pass
 
     cells = [
         0.1, -0.0, 1e-300, 1e300, math.pi, 2.0 / 3.0, math.nan, math.inf, -math.inf,
-        0, -7, 10**20, True, False, "", "disk", Label("sub"),
+        0, -7, 10**20, "", "disk", Label("sub"),
         np.float64(math.e), np.float32(0.1), np.float64(math.nan), np.int64(-3),
-        np.int32(5), np.uint8(255), np.bool_(True), np.bool_(False), None,
+        np.int32(5), np.uint8(255), None,
     ]
+    path = tmp_path / "one.csv"
     for c in cells:
-        assert experiments._fmt_cell(c) == _isinstance_fmt_cell(c), repr(c)
+        experiments.ExperimentReport(columns=["cell", "tail"], rows=[(c, "x")], verdicts=[]).write_csv(path)
+        assert path.read_text() == f"cell,tail\n{_isinstance_cell_text(c)},x\n", repr(c)
+
+
+def _cell_kind(c):
+    # the CSV writer formats a float or numpy floating cell one way, any other by its str()
+    return float if isinstance(c, (float, np.floating)) else type(c)
+
+
+@pytest.mark.parametrize(
+    "runner, params",
+    [
+        (experiments.cmd_constants, {"k_max": 2, "d_max": 4}),
+        (experiments.cmd_table_mu1, {"refinements": 2}),
+        (experiments.cmd_rhombus_sweep, {"theta_deg_list": (20.0, 10.0), "refinements": 2}),
+        (experiments.cmd_ratio_scan, {"n_pairs": 3, "refinements": 2}),
+        (experiments.cmd_weyl, {"k_list": (1000, 10000)}),
+        (experiments.cmd_dimension_demo, {}),
+        (experiments.cmd_counterexamples, {}),
+    ],
+    ids=[
+        "constants", "table-mu1", "rhombus-sweep", "ratio-scan", "weyl", "dimension-demo",
+        "counterexamples",
+    ],
+)
+def test_csv_columns_hold_one_kind_of_cell(runner, params):
+    # write_csv formats every row through a template read off the first row
+    report = runner(**params)
+    assert len(report.rows) > 1
+    for column, cells in zip(report.columns, zip(*report.rows)):
+        assert len({_cell_kind(c) for c in cells}) == 1, column
+        assert not any(isinstance(c, (bool, np.bool_)) for c in cells), column
 
 
 def test_margin_helpers():
@@ -138,7 +172,7 @@ def test_dimension_demo_threshold_flip():
     report = experiments.cmd_dimension_demo(k=1, ell_list=(0.5, 0.999, 1.001, 2.0))
     assert report.all_passed
     predicted = [row[5] for row in report.rows]
-    assert predicted == [True, True, False, False]
+    assert predicted == ["true", "true", "false", "false"]
     measured = [row[6] for row in report.rows]
     assert measured == predicted
     below = report.rows[0]
@@ -561,6 +595,20 @@ def test_thread_count_does_not_change_results(runner, params, tmp_path, monkeypa
     assert pa.read_bytes() == pb.read_bytes()
 
 
+@pytest.mark.parametrize("value", ["two", "-4", "0", "1.5"])
+def test_cli_rejects_invalid_thread_count(value, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SPECLAB_THREADS", value)
+    code = cli.main(["ratio-scan", "--n-pairs=1", "--refinements=2", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "SPECLAB_THREADS" in err and repr(value) in err
+
+
+def test_empty_thread_count_means_one(tmp_path, monkeypatch):
+    monkeypatch.setenv("SPECLAB_THREADS", "")
+    assert cli.main(["ratio-scan", "--n-pairs=1", "--refinements=2", "--out", str(tmp_path)]) == 0
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -785,6 +833,13 @@ def test_cli_invalid_parameter_exit_code(tmp_path, capsys):
         assert code == 2
         err = capsys.readouterr().err
         assert "speclab:" in err and reason in err
+
+
+@pytest.mark.parametrize("ell", ["inf", "nan", "0", "-1"])
+def test_dimension_demo_rejects_invalid_cylinder_length(ell, tmp_path, capsys):
+    code = cli.main(["dimension-demo", f"--ell-list=0.5,{ell}", "--out", str(tmp_path)])
+    assert code == 2
+    assert "cylinder length" in capsys.readouterr().err
 
 
 def test_cli_list_parsers():

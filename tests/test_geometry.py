@@ -543,7 +543,16 @@ def test_mesh_io_roundtrip(tmp_path):
     assert back.h == pytest.approx(mesh.h, rel=1e-15)
 
 
-@pytest.mark.parametrize("defect", ["missing boundary edge", "vertex index out of range"])
+@pytest.mark.parametrize(
+    "defect",
+    [
+        "missing boundary edge",
+        "vertex index out of range",
+        "empty mesh",
+        "triangle rows of 2 indices",
+        "vertex rows of 1 coordinate",
+    ],
+)
 def test_read_mesh_rejects_invalid_file(tmp_path, defect):
     mesh = refined(geo.Square(1.0), 1)
     path = tmp_path / "mesh.txt"
@@ -553,8 +562,16 @@ def test_read_mesh_rejects_invalid_file(tmp_path, defect):
     if defect == "missing boundary edge":
         lines[0] = f"{nv} {nt} {nb - 1}"
         del lines[-1]
-    else:
+    elif defect == "vertex index out of range":
         lines[1 + nv] = f"0 1 {nv}"
+    elif defect == "empty mesh":
+        lines = ["0 0 0"]
+    elif defect == "triangle rows of 2 indices":
+        for i in range(1 + nv, 1 + nv + nt):
+            lines[i] = " ".join(lines[i].split()[:2])
+    else:
+        for i in range(1, 1 + nv):
+            lines[i] = lines[i].split()[0]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
         geo.read_mesh(path)

@@ -141,6 +141,41 @@ def test_product_large_cylinder_first_mode():
     assert abs(got.values[1] - PI2 / 100.0**2) < 1e-15
 
 
+def test_product_reads_n_values_whatever_ell():
+    # the merge stops at n values: at ell = 1e9 the cutoff admits ~1e10 of them
+    base = spectra.segment_spectrum(1.0, "neumann", 64)
+    got = spectra.product_spectrum(base, 1e9, 2)
+    assert got.values.tolist() == [0.0, (math.pi / 1e9) ** 2]
+
+
+def test_product_matches_full_enumeration():
+    def enumerated(base, ell, n):
+        step = (math.pi / ell) ** 2
+        cutoff = base.values[-1]
+        cands = []
+        for bv in base.values:
+            j = 0
+            while bv + step * j * j <= cutoff:
+                cands.append(bv + step * j * j)
+                j += 1
+        return sorted(cands)[:n]
+
+    for sides in ([1.0], [1.0, 0.7], [1.0, 1.0]):
+        for k in (1, 3, 10):
+            base = spectra.box_spectrum(sides, "neumann", max(64, 4 * k + 8))
+            for ell in (0.1, 0.5, 0.99, 1.0, 1.5, 5.0, 50.0, 300.0):
+                for n in (k + 1, 40):
+                    got = spectra.product_spectrum(base, ell, n)
+                    assert got.values.tolist() == enumerated(base, ell, n)
+
+
+@pytest.mark.parametrize("ell", [math.inf, math.nan, 0.0, -1.0])
+def test_product_rejects_invalid_length(ell):
+    base = Spectrum(np.array([0.0, 5.0]))
+    with pytest.raises(ValueError, match="cylinder length"):
+        spectra.product_spectrum(base, ell, 2)
+
+
 def test_union_four_disks():
     # four equal disks of radius 1/2: mu_3 of the union is 0
     template = np.array([0.0, spectra.disk_mu1(0.5)])
