@@ -371,7 +371,7 @@ def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
     # (row, specs, refinements, mu_1 reference, ratio reference, tolerance)
     table = [
         ("optimal_bound", rhombi, n, j01sq, SEGMENT_MU1_D2 / j01sq, 0.01),
-        ("square", [geometry.Square(math.sqrt(2.0))], n, PI2 / 2.0, 0.5, 0.002),
+        ("square", [geometry.Rectangle(math.sqrt(2.0), math.sqrt(2.0))], n, PI2 / 2.0, 0.5, 0.002),
         ("optimal_sector", sectors, max(2, n - 1), 4.67, SEGMENT_MU1_D2 / 4.67, 0.02),
         ("equilateral_triangle", [geometry.EquilateralTriangle(2.0)], n, triangle, 0.5625, 0.005),
         ("reuleaux_triangle", [geometry.ReuleauxTriangle(2.0, 64)], n, 3.487, 0.707, 0.01),
@@ -392,7 +392,7 @@ def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
             # each sector's mu_1 rescaled to diameter 2; the row is the largest
             scaled = []
             for spec, res in zip(specs, results):
-                scale = (geometry.diameter(geometry.build(spec)) / 2.0) ** 2
+                scale = (geometry.diameter(spec.outline().polygon) / 2.0) ** 2
                 scaled.append((res.value * scale, res.error_estimate * scale, spec.opening))
             computed, err, opening = max(scaled, key=lambda item: item[0])
             note = f"extremal opening {opening:g} rad over grid {SECTOR_OPENING_GRID}"
@@ -650,7 +650,7 @@ def cmd_ratio_scan(
         pairs.append((f"pair_{i:04d}", seed + i, *hulls))
 
     jobs = [
-        ("ref_identical", [geometry.Square(math.sqrt(2.0))] * 2, refinements),
+        ("ref_identical", [geometry.Rectangle(math.sqrt(2.0), math.sqrt(2.0))] * 2, refinements),
         ("ref_thin_rect_in_square", [geometry.Rectangle(1.9, 0.02)], refinements),
     ]
     jobs += [(pair_id, [inner, outer], refinements) for pair_id, _, inner, outer in pairs]

@@ -62,7 +62,8 @@ def _element_triplets(mesh: Mesh):
 
     Entry (i, j) of each triangle's 3x3 element matrices, ordered by (i, j)
     and then by triangle; summing duplicates gives the global K and M.
-    Raises on degenerate triangles (area <= 1e-14 h^2).
+    Raises on degenerate triangles (area <= 1e-14 h^2, h the mesh's longest
+    edge).
     """
     verts = mesh.vertices
     tris = mesh.triangles
@@ -78,7 +79,8 @@ def _element_triplets(mesh: Mesh):
     )
     det = b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0]  # signed, = 2*area for ccw
     area = 0.5 * det
-    if np.any(area <= 1e-14 * mesh.h**2):
+    # hypot(b_i, c_i) is the length of the edge opposite vertex i
+    if not np.all(area > 1e-14 * np.hypot(b, c).max() ** 2):  # a NaN fails too
         raise ValueError("degenerate triangle in mesh (area <= 1e-14 h^2)")
 
     rows = []
@@ -105,7 +107,7 @@ def assemble(mesh: Mesh):
 
     K row sums vanish (constants lie in the kernel) before any boundary
     constraint is applied.  Raises on degenerate triangles
-    (area <= 1e-14 h^2).
+    (area <= 1e-14 h^2, h the mesh's longest edge).
     """
     rows, cols, k_vals, m_vals = _element_triplets(mesh)
     nv = len(mesh.vertices)

@@ -110,18 +110,6 @@ class Rectangle:
 
 
 @dataclass(frozen=True)
-class Square:
-    side: float
-
-    def __post_init__(self):
-        if not self.side > 0:
-            raise ValueError("square side must be positive")
-
-    def outline(self) -> Outline:
-        return Rectangle(self.side, self.side).outline()
-
-
-@dataclass(frozen=True)
 class EquilateralTriangle:
     side: float
 
@@ -239,12 +227,14 @@ class ConvexHullPolygon:
         if len(verts) < 3:
             raise ValueError("polygon needs at least 3 vertices")
         arr = np.array(verts)
-        if _signed_area(arr) <= 0:
+        if not _signed_area(arr) > 0:  # a NaN coordinate fails too
             raise ValueError("polygon vertices must be counterclockwise")
         n = len(verts)
         for i in range(n):
             a, b, c = arr[i], arr[(i + 1) % n], arr[(i + 2) % n]
-            if _cross(b - a, c - b) < 0:
+            if verts[i] == verts[(i + 1) % n]:
+                raise ValueError(f"polygon vertex {verts[i]} repeats consecutively")
+            if not _cross(b - a, c - b) >= 0:
                 raise ValueError("polygon vertices must be in convex position")
 
     def outline(self) -> Outline:
@@ -255,7 +245,6 @@ DomainSpec = Union[
     Rhombus,
     HalfRhombus,
     Rectangle,
-    Square,
     EquilateralTriangle,
     RegularPolygon,
     HalfRegularPolygon,
@@ -272,11 +261,6 @@ def _cross(u, v) -> float:
 def _signed_area(poly: np.ndarray) -> float:
     x, y = poly[:, 0], poly[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
-def build(spec: DomainSpec) -> np.ndarray:
-    """Counterclockwise convex polygon approximating the domain (inscribed)."""
-    return spec.outline().polygon
 
 
 def diameter(polygon: np.ndarray) -> float:
@@ -415,19 +399,20 @@ class Mesh:
 
     vertices: (nv, 2) float; triangles: (nt, 3) int, positively oriented;
     boundary_edges: (nb, 2) int; boundary_markers: length-nb list of
-    'N'/'D'; h: maximal edge length.
+    'N'/'D'.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     boundary_edges: np.ndarray
     boundary_markers: list
-    h: float
 
     def validate(self) -> None:
         v, t = self.vertices, self.triangles
         if v.ndim != 2 or v.shape[1] != 2:
             raise ValueError(f"vertices must be an (n, 2) array, got shape {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("mesh has a non-finite vertex coordinate")
         if t.ndim != 2 or t.shape[1] != 3 or not len(t):
             raise ValueError(f"triangles must be a nonempty (n, 3) array, got shape {t.shape}")
         if t.min() < 0 or t.max() >= len(v):
@@ -437,7 +422,7 @@ class Mesh:
             (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
             - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])
         )
-        if np.any(areas <= 0):
+        if not np.all(areas > 0):  # a NaN area fails too
             raise ValueError("mesh has non-positive triangle orientation")
         boundary = _boundary_edges_of(t)
         marked = np.sort(np.asarray(self.boundary_edges, dtype=np.int64).reshape(-1, 2), axis=1)
@@ -448,14 +433,6 @@ class Mesh:
         degree = np.bincount(boundary.ravel())
         if np.any(degree[degree > 0] != 2):
             raise ValueError("boundary edges do not form closed loops")
-
-
-def _max_edge(vertices: np.ndarray, triangles: np.ndarray) -> float:
-    p = vertices[triangles]
-    lengths = [
-        np.linalg.norm(p[:, i] - p[:, (i + 1) % 3], axis=1).max() for i in range(3)
-    ]
-    return float(max(lengths))
 
 
 def _boundary_edges_of(triangles: np.ndarray) -> np.ndarray:
@@ -551,7 +528,7 @@ def _nearest_outline_edge(poly: np.ndarray, points: np.ndarray) -> np.ndarray:
 def refine_mesh(mesh: Mesh) -> Mesh:
     """Uniform refinement: every triangle into 4 via edge midpoints.
 
-    h halves exactly and the triangle count quadruples; boundary sub-edges
+    Every edge halves and the triangle count quadruples; boundary sub-edges
     inherit their parent's marker.  Midpoints are numbered after the old
     vertices in order of first visit: triangle by triangle (edges ab, bc,
     ca), then the boundary edges.
@@ -585,7 +562,6 @@ def refine_mesh(mesh: Mesh) -> Mesh:
         triangles=triangles,
         boundary_edges=boundary,
         boundary_markers=[marker for marker in mesh.boundary_markers for _ in range(2)],
-        h=_max_edge(vertices, triangles),
     )
 
 
@@ -596,7 +572,6 @@ _GRID_MESHES = {
     Rhombus: _rhombus_grid,
     HalfRhombus: _rhombus_grid,
     Rectangle: _rectangle_grid,
-    Square: _rectangle_grid,
     HalfRegularPolygon: _half_polygon_fan,
 }
 
@@ -621,7 +596,6 @@ def triangulate(spec: DomainSpec, dirichlet: bool = False) -> Mesh:
         triangles=tris,
         boundary_edges=edges,
         boundary_markers=markers,
-        h=_max_edge(verts, tris),
     )
 
 
@@ -663,8 +637,6 @@ def read_mesh(path) -> Mesh:
         triangles=tris,
         boundary_edges=np.array(edges, dtype=np.int64),
         boundary_markers=markers,
-        h=math.nan,
     )
-    mesh.validate()  # before any indexing by the file's triangles
-    mesh.h = _max_edge(verts, tris)
+    mesh.validate()
     return mesh

@@ -171,14 +171,14 @@ def test_criterion_6_weyl():
 def test_criterion_7_inequality_suites():
     t0 = time.perf_counter()
     suite = [
-        geometry.Square(math.sqrt(2.0)),
+        geometry.Rectangle(math.sqrt(2.0), math.sqrt(2.0)),
         geometry.Rhombus(2.0, math.radians(10.0)),
         geometry.EquilateralTriangle(2.0),
         geometry.RegularPolygon(64, 1.0),
     ]
     ok = True
     for spec in suite:
-        diam = geometry.diameter(geometry.build(spec))
+        diam = geometry.diameter(spec.outline().polygon)
         mus = fem.mu_spectrum(spec, 5, refinements=4)
         lams = fem.dirichlet_spectrum(spec, 5, refinements=4)
         ok &= mus[0].value >= 0.995 * constants.payne_weinberger_lower(diam)

@@ -266,12 +266,12 @@ def test_ladder_checks_count_nan_order_out_of_band():
     "failing, failed_names",
     [
         (
-            geometry.Square,
+            "Square",
             ["fem_converged_ref_identical", "ratios_above_sharp_constant",
              "monotonicity_failure_witnessed", "identical_pair_ratio_one"],
         ),
         (
-            geometry.Rectangle,
+            "Rectangle",
             ["fem_converged_ref_thin_rect_in_square", "ratios_above_sharp_constant",
              "monotonicity_failure_witnessed"],
         ),
@@ -280,8 +280,12 @@ def test_ladder_checks_count_nan_order_out_of_band():
 def test_ratio_scan_reports_reference_failure_as_verdict(monkeypatch, tmp_path, failing, failed_names):
     # a reference solve that fails to converge is a failed verdict, and each
     # verdict that reads its row fails through a NaN slack; the report is
-    # still written and the CLI exits 1
-    monkeypatch.setattr(experiments.fem, "mu_k", failing_mu_k(lambda spec: isinstance(spec, failing)))
+    # still written and the CLI exits 1.  Both references are rectangles:
+    # the identical pair's square and the thin rectangle.
+    def fails(spec):
+        return isinstance(spec, geometry.Rectangle) and (spec.a == spec.b) == (failing == "Square")
+
+    monkeypatch.setattr(experiments.fem, "mu_k", failing_mu_k(fails))
     out = tmp_path / "o"
     assert cli.main(["ratio-scan", "--n-pairs=2", "--refinements=2", "--out", str(out)]) == 1
     payload = read_verdicts(out / "ratio_scan_verdicts.json")
@@ -290,7 +294,7 @@ def test_ratio_scan_reports_reference_failure_as_verdict(monkeypatch, tmp_path, 
     assert "forced failure" in failed[0]["detail"]
     assert all(v["slack"] is None for v in failed)
     ids = [line.split(",")[0] for line in (out / "ratio_scan.csv").read_text().splitlines()[1:]]
-    assert ids == ["ref_identical"] * (failing is geometry.Rectangle) + ["pair_0000", "pair_0001"]
+    assert ids == ["ref_identical"] * (failing == "Rectangle") + ["pair_0000", "pair_0001"]
 
 
 def test_identical_pair_verdict_compares_two_independent_solves(monkeypatch):
@@ -364,7 +368,7 @@ def _pair_0001_inner_hull(spec):
     [
         (
             ["table-mu1", "--refinements=3"],
-            lambda spec: isinstance(spec, geometry.Square),
+            lambda spec: isinstance(spec, geometry.Rectangle),  # the square row
             ["fem_converged_square", "table_square", "table_square_ratio"],
             ["optimal_bound", "optimal_sector", "equilateral_triangle", "reuleaux_triangle",
              "disk", "segment"],

@@ -19,7 +19,7 @@ def with_dirichlet(spec, mesh, edges):
     those edges Dirichlet.  refine_mesh carries markers down, so marking a
     base mesh marks every mesh refined from it."""
     midpoints = mesh.vertices[mesh.boundary_edges].mean(axis=1)
-    nearest = geo._nearest_outline_edge(geo.build(spec), midpoints)
+    nearest = geo._nearest_outline_edge(spec.outline().polygon, midpoints)
     markers = [geo.DIRICHLET if i in edges else m for i, m in zip(nearest, mesh.boundary_markers)]
     return dataclasses.replace(mesh, boundary_markers=markers)
 
@@ -51,7 +51,6 @@ def make_mesh(verts, tris, markers=None):
         triangles=tris,
         boundary_edges=np.array(edges, dtype=np.int64),
         boundary_markers=markers,
-        h=geo._max_edge(verts, tris),
     )
 
 
@@ -77,19 +76,25 @@ def test_stiffness_row_sums_vanish():
 
 
 def test_mass_sums_to_area():
-    for spec, times in ((geo.Square(1.0), 1), (geo.Rhombus(2.0, 0.35), 0), (geo.RegularPolygon(12, 1.0), 2)):
+    for spec, times in ((geo.Rectangle(1.0, 1.0), 1), (geo.Rhombus(2.0, 0.35), 0), (geo.RegularPolygon(12, 1.0), 2)):
         mesh = refined(spec, times)
         _, M = fem.assemble(mesh)
         assert M.sum() == pytest.approx(
-            geo.area(geo.build(spec)), rel=1e-12
+            geo.area(spec.outline().polygon), rel=1e-12
         )
 
 
 def test_assemble_rejects_degenerate_triangle():
-    mesh = make_mesh([(0, 0), (1, 0), (1, 1), (0, 1)], [[0, 1, 2], [0, 2, 3]])
-    mesh.vertices[2] = (2.0, 2e-16)  # collapse one triangle
-    with pytest.raises(ValueError):
-        fem.assemble(mesh)
+    # the threshold is relative to the longest edge: at any scale the square
+    # assembles and a collapsed triangle, or a NaN vertex, is rejected
+    for scale in (1.0, 1e-6, 1e6):
+        square = np.array([(0, 0), (1, 0), (1, 1), (0, 1)]) * scale
+        fem.assemble(make_mesh(square, [[0, 1, 2], [0, 2, 3]]))
+        for bad in ((2.0, 2e-16), (math.nan, 1.0)):
+            mesh = make_mesh(square, [[0, 1, 2], [0, 2, 3]])
+            mesh.vertices[2] = np.multiply(bad, scale)
+            with pytest.raises(ValueError, match="degenerate"):
+                fem.assemble(mesh)
 
 
 @pytest.mark.parametrize(
@@ -97,7 +102,7 @@ def test_assemble_rejects_degenerate_triangle():
     [
         (geo.RegularPolygon(7, 1.0), None),  # centroid fan
         (geo.Rhombus(2.0, math.radians(25.0)), None),  # affine grid
-        (geo.Square(1.0), frozenset({LEFT, BOTTOM})),  # Dirichlet edges
+        (geo.Rectangle(1.0, 1.0), frozenset({LEFT, BOTTOM})),  # Dirichlet edges
     ],
 )
 def test_dense_assembly_matches_sparse(monkeypatch, spec, dirichlet):
@@ -138,7 +143,7 @@ def test_dense_assembly_matches_sparse(monkeypatch, spec, dirichlet):
 
 
 def test_unit_square_neumann():
-    mesh = refined(geo.Square(1.0), 4)
+    mesh = refined(geo.Rectangle(1.0, 1.0), 4)
     res = fem.solve_mesh(mesh, 2)
     assert res.eigenvalues[0] <= 1e-8 * res.eigenvalues[1]
     assert res.eigenvalues[1] == pytest.approx(PI2, rel=0.01)
@@ -153,7 +158,7 @@ def test_thin_rectangle_segment_surrogate():
 
 def test_mixed_square_one_side_dirichlet():
     # separable closed form: tau_1 = pi^2/4 (mixed segment times Neumann factor)
-    mesh = refined(geo.Square(1.0), 4, frozenset({LEFT}))
+    mesh = refined(geo.Rectangle(1.0, 1.0), 4, frozenset({LEFT}))
     K, M = fem.assemble(mesh)
     res = fem.solve_smallest(K, M, fem.dirichlet_dofs(mesh), 1)
     ref = spectra.segment_spectrum(1.0, "mixed", 1).values[0]
@@ -161,7 +166,7 @@ def test_mixed_square_one_side_dirichlet():
 
 
 def test_dirichlet_square():
-    mesh = refined(geo.Square(1.0), 4, True)
+    mesh = refined(geo.Rectangle(1.0, 1.0), 4, True)
     res = fem.solve_mesh(mesh, 1)
     assert res.eigenvalues[0] == pytest.approx(2 * PI2, rel=0.01)
 
@@ -176,7 +181,7 @@ def test_solver_determinism():
 def test_dense_path_matches_full_dense_solve():
     # at most 400 unknowns: only the wanted pairs are computed, and they must
     # agree with the full generalized spectrum of the unshifted pencil
-    for spec, dirichlet in ((geo.Sector(1.0, 1.0, 16), False), (geo.Square(1.0), True)):
+    for spec, dirichlet in ((geo.Sector(1.0, 1.0, 16), False), (geo.Rectangle(1.0, 1.0), True)):
         mesh = refined(spec, 1, dirichlet)
         K, M = fem._assemble_dense(mesh)
         constrained = fem.dirichlet_dofs(mesh)
@@ -229,7 +234,7 @@ def test_dense_residuals_without_rayleigh_ritz():
 
 
 def test_rayleigh_ritz_failure_raises(monkeypatch):
-    mesh = refined(geo.Square(1.0), 4)
+    mesh = refined(geo.Rectangle(1.0, 1.0), 4)
     assert len(mesh.vertices) > 400
 
     def failing_eigh(*args, **kwargs):
@@ -249,7 +254,7 @@ def test_nan_eigenpairs_raise(monkeypatch):
         return vals, np.full_like(vecs, np.nan)
 
     monkeypatch.setattr(fem.scipy.linalg, "eigh", nan_eigh)
-    mesh = refined(geo.Square(1.0), 1)
+    mesh = refined(geo.Rectangle(1.0, 1.0), 1)
     assert len(mesh.vertices) <= 400
     with pytest.raises(fem.NonConvergenceError, match="nan"):
         fem.solve_mesh(mesh, 2)
@@ -309,7 +314,7 @@ def _first_sparse_rung(spec):
 @pytest.mark.parametrize(
     "spec",
     [
-        geo.Square(math.sqrt(2.0)),  # double mu_1
+        geo.Rectangle(math.sqrt(2.0), math.sqrt(2.0)),  # double mu_1
         geo.RegularPolygon(256, 1.0),  # double mu_1
         geo.EquilateralTriangle(2.0),  # double mu_1
         geo.Rhombus(2.0, math.radians(10.0)),
@@ -342,7 +347,7 @@ def test_sparse_solve_matches_full_dense_spectrum(spec):
 
 
 def test_mu1_square_table_row():
-    res = fem.mu_k(geo.Square(math.sqrt(2.0)), 1, refinements=4)
+    res = fem.mu_k(geo.Rectangle(math.sqrt(2.0), math.sqrt(2.0)), 1, refinements=4)
     assert res.value == pytest.approx(PI2 / 2.0, rel=0.002)
     assert res.monotone
     assert 1.5 < res.fitted_order < 2.5
@@ -360,7 +365,7 @@ def test_mu1_equilateral_triangle_table_row():
 
 
 def test_lambda1_square():
-    res = fem.dirichlet_lambda_k(geo.Square(1.0), 1, refinements=4)
+    res = fem.dirichlet_lambda_k(geo.Rectangle(1.0, 1.0), 1, refinements=4)
     assert res.value == pytest.approx(2 * PI2, rel=0.005)
 
 
@@ -371,7 +376,7 @@ def test_lambda1_disk_dirichlet_ball():
 
 
 def test_discrete_eigenvalues_decrease_under_refinement():
-    for spec in (geo.Square(1.0), geo.Rhombus(2.0, math.radians(20)), geo.EquilateralTriangle(1.0)):
+    for spec in (geo.Rectangle(1.0, 1.0), geo.Rhombus(2.0, math.radians(20)), geo.EquilateralTriangle(1.0)):
         for res in fem.mu_spectrum(spec, 5, refinements=3):
             v0, v1, v2 = res.values
             scale = abs(v2) + 1e-12
@@ -380,7 +385,7 @@ def test_discrete_eigenvalues_decrease_under_refinement():
 
 
 def test_neumann_below_dirichlet_same_mesh():
-    for spec, times in ((geo.Square(1.0), 2), (geo.RegularPolygon(16, 1.0), 3)):
+    for spec, times in ((geo.Rectangle(1.0, 1.0), 2), (geo.RegularPolygon(16, 1.0), 3)):
         mesh_n = refined(spec, times)
         mesh_d = refined(spec, times, True)
         rn = fem.solve_mesh(mesh_n, 6)
@@ -401,7 +406,7 @@ def test_matrix_level_scaling():
 # inequality property suites (criterion 7 domains)
 
 SUITE_SPECS = [
-    geo.Square(math.sqrt(2.0)),
+    geo.Rectangle(math.sqrt(2.0), math.sqrt(2.0)),
     geo.Rhombus(2.0, math.radians(10.0)),
     geo.EquilateralTriangle(2.0),
     geo.RegularPolygon(64, 1.0),
@@ -412,7 +417,7 @@ SUITE_SPECS = [
 def suite_results():
     out = {}
     for spec in SUITE_SPECS:
-        poly = geo.build(spec)
+        poly = spec.outline().polygon
         diam = geo.diameter(poly)
         out[spec] = (
             diam,
@@ -497,7 +502,7 @@ def test_mu_spectrum_indexes_constrained_problems_from_one():
     with pytest.raises(ValueError):
         fem.mu_k(spec, 0, refinements=2)
     with pytest.raises(ValueError):
-        fem.mu_k(geo.Square(1.0), -1, refinements=2)
+        fem.mu_k(geo.Rectangle(1.0, 1.0), -1, refinements=2)
 
 
 def test_cone_squeeze_via_sector():
@@ -517,7 +522,7 @@ def test_cone_squeeze_via_sector():
 
 def test_solve_from_mesh_file(tmp_path):
     # the solver consumes the mesh text format directly
-    mesh = refined(geo.Square(1.0), 3)
+    mesh = refined(geo.Rectangle(1.0, 1.0), 3)
     path = tmp_path / "square.mesh"
     geo.write_mesh(mesh, path)
     loaded = geo.read_mesh(path)
@@ -526,7 +531,7 @@ def test_solve_from_mesh_file(tmp_path):
 
 
 def test_solve_errors():
-    mesh = geo.triangulate(geo.Square(1.0))
+    mesh = geo.triangulate(geo.Rectangle(1.0, 1.0))
     K, M = fem.assemble(mesh)
     with pytest.raises(ValueError):
         fem.solve_smallest(K, M, [], 0)

@@ -30,7 +30,7 @@ def with_dirichlet(spec, mesh, edges):
     those edges Dirichlet.  refine_mesh carries markers down, so marking a
     base mesh marks every mesh refined from it."""
     midpoints = mesh.vertices[mesh.boundary_edges].mean(axis=1)
-    nearest = geo._nearest_outline_edge(geo.build(spec), midpoints)
+    nearest = geo._nearest_outline_edge(spec.outline().polygon, midpoints)
     markers = [geo.DIRICHLET if i in edges else m for i, m in zip(nearest, mesh.boundary_markers)]
     return dataclasses.replace(mesh, boundary_markers=markers)
 
@@ -58,25 +58,25 @@ def rotate(poly, angle, center=(0.3, -0.7)):
 
 
 def test_rhombus_build():
-    poly = geo.build(geo.Rhombus(2.0, math.pi / 4))
+    poly = geo.Rhombus(2.0, math.pi / 4).outline().polygon
     ref = {(-1.0, 0.0), (0.0, -1.0), (1.0, 0.0), (0.0, 1.0)}
     assert {tuple(np.round(p, 12)) for p in poly} == ref
 
 
 def test_square_diameter_normalization():
-    poly = geo.build(geo.Square(math.sqrt(2.0)))
+    poly = geo.Rectangle(math.sqrt(2.0), math.sqrt(2.0)).outline().polygon
     assert geo.diameter(poly) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_reuleaux_constant_width():
-    poly = geo.build(geo.ReuleauxTriangle(2.0, 64))
+    poly = geo.ReuleauxTriangle(2.0, 64).outline().polygon
     d2 = np.sum((poly[:, None] - poly[None, :]) ** 2, axis=2)
     assert math.sqrt(d2.max()) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_sector_vertices_on_circle():
     spec = geo.Sector(1.5, math.pi / 3, 32)
-    poly = geo.build(spec)
+    poly = spec.outline().polygon
     assert len(poly) == 34  # apex + 33 arc points
     radii = np.linalg.norm(poly[1:], axis=1)
     assert np.allclose(radii, 1.5, atol=1e-14)
@@ -87,7 +87,6 @@ EXAMPLES = {
     geo.Rhombus: geo.Rhombus(2.0, 0.1),
     geo.HalfRhombus: geo.HalfRhombus(2.0, 0.3),
     geo.Rectangle: geo.Rectangle(1.0, 0.01),
-    geo.Square: geo.Square(1.0),
     geo.EquilateralTriangle: geo.EquilateralTriangle(2.0),
     geo.RegularPolygon: geo.RegularPolygon(7, 1.0),
     geo.HalfRegularPolygon: geo.HalfRegularPolygon(8, 1.0),
@@ -101,7 +100,7 @@ EXAMPLES = {
 def test_build_polygons_ccw_convex(spec_type):
     spec = EXAMPLES[spec_type]
     outline = spec.outline()
-    poly = geo.build(spec)
+    poly = outline.polygon
     assert outline.dirichlet <= set(range(len(poly)))
     assert geo._signed_area(poly) > 0
     n = len(poly)
@@ -110,7 +109,7 @@ def test_build_polygons_ccw_convex(spec_type):
         assert geo._cross(b - a, c - b) >= -1e-12
     mesh = geo.triangulate(spec)
     mesh.validate()
-    while mesh.h > 0.2 * geo.diameter(poly):
+    for _ in range(3):
         mesh = geo.refine_mesh(mesh)
         mesh.validate()
 
@@ -121,31 +120,31 @@ def test_build_polygons_ccw_convex(spec_type):
 
 def test_diameter_rhombus_long_diagonal():
     for theta in (0.1, 0.4, math.pi / 4 - 0.01):
-        assert geo.diameter(geo.build(geo.Rhombus(3.0, theta))) == pytest.approx(3.0)
+        assert geo.diameter(geo.Rhombus(3.0, theta).outline().polygon) == pytest.approx(3.0)
 
 
 def test_diameter_regular_polygon_bounds():
-    poly = geo.build(geo.RegularPolygon(64, 1.0))
+    poly = geo.RegularPolygon(64, 1.0).outline().polygon
     d = geo.diameter(poly)
     assert d == pytest.approx(brute_diameter([tuple(p) for p in poly]), rel=1e-14)
     assert 2.0 * math.cos(math.pi / 64) <= d <= 2.0
 
 
 def test_area_values():
-    assert geo.area(geo.build(geo.Square(1.0))) == pytest.approx(1.0, rel=1e-14)
+    assert geo.area(geo.Rectangle(1.0, 1.0).outline().polygon) == pytest.approx(1.0, rel=1e-14)
     for theta in (0.2, 0.7):
-        assert geo.area(geo.build(geo.Rhombus(2.0, theta))) == pytest.approx(
+        assert geo.area(geo.Rhombus(2.0, theta).outline().polygon) == pytest.approx(
             2.0 * math.tan(theta), rel=1e-13
         )
     n = 256
-    assert geo.area(geo.build(geo.RegularPolygon(n, 1.0))) == pytest.approx(
+    assert geo.area(geo.RegularPolygon(n, 1.0).outline().polygon) == pytest.approx(
         0.5 * n * math.sin(2 * math.pi / n), rel=1e-13
     )
-    assert abs(geo.area(geo.build(geo.RegularPolygon(256, 1.0))) - math.pi) < 1e-3
+    assert abs(geo.area(geo.RegularPolygon(256, 1.0).outline().polygon) - math.pi) < 1e-3
 
 
 def test_measures_rigid_motion_invariant():
-    poly = geo.build(geo.RegularPolygon(9, 1.3))
+    poly = geo.RegularPolygon(9, 1.3).outline().polygon
     for angle in (0.3, 1.1, 2.9):
         rot = rotate(poly, angle)
         assert geo.diameter(rot) == pytest.approx(geo.diameter(poly), abs=1e-12)
@@ -208,7 +207,7 @@ def area_sum(mesh):
 
 
 def test_square_mesh_partitions_area():
-    mesh = geo.triangulate(geo.Square(1.0))
+    mesh = geo.triangulate(geo.Rectangle(1.0, 1.0))
     mesh.validate()
     assert area_sum(mesh) == pytest.approx(1.0, abs=1e-12)
 
@@ -314,9 +313,14 @@ def test_half_polygon_mesh_is_upper_half_of_polygon_mesh():
 
 
 def test_half_polygon_needs_even_vertex_count():
-    assert len(geo.build(geo.HalfRegularPolygon(6, 1.0))) == 4
+    assert len(geo.HalfRegularPolygon(6, 1.0).outline().polygon) == 4
     with pytest.raises(ValueError, match="even"):
         geo.HalfRegularPolygon(7, 1.0)
+
+
+def max_edge(mesh):
+    p = mesh.vertices[mesh.triangles]
+    return max(np.linalg.norm(p[:, i] - p[:, (i + 1) % 3], axis=1).max() for i in range(3))
 
 
 def test_refinement_halves_h_quadruples_triangles():
@@ -324,7 +328,7 @@ def test_refinement_halves_h_quadruples_triangles():
     fine = geo.refine_mesh(mesh)
     fine.validate()
     assert len(fine.triangles) == 4 * len(mesh.triangles)
-    assert fine.h == pytest.approx(mesh.h / 2.0, rel=1e-12)
+    assert max_edge(fine) == pytest.approx(max_edge(mesh) / 2.0, rel=1e-12)
 
 
 def reference_refine(mesh):
@@ -350,14 +354,11 @@ def reference_refine(mesh):
         m = mid(int(a), int(b))
         edges.extend([(int(a), m), (m, int(b))])
         markers.extend([marker, marker])
-    vertices = np.array(verts)
-    triangles = np.array(tris, dtype=np.int64)
     return geo.Mesh(
-        vertices=vertices,
-        triangles=triangles,
+        vertices=np.array(verts),
+        triangles=np.array(tris, dtype=np.int64),
         boundary_edges=np.array(edges, dtype=np.int64),
         boundary_markers=markers,
-        h=geo._max_edge(vertices, triangles),
     )
 
 
@@ -367,7 +368,7 @@ def reference_refine(mesh):
         (geo.RegularPolygon(256, 1.0), None),
         (geo.Rhombus(2.0, math.radians(5.0)), None),
         (geo.HalfRhombus(2.0, 0.3), None),
-        (geo.Square(1.0), frozenset({LEFT})),
+        (geo.Rectangle(1.0, 1.0), frozenset({LEFT})),
         (geo.Sector(1.0, math.pi / 3, 32), arc(geo.Sector(1.0, math.pi / 3, 32))),
     ],
 )
@@ -379,7 +380,6 @@ def test_refine_mesh_matches_reference(spec, dirichlet):
             got, want = getattr(mesh, field), getattr(ref, field)
             assert got.dtype == want.dtype and np.array_equal(got, want)
         assert mesh.boundary_markers == ref.boundary_markers
-        assert mesh.h == ref.h
 
 
 def reference_boundary_edges(triangles):
@@ -441,7 +441,7 @@ def reference_grid_mesh(spec, refinements, dirichlet):
             else:  # lower left, lower right, upper right, upper left
                 sides[(a, b)] = (1 if y < 0 else 2) if x > 0 else (0 if y < 0 else 3)
     else:
-        a, b = (spec.a, spec.b) if isinstance(spec, geo.Rectangle) else (spec.side, spec.side)
+        a, b = spec.a, spec.b
         side = 0.25 * max(a, b)
         uv, tris = reference_structured_grid(math.ceil(a / side) * scale, math.ceil(b / side) * scale)
         verts = np.column_stack([uv[:, 0] * a, uv[:, 1] * b])
@@ -461,36 +461,35 @@ def reference_grid_mesh(spec, refinements, dirichlet):
 
 
 @pytest.mark.parametrize(
-    "spec,max_h,dirichlet",
+    "spec,r,dirichlet",
     [
-        (geo.Rhombus(2.0, math.radians(5.0)), None, None),
-        (geo.Rhombus(2.0, 1.2), 0.3, frozenset(range(4))),
-        (geo.HalfRhombus(2.0, 0.3), None, None),
-        (geo.HalfRhombus(2.0, math.radians(5.0)), 0.25, None),
-        (geo.HalfRhombus(2.0, 1.3), 0.5, frozenset({1, 2})),
-        (geo.Rectangle(1.9, 0.02), None, None),
-        (geo.Rectangle(1.0, 0.01), 0.05, frozenset({LEFT})),
-        (geo.Square(1.0), None, frozenset({TOP})),
-        (geo.Square(math.sqrt(2.0)), 0.3, frozenset({BOTTOM, RIGHT})),
-        (geo.Rhombus(2.0, math.radians(5.0)), 0.1, None),
-        (geo.HalfRhombus(2.0, math.radians(5.0)), 0.1, frozenset({1, 2})),
+        (geo.Rhombus(2.0, math.radians(5.0)), 0, None),
+        (geo.Rhombus(2.0, 1.2), 1, frozenset(range(4))),
+        (geo.HalfRhombus(2.0, 0.3), 0, None),
+        (geo.HalfRhombus(2.0, math.radians(5.0)), 0, None),
+        (geo.HalfRhombus(2.0, 1.3), 0, frozenset({1, 2})),
+        (geo.Rectangle(1.9, 0.02), 0, None),
+        (geo.Rectangle(1.0, 0.01), 3, frozenset({LEFT})),
+        (geo.Rectangle(1.0, 1.0), 0, frozenset({TOP})),
+        (geo.Rectangle(math.sqrt(2.0), math.sqrt(2.0)), 1, frozenset({BOTTOM, RIGHT})),
+        (geo.Rhombus(2.0, math.radians(5.0)), 2, None),
+        (geo.HalfRhombus(2.0, math.radians(5.0)), 2, frozenset({1, 2})),
     ],
 )
-def test_grid_meshes_match_reference(spec, max_h, dirichlet):
-    """The base mesh is the oracle's array for array.  Refined r times, the
-    fewest with h <= max_h, it is the oracle's grid with 2^r times the cells,
-    up to vertex numbering: every finer mesh of these families is a
-    refinement of the base mesh, and this is the grid it stands for.  The
-    outline edges in dirichlet are marked on the base mesh and carried down."""
-    mesh, r = with_dirichlet(spec, geo.triangulate(spec), dirichlet or ()), 0
-    while max_h is not None and mesh.h > max_h:
-        mesh, r = geo.refine_mesh(mesh), r + 1
+def test_grid_meshes_match_reference(spec, r, dirichlet):
+    """The base mesh is the oracle's array for array.  Refined r times, it is
+    the oracle's grid with 2^r times the cells, up to vertex numbering: every
+    finer mesh of these families is a refinement of the base mesh, and this
+    is the grid it stands for.  The outline edges in dirichlet are marked on
+    the base mesh and carried down."""
+    mesh = with_dirichlet(spec, geo.triangulate(spec), dirichlet or ())
+    for _ in range(r):
+        mesh = geo.refine_mesh(mesh)
     verts, tris, edges, markers = reference_grid_mesh(spec, r, dirichlet)
     if r == 0:
         for got, want in ((mesh.vertices, verts), (mesh.triangles, tris), (mesh.boundary_edges, edges)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
         assert mesh.boundary_markers == markers
-        assert mesh.h == geo._max_edge(verts, tris)
         return
     # the same coordinates: each mesh vertex is within 1e-12 of one oracle vertex
     dist = np.linalg.norm(mesh.vertices[:, None] - verts[None], axis=2)
@@ -503,7 +502,6 @@ def test_grid_meshes_match_reference(spec, max_h, dirichlet):
     assert {(frozenset(to_ref[e].tolist()), m) for e, m in zip(mesh.boundary_edges, mesh.boundary_markers)} == {
         (frozenset(e), m) for e, m in zip(edges.tolist(), markers)
     }
-    assert mesh.h == pytest.approx(geo._max_edge(verts, tris), rel=1e-12)
 
 
 def test_boundary_edges_match_reference():
@@ -540,7 +538,6 @@ def test_mesh_io_roundtrip(tmp_path):
     assert np.allclose(back.vertices, mesh.vertices)
     assert np.array_equal(back.triangles, mesh.triangles)
     assert back.boundary_markers == mesh.boundary_markers
-    assert back.h == pytest.approx(mesh.h, rel=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -551,10 +548,12 @@ def test_mesh_io_roundtrip(tmp_path):
         "empty mesh",
         "triangle rows of 2 indices",
         "vertex rows of 1 coordinate",
+        "nan vertex",
+        "inf vertex",
     ],
 )
 def test_read_mesh_rejects_invalid_file(tmp_path, defect):
-    mesh = refined(geo.Square(1.0), 1)
+    mesh = refined(geo.Rectangle(1.0, 1.0), 1)
     path = tmp_path / "mesh.txt"
     geo.write_mesh(mesh, path)
     lines = path.read_text().splitlines()
@@ -569,16 +568,18 @@ def test_read_mesh_rejects_invalid_file(tmp_path, defect):
     elif defect == "triangle rows of 2 indices":
         for i in range(1 + nv, 1 + nv + nt):
             lines[i] = " ".join(lines[i].split()[:2])
-    else:
+    elif defect == "vertex rows of 1 coordinate":
         for i in range(1, 1 + nv):
             lines[i] = lines[i].split()[0]
+    else:
+        lines[1] = f"{defect.split()[0]} 0"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
         geo.read_mesh(path)
 
 
 def test_mesh_io_header(tmp_path):
-    mesh = geo.triangulate(geo.Square(1.0))
+    mesh = geo.triangulate(geo.Rectangle(1.0, 1.0))
     path = tmp_path / "mesh.txt"
     geo.write_mesh(mesh, path)
     first = path.read_text().splitlines()[0].split()
@@ -594,3 +595,11 @@ def test_convex_hull_polygon_validation():
         geo.ConvexHullPolygon(((0, 0), (1, 0), (1, 1), (0.5, 0.2)))  # nonconvex
     with pytest.raises(ValueError):
         geo.ConvexHullPolygon(((0, 0), (0, 1), (1, 0)))  # clockwise
+    with pytest.raises(ValueError):
+        geo.ConvexHullPolygon(((0, 0), (1, 0), (math.nan, 1)))
+    # a zero-length edge makes no turn, so the convexity test alone passes it
+    for verts in (((0, 0), (1, 0), (1, 0), (0, 1)), ((0, 0), (1, 0), (0, 1), (0, 0))):
+        with pytest.raises(ValueError, match="repeats"):
+            geo.ConvexHullPolygon(verts)
+    # collinear vertices make a straight angle, not a repeat
+    geo.triangulate(geo.ConvexHullPolygon(((0, 0), (0.5, 0), (1, 0), (0, 1)))).validate()
