@@ -254,18 +254,19 @@ NAN_LADDER = fem.ExtrapolationResult(math.nan, math.nan, (math.nan,) * 3, math.n
 
 
 def _symmetric_lowest(symmetric, antisymmetric_floors) -> float:
-    """Slack of the claim that a mirror-symmetric domain's mu_1 is its
-    Neumann-cut half's.
+    """Slack of the claim that a mirror-symmetric domain's mu_1 is the first
+    eigenvalue of the symmetry part that the domain is solved on.
 
-    The domain's mesh is its Neumann-cut half plus that half's mirror image
-    (bit for bit for a rhombus, to rounding for a regular polygon), so the
-    pencil splits into the pencils of the Neumann-cut (symmetric) and
-    Dirichlet-cut (antisymmetric) halves, and the domain's mu_1 on each rung
-    is the smaller of the two halves' first eigenvalues.  symmetric is the
-    Neumann-cut half's mu_1 ladder; antisymmetric_floors holds, per rung, a
-    lower bound on every antisymmetric eigenvalue on that mesh that no
-    symmetric mode shares.  Compared within fem.DEFAULT_TOL relative, so that
-    an exact tie (the square's double mu_1) passes.
+    The domain's mesh is the part plus its mirror images (bit for bit for a
+    rhombus, to rounding for a regular polygon and a Reuleaux triangle), so
+    the pencil splits into the pencils of the part under each combination of
+    Neumann (even) and Dirichlet (odd) cuts, and the domain's mu_1 on each
+    rung is the smallest of their first nonzero eigenvalues.  symmetric is the
+    solved part's ladder (the Neumann-cut half of a rhombus or a Reuleaux
+    triangle, the quarter of a regular polygon); antisymmetric_floors holds,
+    per rung, a lower bound on every eigenvalue of the other combinations
+    that the solved part does not share.  Compared within fem.DEFAULT_TOL
+    relative, so that an exact tie (the square's double mu_1) passes.
     """
     return smallest(
         at_least(floor, mu * (1.0 - fem.DEFAULT_TOL))
@@ -365,8 +366,10 @@ def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
         geometry.HalfRhombus(2.0, math.radians(deg), geometry.NEUMANN) for deg in (10.0, 5.0)
     ]
     sectors = [geometry.Sector(1.0, opening, 64) for opening in SECTOR_OPENING_GRID]
-    # the disk's 256-gon is solved on its symmetric half too
-    polygon = geometry.HalfRegularPolygon(256, 1.0)
+    # the Reuleaux triangle is solved on its symmetric half, the disk's 256-gon
+    # on its quarter (see the symmetric_lowest verdicts below)
+    reuleaux = geometry.HalfReuleauxTriangle(2.0, 64)
+    quarter = geometry.QuarterRegularPolygon(256, 1.0)
     n = refinements
     # (row, specs, refinements, mu_1 reference, ratio reference, tolerance)
     table = [
@@ -374,8 +377,8 @@ def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
         ("square", [geometry.Rectangle(math.sqrt(2.0), math.sqrt(2.0))], n, PI2 / 2.0, 0.5, 0.002),
         ("optimal_sector", sectors, max(2, n - 1), 4.67, SEGMENT_MU1_D2 / 4.67, 0.02),
         ("equilateral_triangle", [geometry.EquilateralTriangle(2.0)], n, triangle, 0.5625, 0.005),
-        ("reuleaux_triangle", [geometry.ReuleauxTriangle(2.0, 64)], n, 3.487, 0.707, 0.01),
-        ("disk", [polygon], n, disk, SEGMENT_MU1_D2 / disk, 0.005),
+        ("reuleaux_triangle", [reuleaux], n, 3.487, 0.707, 0.01),
+        ("disk", [quarter], n, disk, SEGMENT_MU1_D2 / disk, 0.005),
     ]
     solved, verdicts = _solve_rows([entry[:3] for entry in table])
 
@@ -436,22 +439,51 @@ def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
             f"floors {', '.join(f'{floor:.6g}' for floor in floors)}",
         )
     )
-    # The rotation by 2 pi/n maps the n-gon's fan mesh onto itself.  An odd
-    # mode in a 2-dimensional representation of the dihedral group shares its
-    # eigenvalue with an even one; one in a 1-dimensional representation is
-    # odd about every vertex axis, so it vanishes on all n spokes, and on each
-    # circle of radius r <= R the angular Poincare inequality gives it
+    # The fan mesh of the Reuleaux triangle is invariant under its three
+    # mirrors (the dihedral group D3).  A mode odd about the cut either lies in
+    # the 2-dimensional representation, and shares its eigenvalue with an even
+    # mode, or is odd about all three axes.  Then on the sixth between the rays
+    # to the top corner and to the 30-degree arc midpoint, which are fan
+    # spokes, it vanishes on both rays; every horizontal fibre of the sixth
+    # starts on the vertical ray and is at most (sqrt(3) - 1) w/2 long, so the
+    # 1-D Poincare inequality puts its eigenvalue at or above
+    # pi^2/((sqrt(3) - 1)^2 w^2), on every mesh (min-max)
+    fibres = PI2 / ((math.sqrt(3.0) - 1.0) * reuleaux.width) ** 2
+    (reuleaux_ladder,) = solved.get("reuleaux_triangle", [NAN_LADDER])
+    verdicts.append(
+        Verdict(
+            "table_reuleaux_triangle_symmetric_lowest",
+            "fem: the Reuleaux triangle's mu_1 is its Neumann-cut half's, as on every rung it "
+            "lies below pi^2/((sqrt(3)-1)^2 w^2) <= each eigenvalue of a mode odd about all "
+            "three mirror axes (1-D Poincare on fibres of its sixth that start on a "
+            "Dirichlet ray); every other odd mode shares its eigenvalue with an even one",
+            _symmetric_lowest(reuleaux_ladder, [fibres] * 3),
+            f"floor {fibres:.6g}",
+        )
+    )
+    # The rotation by 2 pi/n maps the n-gon's fan mesh onto itself.  A mode
+    # odd about the x axis either shares its eigenvalue with an even one (a
+    # 2-dimensional representation of the dihedral group) or is odd about
+    # every vertex axis, so it vanishes on all n spokes, and on each circle of
+    # radius r <= R the angular Poincare inequality gives it
     # |grad u|^2 >= (n/(2r))^2 u^2 in the mean: its eigenvalue is at least
-    # (n/(2R))^2 on every mesh (min-max)
-    spokes = (polygon.n_vertices / (2.0 * polygon.circumradius)) ** 2
+    # (n/(2R))^2 on every mesh (min-max).  The upper half's even modes split in
+    # turn, about the y axis, into the quarter's with a Neumann cut there and
+    # those with a Dirichlet cut, which the table solves.  The all-Neumann
+    # quarter is convex, so Payne-Weinberger puts its mu_1 at or above
+    # pi^2/D^2, D its diameter, on every mesh (min-max)
+    spokes = (quarter.n_vertices / (2.0 * quarter.circumradius)) ** 2
+    convex = constants.payne_weinberger_lower(geometry.diameter(quarter.outline().polygon))
     (disk_ladder,) = solved.get("disk", [NAN_LADDER])
     verdicts.append(
         Verdict(
             "table_disk_symmetric_lowest",
-            "fem: the 256-gon's mu_1 is its Neumann-cut half's, as on every rung it lies "
-            "below the floor (n/(2R))^2 of the odd modes that no even mode shares",
-            _symmetric_lowest(disk_ladder, [spokes] * 3),
-            f"floor {spokes:.6g}",
+            "fem: the 256-gon's mu_1 is its quarter's (Neumann cut on the x axis, Dirichlet "
+            "on the y axis), as on every rung it lies below (n/(2R))^2 <= each eigenvalue of "
+            "a mode odd about every vertex axis, and below pi^2/D^2 <= mu_1 of the "
+            "all-Neumann quarter (Payne-Weinberger: convex, diameter D)",
+            _symmetric_lowest(disk_ladder, [min(spokes, convex)] * 3),
+            f"floors {spokes:.6g} (odd modes), {convex:.6g} (Neumann quarter)",
         )
     )
 

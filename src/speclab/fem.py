@@ -325,7 +325,8 @@ def _extrapolate(spec: DomainSpec, ks, refinements: int, dirichlet: bool) -> lis
 def mu_k(spec: DomainSpec, k: int, refinements: int = 3) -> ExtrapolationResult:
     """Extrapolated k-th eigenvalue of the Neumann problem: from k = 0
     (mu_0 = 0) for a pure Neumann boundary, from k = 1 when the domain
-    declares a Dirichlet edge (the base of a Dirichlet-cut half rhombus)."""
+    declares a Dirichlet edge (the base of a Dirichlet-cut half rhombus, the
+    y-axis cut of a quarter regular polygon)."""
     return _extrapolate(spec, [k], refinements, False)[0]
 
 

@@ -7,13 +7,14 @@ vertices never leave it.
 
 Each spec describes itself by its `outline()`: the polygon and the edges
 that are Dirichlet by definition of the domain (the cut of a half rhombus,
-when it is Dirichlet).
+when it is Dirichlet, and the y-axis cut of a quarter regular polygon).
 
 Meshing: each family has one base mesh.  Rhombi, half rhombi and rectangles
 are meshed as affine images of a structured triangulated reference square
 (quality is preserved under the anisotropy of thin rhombi, where fan meshing
 degrades); generic convex polygons are fan-triangulated from the centroid,
-and a half regular polygon keeps the upper half of the whole polygon's fan.
+and a quarter regular polygon or a half Reuleaux triangle keeps its part of
+the whole domain's fan.
 Finer meshes are uniform refinements of the base mesh; on a structured grid
 they are the same grid with 2^r times the cells per side.
 Boundary edges carry condition markers ('N' or 'D') set by one rule: the
@@ -142,23 +143,32 @@ class RegularPolygon:
 
 
 @dataclass(frozen=True)
-class HalfRegularPolygon(RegularPolygon):
-    """Upper half of the regular polygon with an even vertex count, cut along
-    the axis through vertex 0 with a Neumann condition (outline edge n/2).
+class QuarterRegularPolygon(RegularPolygon):
+    """Quarter of the regular polygon with a vertex count divisible by 4:
+    vertices 0..n/4 and the centre, cut along the axis through vertex 0 (the
+    x axis, outline edge n/4 + 1) with a Neumann condition and along the axis
+    through vertex n/4 (the y axis, outline edge n/4) with a Dirichlet one.
 
-    Its mesh is the upper half of the polygon's centroid fan (see
-    `_half_polygon_fan`), so it carries the polygon's modes that are even
-    about the cut.  The odd ones share their eigenvalue with an even mode
-    or vanish on every spoke of the fan (see `experiments.cmd_table_mu1`).
+    Its mesh is the quarter of the whole polygon's centroid fan (see
+    `_fan_part`), so it carries the polygon's modes that are even about the
+    x axis and odd about the y axis, among them cos(theta); see
+    `experiments.cmd_table_mu1` for why its first eigenvalue is the
+    polygon's mu_1.
     """
 
     def __post_init__(self):
         super().__post_init__()
-        if self.n_vertices % 2:
-            raise ValueError("half regular polygon needs an even vertex count")
+        if self.n_vertices % 4:
+            raise ValueError("quarter regular polygon needs a vertex count divisible by 4")
+
+    @property
+    def whole(self) -> RegularPolygon:
+        return RegularPolygon(self.n_vertices, self.circumradius)
 
     def outline(self) -> Outline:
-        return Outline(super().outline().polygon[: self.n_vertices // 2 + 1])
+        q = self.n_vertices // 4
+        poly = np.vstack([self.whole.outline().polygon[: q + 1], [(0.0, 0.0)]])
+        return Outline(poly, frozenset({q}))
 
 
 @dataclass(frozen=True)
@@ -216,6 +226,33 @@ class ReuleauxTriangle:
 
 
 @dataclass(frozen=True)
+class HalfReuleauxTriangle(ReuleauxTriangle):
+    """Right half of the Reuleaux triangle with an even n_arc, cut with a
+    Neumann condition along its vertical mirror axis, from the bottom arc's
+    midpoint (outline vertex 2 n_arc + n_arc/2 of the whole) to the top
+    corner (vertex n_arc).
+
+    Its mesh is the right half of the whole triangle's centroid fan (see
+    `_fan_part`), so it carries the triangle's modes that are even about the
+    cut; see `experiments.cmd_table_mu1` for why its mu_1 is the triangle's.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.n_arc % 2:
+            raise ValueError("half Reuleaux triangle needs an even arc chord count")
+
+    @property
+    def whole(self) -> ReuleauxTriangle:
+        return ReuleauxTriangle(self.width, self.n_arc)
+
+    def outline(self) -> Outline:
+        n = self.n_arc
+        poly = self.whole.outline().polygon
+        return Outline(np.vstack([poly[2 * n + n // 2 :], poly[: n + 1]]))
+
+
+@dataclass(frozen=True)
 class ConvexHullPolygon:
     """Explicit convex polygon, vertices counterclockwise."""
 
@@ -236,6 +273,15 @@ class ConvexHullPolygon:
                 raise ValueError(f"polygon vertex {verts[i]} repeats consecutively")
             if not _cross(b - a, c - b) >= 0:
                 raise ValueError("polygon vertices must be in convex position")
+        # every turn is convex, so the turns add up to 2 pi times the winding
+        # number, and a polygon that goes round twice passes the tests above
+        edge = np.roll(arr, -1, axis=0) - arr
+        after = np.roll(edge, -1, axis=0)
+        turn = np.arctan2(
+            edge[:, 0] * after[:, 1] - edge[:, 1] * after[:, 0], np.sum(edge * after, axis=1)
+        ).sum()
+        if not abs(turn - 2.0 * math.pi) < math.pi:
+            raise ValueError(f"polygon must wind once, its total turn is {turn:.6g}")
 
     def outline(self) -> Outline:
         return Outline(np.array(self.vertices))
@@ -247,9 +293,10 @@ DomainSpec = Union[
     Rectangle,
     EquilateralTriangle,
     RegularPolygon,
-    HalfRegularPolygon,
+    QuarterRegularPolygon,
     Sector,
     ReuleauxTriangle,
+    HalfReuleauxTriangle,
     ConvexHullPolygon,
 ]
 
@@ -497,14 +544,13 @@ def _centroid_fan(poly: np.ndarray):
     return verts, np.column_stack([i, (i + 1) % n, np.full(n, n)])
 
 
-def _half_polygon_fan(spec, poly: np.ndarray):
-    """The triangles of the whole regular polygon's centroid fan that lie
-    inside the half's outline poly.  They are built from the whole polygon's
-    vertices and centroid, and a midpoint is the same sum whatever the
-    numbering, so at every refinement the half mesh is the upper half of the
-    polygon's mesh, bit for bit."""
-    whole = RegularPolygon(spec.n_vertices, spec.circumradius).outline().polygon
-    return _keep_inside(*_centroid_fan(whole), poly)
+def _fan_part(spec, poly: np.ndarray):
+    """The triangles of the whole domain's (`spec.whole`) centroid fan that
+    lie inside the part's outline poly.  They are built from the whole
+    domain's vertices and centroid, and a midpoint is the same sum whatever
+    the numbering, so at every refinement the part's mesh is the whole
+    domain's triangles inside it, bit for bit."""
+    return _keep_inside(*_centroid_fan(spec.whole.outline().polygon), poly)
 
 
 def _rectangle_grid(spec, poly: np.ndarray):
@@ -566,13 +612,14 @@ def refine_mesh(mesh: Mesh) -> Mesh:
 
 
 # Structured grids keep their quality under the anisotropy of thin rhombi and
-# rectangles, and a half polygon is cut from its whole polygon's fan; every
+# rectangles, and a symmetry part is cut from its whole domain's fan; every
 # spec type not listed is fan-triangulated.
 _GRID_MESHES = {
     Rhombus: _rhombus_grid,
     HalfRhombus: _rhombus_grid,
     Rectangle: _rectangle_grid,
-    HalfRegularPolygon: _half_polygon_fan,
+    QuarterRegularPolygon: _fan_part,
+    HalfReuleauxTriangle: _fan_part,
 }
 
 
@@ -582,7 +629,8 @@ def triangulate(spec: DomainSpec, dirichlet: bool = False) -> Mesh:
     Finer meshes are uniform refinements of it (`refine_mesh`).  dirichlet
     marks every boundary edge 'D' (the Dirichlet Laplacian).  Otherwise an
     edge is 'D' when it lies on an outline edge that the domain declares
-    Dirichlet (the base of a Dirichlet-cut half rhombus) and 'N' elsewhere.
+    Dirichlet (the base of a Dirichlet-cut half rhombus, the y-axis cut of a
+    quarter regular polygon) and 'N' elsewhere.
     """
     outline = spec.outline()
     poly = outline.polygon

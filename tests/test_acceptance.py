@@ -132,8 +132,8 @@ def test_rhombus_rows_match_full_rhombus_solves(table_report, sweep_report):
 
 
 def test_disk_row_matches_full_polygon_solve(table_report):
-    # the table solves the 256-gon on its Neumann-cut half; a ladder on the
-    # whole 256-gon at the same refinements gives the same mu_1
+    # the table solves the 256-gon on its quarter; a ladder on the whole
+    # 256-gon at the same refinements gives the same mu_1
     full = fem.mu_k(geometry.RegularPolygon(256, 1.0), 1, refinements=4)
     (disk,) = [row for row in table_report.rows if row[0] == "disk"]
     assert disk[1] == pytest.approx(full.value, rel=1e-9, abs=0.0)

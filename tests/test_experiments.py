@@ -385,10 +385,19 @@ def _pair_0001_inner_hull(spec):
         ),
         (
             ["table-mu1", "--refinements=3"],
-            lambda spec: isinstance(spec, geometry.HalfRegularPolygon),
+            lambda spec: isinstance(spec, geometry.QuarterRegularPolygon),
             ["fem_converged_disk", "table_disk", "table_disk_ratio", "table_disk_symmetric_lowest"],
             ["optimal_bound", "square", "optimal_sector", "equilateral_triangle",
              "reuleaux_triangle", "segment"],
+            10,  # two rhombi, five sectors and three single-domain rows
+        ),
+        (
+            ["table-mu1", "--refinements=3"],
+            lambda spec: isinstance(spec, geometry.HalfReuleauxTriangle),
+            ["fem_converged_reuleaux_triangle", "table_reuleaux_triangle",
+             "table_reuleaux_triangle_ratio", "table_reuleaux_triangle_symmetric_lowest"],
+            ["optimal_bound", "square", "optimal_sector", "equilateral_triangle", "disk",
+             "segment"],
             10,  # two rhombi, five sectors and three single-domain rows
         ),
         (
@@ -424,7 +433,7 @@ def _pair_0001_inner_hull(spec):
         ),
     ],
     ids=[
-        "table-mu1", "table-mu1-rhombus", "table-mu1-disk", "rhombus-sweep",
+        "table-mu1", "table-mu1-rhombus", "table-mu1-disk", "table-mu1-reuleaux", "rhombus-sweep",
         "rhombus-sweep-symmetric", "ratio-scan",
     ],
 )
@@ -475,9 +484,11 @@ def test_dense_solve_failure_is_a_failed_verdict(monkeypatch, tmp_path):
 
 
 def test_table_largest_system_is_the_reuleaux_rung(monkeypatch):
-    # the disk row solves the 256-gon's half (4,617 unknowns at refinements
-    # 3), so the largest system is the Reuleaux triangle's finest rung, not
-    # the whole 256-gon's 9,217
+    # at the default refinements 4 the Reuleaux row solves the triangle's
+    # half (13,073 unknowns) and the disk row the 256-gon's quarter (8,704
+    # after its Dirichlet cut), so the largest system is the half Reuleaux
+    # triangle's finest rung, not the whole triangle's 26,113 or the half
+    # 256-gon's 17,425
     sizes = []
     solve = fem.solve_smallest
 
@@ -487,9 +498,10 @@ def test_table_largest_system_is_the_reuleaux_rung(monkeypatch):
         return result
 
     monkeypatch.setattr(fem, "solve_smallest", counted)
-    assert experiments.cmd_table_mu1(refinements=3).all_passed
-    assert max(sizes) == 6913
-    assert 9217 not in sizes
+    assert experiments.cmd_table_mu1().all_passed
+    assert max(sizes) == 13073
+    assert 8704 in sizes
+    assert not {26113, 17425} & set(sizes)
 
 
 def test_table_does_not_swallow_bugs(monkeypatch):
@@ -738,8 +750,8 @@ VERDICT_NAMES = {
         "table_optimal_sector", "table_optimal_sector_ratio", "table_equilateral_triangle",
         "table_equilateral_triangle_ratio", "table_reuleaux_triangle",
         "table_reuleaux_triangle_ratio", "table_disk", "table_disk_ratio",
-        "table_optimal_bound_symmetric_lowest", "table_disk_symmetric_lowest",
-        "table_segment_exact",
+        "table_optimal_bound_symmetric_lowest", "table_reuleaux_triangle_symmetric_lowest",
+        "table_disk_symmetric_lowest", "table_segment_exact",
     ],
     "rhombus-sweep": [
         "squeeze_band_theta_20", "antisymmetric_lower_theta_20", "symmetric_lowest_theta_20",

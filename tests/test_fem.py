@@ -476,20 +476,87 @@ def test_rhombus_spectrum_is_merge_of_mirror_halves(deg):
         assert full[1] == pytest.approx(odd[0], rel=1e-9)
 
 
+def fan_part(whole, poly, dirichlet, times):
+    """The whole spec's centroid-fan triangles inside the ccw convex polygon
+    poly, 'D' on the boundary edges nearest to poly's outline edges i -> i+1,
+    i in dirichlet, and 'N' elsewhere, after `times` uniform refinements."""
+    verts, tris = geo._keep_inside(*geo._centroid_fan(whole.outline().polygon), poly)
+    edges = geo._boundary_edges_of(tris)
+    nearest = geo._nearest_outline_edge(poly, verts[edges].mean(axis=1))
+    mesh = make_mesh(verts, tris, [geo.DIRICHLET if i in dirichlet else geo.NEUMANN for i in nearest])
+    for _ in range(times):
+        mesh = geo.refine_mesh(mesh)
+    return mesh
+
+
+# the quarter 256-gon's cuts: outline edge 64 is the y axis, 65 the x axis
+QUARTER = geo.QuarterRegularPolygon(256, 1.0)
+Y_CUT, X_CUT = 64, 65
+
+
 def test_polygon_spectrum_is_merge_of_mirror_halves():
-    # the 256-gon's fan is its upper half plus the lower half, a mirror image
-    # up to rounding, so its spectrum is the merge of the Neumann-cut (even)
-    # and Dirichlet-cut (odd) halves'; the cut is outline edge 128
-    spec = geo.HalfRegularPolygon(256, 1.0)
-    full = fem.solve_mesh(refined(geo.RegularPolygon(256, 1.0), 2), 10).eigenvalues
-    even = fem.solve_mesh(refined(spec, 2), 10).eigenvalues
-    odd = fem.solve_mesh(refined(spec, 2, {128}), 10).eigenvalues
-    merged = np.sort(np.concatenate([even, odd]))[:10]
+    # the 256-gon's fan is its quarter mirrored across both axes, up to
+    # rounding, so its spectrum is the merge of the quarter's four problems:
+    # Neumann (even) or Dirichlet (odd) on each cut
+    full = fem.solve_mesh(refined(QUARTER.whole, 2), 10).eigenvalues
+    quarter = QUARTER.outline().polygon
+    problems = {
+        cuts: fem.solve_mesh(fan_part(QUARTER.whole, quarter, cuts, 2), 10).eigenvalues
+        for cuts in map(frozenset, ((), {Y_CUT}, {X_CUT}, {X_CUT, Y_CUT}))
+    }
+    merged = np.sort(np.concatenate(list(problems.values())))[:10]
     assert abs(full[0]) < 1e-9 and abs(merged[0]) < 1e-9  # the constant mode
     assert np.allclose(full[1:], merged[1:], rtol=1e-9, atol=0.0)
-    # mu_1 is double: the odd mode's partner in its 2-dimensional
-    # representation of the dihedral group is even
-    assert odd[0] == pytest.approx(even[1], rel=1e-9, abs=0.0)
+    # mu_1 is double: cos(theta) solves the quarter with the Dirichlet y cut
+    # (the table's QuarterRegularPolygon), sin(theta) the one with the
+    # Dirichlet x cut
+    cos, sin = problems[frozenset({Y_CUT})][0], problems[frozenset({X_CUT})][0]
+    assert full[1] == pytest.approx(cos, rel=1e-9, abs=0.0) == sin
+    # the Dirichlet-y problem is the table's own mesh
+    mesh, table = fan_part(QUARTER.whole, quarter, {Y_CUT}, 0), geo.triangulate(QUARTER)
+    assert np.array_equal(mesh.vertices, table.vertices)
+    assert np.array_equal(mesh.triangles, table.triangles)
+    assert mesh.boundary_markers == table.boundary_markers
+
+
+def test_neumann_quarter_lies_above_payne_weinberger():
+    # the certificate of table_disk_symmetric_lowest: the all-Neumann quarter
+    # is convex, so its mu_1 is at least pi^2/D^2 = pi^2/2, and each rung is
+    # at least mu_1 (min-max); j'_{2,1}^2 = 9.33 of the quarter disk is close
+    floor = constants.payne_weinberger_lower(geo.diameter(QUARTER.outline().polygon))
+    assert floor == pytest.approx(PI2 / 2.0, rel=1e-15)
+    quarter = QUARTER.outline().polygon
+    rungs = [fem.solve_mesh(fan_part(QUARTER.whole, quarter, set(), r), 2).eigenvalues[1]
+             for r in (1, 2, 3)]
+    assert all(floor < mu < 10.1 for mu in rungs)
+    assert rungs[0] > rungs[1] > rungs[2]
+
+
+def test_reuleaux_sixth_lies_above_fibre_bound():
+    # the certificate of table_reuleaux_triangle_symmetric_lowest: a mode odd
+    # about all three axes solves the sixth between the rays to the top corner
+    # and to the 30-degree arc midpoint with both rays Dirichlet, and its
+    # eigenvalue is at least pi^2/((sqrt(3) - 1)^2 w^2) = 4.6042 at w = 2
+    whole = geo.ReuleauxTriangle(2.0, 64)
+    centre = (1.0, 1.0 / math.sqrt(3.0))
+    sixth = np.vstack([centre, whole.outline().polygon[32:65]])  # arc 0, 30 to 60 degrees
+    floor = PI2 / ((math.sqrt(3.0) - 1.0) * 2.0) ** 2
+    assert floor == pytest.approx(4.6042, abs=1e-4)
+    rays = {0, len(sixth) - 1}
+    rungs = [fem.solve_mesh(fan_part(whole, sixth, rays, r), 1).eigenvalues[0] for r in (2, 3, 4)]
+    assert all(floor < tau < 23.0 for tau in rungs)
+
+
+@pytest.mark.parametrize(
+    "part",
+    [QUARTER, geo.HalfReuleauxTriangle(2.0, 64)],
+    ids=["QuarterRegularPolygon", "HalfReuleauxTriangle"],
+)
+def test_symmetry_part_gives_whole_mu1(part):
+    # every rung of the part's ladder is the whole domain's, to rounding
+    half, whole = fem.mu_k(part, 1, refinements=3), fem.mu_k(part.whole, 1, refinements=3)
+    assert np.allclose(half.values, whole.values, rtol=1e-9, atol=0.0)
+    assert half.value == pytest.approx(whole.value, rel=1e-9, abs=0.0)
 
 
 def test_mu_spectrum_indexes_constrained_problems_from_one():

@@ -89,9 +89,10 @@ EXAMPLES = {
     geo.Rectangle: geo.Rectangle(1.0, 0.01),
     geo.EquilateralTriangle: geo.EquilateralTriangle(2.0),
     geo.RegularPolygon: geo.RegularPolygon(7, 1.0),
-    geo.HalfRegularPolygon: geo.HalfRegularPolygon(8, 1.0),
+    geo.QuarterRegularPolygon: geo.QuarterRegularPolygon(8, 1.0),
     geo.Sector: geo.Sector(1.0, 1.654, 16),
     geo.ReuleauxTriangle: geo.ReuleauxTriangle(1.0, 8),
+    geo.HalfReuleauxTriangle: geo.HalfReuleauxTriangle(1.0, 8),
     geo.ConvexHullPolygon: geo.ConvexHullPolygon(((0, 0), (1, 0), (1.2, 0.7), (0.3, 0.9))),
 }
 
@@ -261,18 +262,27 @@ def test_dirichlet_problem_marks_every_boundary_edge(name):
         assert mesh.boundary_markers == [geo.DIRICHLET] * len(mesh.boundary_edges)
 
 
+def on_declared_edge(spec, p, q):
+    """Whether the boundary edge pq lies on an outline edge that spec declares
+    Dirichlet: the base (y = 0) of a Dirichlet-cut half rhombus, or the y-axis
+    cut of a quarter regular polygon (whose ends are rounded off x = 0)."""
+    if isinstance(spec, geo.HalfRhombus) and spec.cut == geo.DIRICHLET:
+        return p[1] == q[1] == 0.0
+    if isinstance(spec, geo.QuarterRegularPolygon):
+        return max(abs(p[0]), abs(q[0])) < 1e-12
+    return False
+
+
 @pytest.mark.parametrize("name", MARKER_EXAMPLES)
 def test_neumann_problem_marks_only_the_edges_the_domain_declares(name):
-    # the one declared edge is the base (y = 0) of a Dirichlet-cut half rhombus
     spec = MARKER_EXAMPLES[name]
-    declares_base = isinstance(spec, geo.HalfRhombus) and spec.cut == geo.DIRICHLET
     for mesh in refinements_0_to_2(geo.triangulate(spec)):
         expected = [
-            geo.DIRICHLET if declares_base and p[1] == q[1] == 0.0 else geo.NEUMANN
+            geo.DIRICHLET if on_declared_edge(spec, p, q) else geo.NEUMANN
             for p, q in mesh.vertices[mesh.boundary_edges]
         ]
         assert mesh.boundary_markers == expected
-        assert (geo.DIRICHLET in expected) == declares_base
+        assert (geo.DIRICHLET in expected) == bool(spec.outline().dirichlet)
 
 
 @pytest.mark.parametrize("deg", [5.0, 20.0, 45.0])
@@ -295,27 +305,49 @@ def test_rhombus_mesh_is_half_mesh_and_its_mirror_image(deg):
         full, half = geo.refine_mesh(full), geo.refine_mesh(half)
 
 
-def test_half_polygon_mesh_is_upper_half_of_polygon_mesh():
-    # the half is cut from the whole 256-gon's fan, so at every refinement
-    # its mesh is the upper half of the 256-gon's, bit-exact up to numbering
-    full = geo.triangulate(geo.RegularPolygon(256, 1.0))
-    half = geo.triangulate(geo.HalfRegularPolygon(256, 1.0))
+@pytest.mark.parametrize(
+    "part, parts, inside",
+    [
+        # the quarter of the 256-gon between the positive x and y axes
+        (geo.QuarterRegularPolygon(256, 1.0), 4, lambda c: (c[:, 0] > 0.0) & (c[:, 1] > 0.0)),
+        # the half of the Reuleaux triangle right of its vertical axis x = w/2
+        (geo.HalfReuleauxTriangle(2.0, 64), 2, lambda c: c[:, 0] > 1.0),
+    ],
+    ids=["QuarterRegularPolygon", "HalfReuleauxTriangle"],
+)
+def test_part_mesh_is_the_whole_fans_triangles_inside_it(part, parts, inside):
+    # the part is cut from its whole domain's fan, so at every refinement its
+    # mesh is the whole mesh's triangles inside it, bit-exact up to numbering
+    whole, mesh = geo.triangulate(part.whole), geo.triangulate(part)
 
     def triangles(mesh, keep):
         return {frozenset(map(tuple, mesh.vertices[t].tolist())) for t in mesh.triangles[keep]}
 
     for _ in range(3):
-        upper = full.vertices[full.triangles].mean(axis=1)[:, 1] > 0.0
-        assert triangles(half, slice(None)) == triangles(full, upper)
-        assert len(half.triangles) == np.count_nonzero(upper) == len(full.triangles) // 2
-        assert set(half.boundary_markers) == {geo.NEUMANN}
-        full, half = geo.refine_mesh(full), geo.refine_mesh(half)
+        keep = inside(whole.vertices[whole.triangles].mean(axis=1))
+        assert triangles(mesh, slice(None)) == triangles(whole, keep)
+        assert len(mesh.triangles) == np.count_nonzero(keep) == len(whole.triangles) // parts
+        whole, mesh = geo.refine_mesh(whole), geo.refine_mesh(mesh)
 
 
-def test_half_polygon_needs_even_vertex_count():
-    assert len(geo.HalfRegularPolygon(6, 1.0).outline().polygon) == 4
+def test_quarter_polygon_needs_vertex_count_divisible_by_four():
+    # vertices 0..n/4 and the centre; the cuts are the last two outline edges
+    outline = geo.QuarterRegularPolygon(8, 1.0).outline()
+    assert len(outline.polygon) == 4 and outline.dirichlet == {2}
+    assert np.array_equal(outline.polygon[-1], (0.0, 0.0))
+    for n in (6, 7, 10):
+        with pytest.raises(ValueError, match="divisible by 4"):
+            geo.QuarterRegularPolygon(n, 1.0)
+
+
+def test_half_reuleaux_needs_even_arc_count():
+    # from the bottom arc's midpoint through the right corner to the top one
+    poly = geo.HalfReuleauxTriangle(2.0, 4).outline().polygon
+    assert len(poly) == 7
+    assert poly[0] == pytest.approx((1.0, math.sqrt(3.0) - 2.0), abs=1e-15)
+    assert poly[-1] == pytest.approx((1.0, math.sqrt(3.0)), abs=1e-15)
     with pytest.raises(ValueError, match="even"):
-        geo.HalfRegularPolygon(7, 1.0)
+        geo.HalfReuleauxTriangle(2.0, 5)
 
 
 def max_edge(mesh):
@@ -603,3 +635,11 @@ def test_convex_hull_polygon_validation():
             geo.ConvexHullPolygon(verts)
     # collinear vertices make a straight angle, not a repeat
     geo.triangulate(geo.ConvexHullPolygon(((0, 0), (0.5, 0), (1, 0), (0, 1)))).validate()
+
+
+def test_convex_hull_polygon_must_wind_once():
+    # the triangle traversed twice has positive area and only convex turns,
+    # but its turns add up to 4 pi, and its fan would cover the triangle twice
+    with pytest.raises(ValueError, match="wind once"):
+        geo.ConvexHullPolygon(((0, 0), (1, 0), (0, 1), (0, 0), (1, 0), (0, 1)))
+    geo.ConvexHullPolygon(((0, 0), (1, 0), (0, 1)))
