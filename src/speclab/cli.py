@@ -10,10 +10,11 @@ Every command writes <command>.csv (data; byte-identical across reruns of
 the same configuration at the same BLAS thread count), <command>_verdicts.json
 (verdicts and metadata, including wall time) and, where defined,
 <command>.svg.  The process exits 0 if every verdict passed, 1 if a verdict
-failed and 2 on a usage, config file or output error.  SPECLAB_THREADS (a
-positive integer, 1 when unset) limits worker threads for the embarrassingly
-parallel rows; it does not set the BLAS threads, whose count moves FEM values
-in their last digits (pin it, e.g. OPENBLAS_NUM_THREADS=1, to compare CSVs).
+failed and 2 on a usage, config file or output error.  Every row runs on
+the calling thread, and no environment variable sets a row thread count
+any more.  The BLAS thread count is left to the environment and moves FEM
+values in their last digits (pin it, e.g. OPENBLAS_NUM_THREADS=1, to
+compare CSVs).
 """
 
 from __future__ import annotations

@@ -25,10 +25,8 @@ import functools
 import inspect
 import json
 import math
-import os
 import platform
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -164,20 +162,6 @@ def _json_values(obj):
     return obj
 
 
-def _pmap(fn, items):
-    """Order-preserving map, parallel over SPECLAB_THREADS workers (unset or
-    empty: 1); raises ValueError unless it is a positive integer."""
-    items = list(items)
-    text = os.environ.get("SPECLAB_THREADS") or "1"
-    if not text.isdecimal() or int(text) < 1:
-        raise ValueError(f"SPECLAB_THREADS must be a positive integer, got {text!r}")
-    workers = int(text)
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # Every command by name (cmd_<name> registers as <name>), in definition order.
 # The CLI builds each subcommand from its runner's signature: a parameter's
 # name, annotation and default are its flag, its parser and its default.
@@ -219,9 +203,10 @@ ORDER_BAND = (1.5, 2.5)
 
 
 def _ladder_checks(ladders) -> dict:
-    """The largest eigenpair residual over every mesh of the report's ladders,
-    and counts of their Richardson self-checks: fitted order outside
-    ORDER_BAND (NaN counts as outside) and non-monotone."""
+    """The largest eigenpair backward error (fem.EigResult.residuals; scale-free,
+    at most fem.DEFAULT_TOL) over every mesh of the report's ladders, and counts
+    of their Richardson self-checks: fitted order outside ORDER_BAND (NaN
+    counts as outside) and non-monotone."""
     lo, hi = ORDER_BAND
     return {
         "max_residual": max((r.residual for r in ladders), default=math.nan),
@@ -232,25 +217,23 @@ def _ladder_checks(ladders) -> dict:
 
 
 def _solve_rows(jobs):
-    """Solve (row name, specs, refinements) jobs, one per _pmap item: {row: its
-    mu_1 results} for the rows whose ladders all converged, and a failed verdict
+    """Solve (row name, specs, refinements) jobs in order: {row: its mu_1
+    results} for the rows whose ladders all converged, and a failed verdict
     fem_converged_<row> for each row where one raised NonConvergenceError."""
-
-    def solve(job):
-        row, specs, refinements = job
+    solved, failed = {}, []
+    for row, specs, refinements in jobs:
         try:
-            return row, [fem.mu_k(spec, 1, refinements=refinements) for spec in specs], None
+            solved[row] = [fem.mu_k(spec, 1, refinements=refinements) for spec in specs]
         except fem.NonConvergenceError as exc:
             name = f"fem_converged_{row}"
-            return row, None, Verdict(name, "fem: eigensolver converged", math.nan, str(exc))
-
-    outs = _pmap(solve, jobs)
-    solved = {row: results for row, results, _ in outs if results is not None}
-    return solved, [failed for _, _, failed in outs if failed is not None]
+            failed.append(Verdict(name, "fem: eigensolver converged", math.nan, str(exc)))
+    return solved, failed
 
 
 # stands in for each ladder of a failed row, so that every verdict reading it fails
 NAN_LADDER = fem.ExtrapolationResult(math.nan, math.nan, (math.nan,) * 3, math.nan, math.nan, False)
+
+SYMMETRIC_TIE_TOL = 1e-9  # see _symmetric_lowest
 
 
 def _symmetric_lowest(symmetric, antisymmetric_floors) -> float:
@@ -265,11 +248,11 @@ def _symmetric_lowest(symmetric, antisymmetric_floors) -> float:
     solved part's ladder (the Neumann-cut half of a rhombus or a Reuleaux
     triangle, the quarter of a regular polygon); antisymmetric_floors holds,
     per rung, a lower bound on every eigenvalue of the other combinations
-    that the solved part does not share.  Compared within fem.DEFAULT_TOL
+    that the solved part does not share.  Compared within SYMMETRIC_TIE_TOL
     relative, so that an exact tie (the square's double mu_1) passes.
     """
     return smallest(
-        at_least(floor, mu * (1.0 - fem.DEFAULT_TOL))
+        at_least(floor, mu * (1.0 - SYMMETRIC_TIE_TOL))
         for mu, floor in zip(symmetric.values, antisymmetric_floors)
     )
 

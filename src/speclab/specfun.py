@@ -3,7 +3,9 @@
 Every sharp constant in this package reduces to a zero of J_nu or of its
 derivative, so these are computed to near machine precision.  Supported
 ranges: order 0 <= nu <= 60, zero index k <= 10**4 (derivative zeros
-k <= 10**3).  All functions are pure and safe for concurrent use.
+k <= 10**3).  All functions are pure and safe to call from several threads:
+speclab's own commands run on the calling thread, and the zero cache's lock
+serves library callers that share it between threads.
 
 Zero-counting convention: only strictly positive zeros are counted, and
 x = 0 is never counted even for J_0', so the first derivative zero of J_0

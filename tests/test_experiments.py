@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -300,7 +301,6 @@ def test_ratio_scan_reports_reference_failure_as_verdict(monkeypatch, tmp_path, 
 def test_identical_pair_verdict_compares_two_independent_solves(monkeypatch):
     # the identical pair solves its square twice and divides one solve by the
     # other, so a solver whose repeated solves of one domain differ fails it
-    monkeypatch.delenv("SPECLAB_THREADS", raising=False)
     solves = iter(range(1, 100))
 
     def drifting_mu_k(spec, k, refinements):
@@ -332,7 +332,6 @@ def test_ratio_scan_rejects_impossible_hull_sizes(tmp_path, capsys):
 def test_ratio_scan_skips_only_degenerate_draws(monkeypatch):
     # inclusion_pair's RuntimeError (no nondegenerate pair) skips the draw;
     # a ValueError from the solver is a bug and propagates
-    monkeypatch.delenv("SPECLAB_THREADS", raising=False)
     inclusion_pair = geometry.inclusion_pair
 
     def degenerate_second_draw(seed, *args):
@@ -460,7 +459,6 @@ def test_failed_fem_row_is_not_written_and_fails_its_readers(
 def test_dense_solve_failure_is_a_failed_verdict(monkeypatch, tmp_path):
     # a dense eigensolve that fails is a failed fem_converged verdict, as a
     # sparse one is: the 5th dense solve is the second square of ref_identical
-    monkeypatch.delenv("SPECLAB_THREADS", raising=False)
     eigh = fem.scipy.linalg.eigh
     calls = iter(range(1, 1000))
 
@@ -567,9 +565,10 @@ def test_rhombus_45_degrees_is_rotated_square():
 
 
 def test_symmetric_lowest_fails_below_mu1():
-    # slack of floor >= mu_1 (1 - DEFAULT_TOL), minimised over the rungs
+    # slack of floor >= mu_1 (1 - SYMMETRIC_TIE_TOL), minimised over the rungs
     symmetric = fem.ExtrapolationResult(4.7, 0.1, (5.0, 4.8, 4.75), 1e-12, 2.0, True)
-    tol = fem.DEFAULT_TOL
+    tol = experiments.SYMMETRIC_TIE_TOL
+    assert tol == 1e-9
     assert experiments._symmetric_lowest(symmetric, (5.0, 4.8, 4.75)) == pytest.approx(4.75 * tol)
     assert experiments._symmetric_lowest(symmetric, (6.0, 4.79, 5.0)) < 0.0
     assert experiments._symmetric_lowest(symmetric, (5.0, 4.8 * (1.0 - 2.0 * tol), 5.0)) < 0.0
@@ -591,38 +590,19 @@ def test_constants_full_dimension_sweep():
     assert verdict.passed
 
 
-@pytest.mark.parametrize(
-    "runner, params",
-    [
-        (experiments.cmd_table_mu1, {"refinements": 3}),
-        (experiments.cmd_rhombus_sweep, {"theta_deg_list": (20.0, 10.0), "refinements": 3}),
-        (experiments.cmd_ratio_scan, {"n_pairs": 4, "refinements": 2}),
-    ],
-    ids=["table-mu1", "rhombus-sweep", "ratio-scan"],
-)
-def test_thread_count_does_not_change_results(runner, params, tmp_path, monkeypatch):
-    monkeypatch.setenv("SPECLAB_THREADS", "1")
-    serial = runner(**params)
-    monkeypatch.setenv("SPECLAB_THREADS", "4")
-    parallel = runner(**params)
-    pa, pb = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    serial.write_csv(pa)
-    parallel.write_csv(pb)
-    assert pa.read_bytes() == pb.read_bytes()
+def test_fem_rows_run_on_the_calling_thread(monkeypatch):
+    # every row is solved in the caller's thread, whatever SPECLAB_THREADS says
+    monkeypatch.setenv("SPECLAB_THREADS", "2")
+    threads = set()
 
+    def recording_mu_k(spec, k, refinements):
+        threads.add(threading.get_ident())
+        return fem.ExtrapolationResult(5.0, 0.0, (5.0,) * 3, 1e-16, 2.0, True)
 
-@pytest.mark.parametrize("value", ["two", "-4", "0", "1.5"])
-def test_cli_rejects_invalid_thread_count(value, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SPECLAB_THREADS", value)
-    code = cli.main(["ratio-scan", "--n-pairs=1", "--refinements=2", "--out", str(tmp_path)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "SPECLAB_THREADS" in err and repr(value) in err
-
-
-def test_empty_thread_count_means_one(tmp_path, monkeypatch):
-    monkeypatch.setenv("SPECLAB_THREADS", "")
-    assert cli.main(["ratio-scan", "--n-pairs=1", "--refinements=2", "--out", str(tmp_path)]) == 0
+    monkeypatch.setattr(experiments.fem, "mu_k", recording_mu_k)
+    experiments.cmd_table_mu1(refinements=2)
+    experiments.cmd_ratio_scan(n_pairs=4, seed=1, refinements=2)
+    assert threads == {threading.get_ident()}
 
 
 # ---------------------------------------------------------------------------

@@ -215,8 +215,8 @@ def test_dense_solve_builds_no_sparse_matrix_and_calls_eigh_once(monkeypatch):
 
 
 def test_dense_residuals_without_rayleigh_ritz():
-    # the dense solve is not refined: its residuals must stay far below the
-    # tolerance on the scan's meshes, thin reference rectangle included
+    # the dense solve is not refined: its backward errors must stay a tenth of
+    # the tolerance on the scan's meshes, thin reference rectangle included
     specs = [geo.Rectangle(1.9, 0.02)]
     for seed in (1, 2, 3):
         for poly in geo.inclusion_pair(seed, 12, 6):
@@ -229,7 +229,7 @@ def test_dense_residuals_without_rayleigh_ritz():
         for mesh in ladder:
             if len(mesh.vertices) <= 400:
                 rungs += 1
-                assert fem.solve_mesh(mesh, 2).residuals.max() <= 1e-10
+                assert fem.solve_mesh(mesh, 2).residuals.max() <= 0.1 * fem.DEFAULT_TOL
     assert rungs >= 3 * len(specs) - 1
 
 
@@ -257,6 +257,53 @@ def test_nan_eigenpairs_raise(monkeypatch):
     mesh = refined(geo.Rectangle(1.0, 1.0), 1)
     assert len(mesh.vertices) <= 400
     with pytest.raises(fem.NonConvergenceError, match="nan"):
+        fem.solve_mesh(mesh, 2)
+
+
+@pytest.mark.parametrize("side", [1e-4, 1e-3, 1e-2, 1e2, 1e4])
+def test_eigenpair_check_does_not_see_the_domains_scale(side):
+    # scaling the square by s leaves K and multiplies M by s^2: the backward
+    # error is unchanged, so every size solves, and mu s^2 is the unit square's
+    unit = fem.mu_k(geo.Rectangle(1.0, 1.0), 1, 3)
+    scaled = fem.mu_k(geo.Rectangle(side, side), 1, 3)
+    assert scaled.value * side**2 == pytest.approx(unit.value, rel=1e-12, abs=0.0)
+    assert scaled.residual <= fem.DEFAULT_TOL
+
+
+def test_thin_hull_passes_the_eigenpair_check():
+    # an absolute residual check rejected this hull (2.5e-9 > 1e-9)
+    w = 0.001
+    hull = geo.ConvexHullPolygon(
+        ((-0.98, 0.0), (-0.3, -w / 2), (0.4, -w / 2), (0.98, 0.0), (0.2, w / 2), (-0.5, w / 2))
+    )
+    res = fem.mu_k(hull, 1, 3)
+    assert res.residual <= fem.DEFAULT_TOL
+    assert res.monotone and 0.0 < res.value < res.values[2]
+
+
+def _perturbed(vals, vecs, M):
+    """The pairs with eigenvectors moved by 1e-10 times a fixed random vector
+    of unit M-norm."""
+    w = np.random.default_rng(0).standard_normal(vecs.shape)
+    w /= np.sqrt(np.einsum("ij,ij->j", w, np.asarray(M @ w)))
+    return vals, vecs + 1e-10 * w
+
+
+@pytest.mark.parametrize("side", [1e-4, 1.0, 1e4])
+@pytest.mark.parametrize("times", [1, 4], ids=["dense", "sparse"])
+def test_perturbed_eigenvector_is_rejected(side, times, monkeypatch):
+    # a 1e-10 error in an M-normalized eigenvector fails the check at any
+    # scale (its backward error is ~5e-11), on either solver path
+    mesh = refined(geo.Rectangle(side, side), times)
+    assert fem.solve_mesh(mesh, 2).residuals.max() <= fem.DEFAULT_TOL
+    eigh, refine = scipy.linalg.eigh, fem._rayleigh_ritz_refine
+    monkeypatch.setattr(
+        fem.scipy.linalg, "eigh", lambda A, B, **kwargs: _perturbed(*eigh(A, B, **kwargs), B)
+    )
+    monkeypatch.setattr(
+        fem, "_rayleigh_ritz_refine", lambda solve, A, M, vecs: _perturbed(*refine(solve, A, M, vecs), M)
+    )
+    with pytest.raises(fem.NonConvergenceError, match="backward error"):
         fem.solve_mesh(mesh, 2)
 
 
