@@ -265,6 +265,9 @@ def _symmetric_lowest(symmetric, antisymmetric_floors) -> float:
 def cmd_constants(k_max: int = 3, d_max: int = 10) -> ExperimentReport:
     """Emit the full constant grid and run the closed-form invariant suite."""
     records = constants.emit_constant_table(k_max, d_max)
+    # the verdicts read the grid at k <= 20 (a map of the whole grid would cost
+    # more than the calls it saves); c_upper_increasing_toward_one probes beyond it
+    grid = {(name, k, d): value for name, k, d, value, _ in records if k <= 20}
 
     worst = max(r.value for r in records if r.name == "c_upper")
     increasing = [above(constants.c_upper(1000, d), 0.99) for d in (2, 3)]
@@ -274,18 +277,18 @@ def cmd_constants(k_max: int = 3, d_max: int = 10) -> ExperimentReport:
             increasing += [above(b, a) for a, b in zip(seq, seq[1:])]
     dimension = []
     for k in range(1, min(k_max, 20) + 1):
-        seq = [constants.c_upper(k, d) for d in range(2, min(d_max, 60) + 1)]
+        seq = [grid["c_upper", k, d] for d in range(2, min(d_max, 60) + 1)]
         dimension += [at_most(b - a, 1e-15) for a, b in zip(seq, seq[1:])]
     envelope = [
-        at_most(constants.c_upper(k, d) * d * d, PI2 * k * k)
+        at_most(grid["c_upper", k, d] * d * d, PI2 * k * k)
         for k in range(1, min(k_max, 3) + 1)
         for d in range(2, d_max + 1)
     ]
     sandwich = []
     for d in range(2, d_max + 1):
-        f, s, a = constants.funano_lower(d), constants.alpha1_simple(d), constants.alpha1_sharp(d)
+        f, s, a = (grid[name, 1, d] for name in ("funano_lower", "alpha1_simple", "alpha1_sharp"))
         sandwich += [at_least(s, f), at_most(s, a)]
-    norm = [constants.alpha1_sharp(d) * d * d for d in range(2, d_max + 1)]
+    norm = [grid["alpha1_sharp", 1, d] * d * d for d in range(2, d_max + 1)]
     normalized = [above(b, a) for a, b in zip(norm, norm[1:])] + [at_most(max(norm), PI2)]
 
     verdicts = [
@@ -346,13 +349,13 @@ def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
     triangle = spectra.equilateral_triangle_mu1(2.0)
     # each rhombus is solved on its symmetric half (see _symmetric_lowest)
     rhombi = [
-        geometry.HalfRhombus(2.0, math.radians(deg), geometry.NEUMANN) for deg in (10.0, 5.0)
+        geometry.half_rhombus(2.0, math.radians(deg), geometry.NEUMANN) for deg in (10.0, 5.0)
     ]
     sectors = [geometry.Sector(1.0, opening, 64) for opening in SECTOR_OPENING_GRID]
     # the Reuleaux triangle is solved on its symmetric half, the disk's 256-gon
     # on its quarter (see the symmetric_lowest verdicts below)
-    reuleaux = geometry.HalfReuleauxTriangle(2.0, 64)
-    quarter = geometry.QuarterRegularPolygon(256, 1.0)
+    reuleaux = geometry.half_reuleaux_triangle(2.0, 64)
+    quarter = geometry.quarter_regular_polygon(256, 1.0)
     n = refinements
     # (row, specs, refinements, mu_1 reference, ratio reference, tolerance)
     table = [
@@ -411,7 +414,7 @@ def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
     # Poincare on the vertical fibres of the Dirichlet-cut half, of height at
     # most h = (D/2) tan(theta), gives tau_1 >= pi^2/(4 h^2), and every
     # discrete tau_1 is at least the continuous one (min-max)
-    floors = [PI2 / (4.0 * (0.5 * spec.D * math.tan(spec.theta)) ** 2) for spec in rhombi]
+    floors = [PI2 / (4.0 * (0.5 * r.whole.D * math.tan(r.whole.theta)) ** 2) for r in rhombi]
     ladders = solved.get("optimal_bound", [NAN_LADDER] * len(rhombi))
     verdicts.append(
         Verdict(
@@ -431,7 +434,7 @@ def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
     # starts on the vertical ray and is at most (sqrt(3) - 1) w/2 long, so the
     # 1-D Poincare inequality puts its eigenvalue at or above
     # pi^2/((sqrt(3) - 1)^2 w^2), on every mesh (min-max)
-    fibres = PI2 / ((math.sqrt(3.0) - 1.0) * reuleaux.width) ** 2
+    fibres = PI2 / ((math.sqrt(3.0) - 1.0) * reuleaux.whole.width) ** 2
     (reuleaux_ladder,) = solved.get("reuleaux_triangle", [NAN_LADDER])
     verdicts.append(
         Verdict(
@@ -455,7 +458,7 @@ def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
     # those with a Dirichlet cut, which the table solves.  The all-Neumann
     # quarter is convex, so Payne-Weinberger puts its mu_1 at or above
     # pi^2/D^2, D its diameter, on every mesh (min-max)
-    spokes = (quarter.n_vertices / (2.0 * quarter.circumradius)) ** 2
+    spokes = (quarter.whole.n_vertices / (2.0 * quarter.whole.circumradius)) ** 2
     convex = constants.payne_weinberger_lower(geometry.diameter(quarter.outline().polygon))
     (disk_ladder,) = solved.get("disk", [NAN_LADDER])
     verdicts.append(
@@ -526,7 +529,7 @@ def cmd_rhombus_sweep(
     jobs = [
         (
             f"theta_{deg:g}",
-            [geometry.HalfRhombus(2.0, math.radians(deg), cut) for cut in cuts],
+            [geometry.half_rhombus(2.0, math.radians(deg), cut) for cut in cuts],
             refinements,
         )
         for deg in thetas

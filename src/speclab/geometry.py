@@ -6,15 +6,16 @@ chords, so the polygon is always a subset of the true domain and mesh
 vertices never leave it.
 
 Each spec describes itself by its `outline()`: the polygon and the edges
-that are Dirichlet by definition of the domain (the cut of a half rhombus,
-when it is Dirichlet, and the y-axis cut of a quarter regular polygon).
+that are Dirichlet by definition of the domain (the Dirichlet cuts of a
+symmetry cell, a `Part`).
 
-Meshing: each family has one base mesh.  Rhombi, half rhombi and rectangles
-are meshed as affine images of a structured triangulated reference square
+Meshing: each whole domain has one base mesh.  Rhombi and rectangles are
+meshed as affine images of a structured triangulated reference square
 (quality is preserved under the anisotropy of thin rhombi, where fan meshing
-degrades); generic convex polygons are fan-triangulated from the centroid,
-and a quarter regular polygon or a half Reuleaux triangle keeps its part of
-the whole domain's fan.
+degrades); generic convex polygons are fan-triangulated from the centroid.
+A `Part` (a half rhombus, a quarter regular polygon, a half Reuleaux
+triangle) is its whole domain's base mesh cut to the part: the triangles
+whose centroid lies inside it, which must tile it.
 Finer meshes are uniform refinements of the base mesh; on a structured grid
 they are the same grid with 2^r times the cells per side.
 Boundary edges carry condition markers ('N' or 'D') set by one rule: the
@@ -45,7 +46,7 @@ DIRICHLET = "D"
 class Outline(NamedTuple):
     """What a domain spec says about itself: a counterclockwise convex polygon
     (inscribed in the domain) and the indices i of its edges i -> i+1 that
-    are Dirichlet by definition of the domain."""
+    are Dirichlet by definition of the domain (only a `Part` declares any)."""
 
     polygon: np.ndarray
     dirichlet: frozenset = frozenset()
@@ -68,31 +69,6 @@ class Rhombus:
         h = 0.5 * self.D * math.tan(self.theta)
         poly = np.array([(-0.5 * self.D, 0.0), (0.0, -h), (0.5 * self.D, 0.0), (0.0, h)])
         return Outline(poly)
-
-
-@dataclass(frozen=True)
-class HalfRhombus(Rhombus):
-    """Upper half of the rhombus, cut along the long diagonal (the base,
-    outline edge 0, which the outline declares Dirichlet for a Dirichlet cut).
-
-    The rhombus is this half and its mirror image across the cut, and so is
-    the rhombus mesh (see `_rhombus_grid`), so each eigenpair of the rhombus
-    is even or odd about the cut and is an eigenpair of one of the two
-    halves.  The cut condition picks the class: a Dirichlet cut (the
-    default) carries the odd modes, a Neumann cut the even ones.
-    """
-
-    cut: str = DIRICHLET
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.cut not in (NEUMANN, DIRICHLET):
-            raise ValueError(f"half rhombus cut must be {NEUMANN!r} or {DIRICHLET!r}")
-
-    def outline(self) -> Outline:
-        h = 0.5 * self.D * math.tan(self.theta)
-        poly = np.array([(-0.5 * self.D, 0.0), (0.5 * self.D, 0.0), (0.0, h)])
-        return Outline(poly, frozenset({0}) if self.cut == DIRICHLET else frozenset())
 
 
 @dataclass(frozen=True)
@@ -140,35 +116,6 @@ class RegularPolygon:
         ang = 2.0 * math.pi * np.arange(n) / n
         poly = np.column_stack([R * np.cos(ang), R * np.sin(ang)])
         return Outline(poly)
-
-
-@dataclass(frozen=True)
-class QuarterRegularPolygon(RegularPolygon):
-    """Quarter of the regular polygon with a vertex count divisible by 4:
-    vertices 0..n/4 and the centre, cut along the axis through vertex 0 (the
-    x axis, outline edge n/4 + 1) with a Neumann condition and along the axis
-    through vertex n/4 (the y axis, outline edge n/4) with a Dirichlet one.
-
-    Its mesh is the quarter of the whole polygon's centroid fan (see
-    `_fan_part`), so it carries the polygon's modes that are even about the
-    x axis and odd about the y axis, among them cos(theta); see
-    `experiments.cmd_table_mu1` for why its first eigenvalue is the
-    polygon's mu_1.
-    """
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.n_vertices % 4:
-            raise ValueError("quarter regular polygon needs a vertex count divisible by 4")
-
-    @property
-    def whole(self) -> RegularPolygon:
-        return RegularPolygon(self.n_vertices, self.circumradius)
-
-    def outline(self) -> Outline:
-        q = self.n_vertices // 4
-        poly = np.vstack([self.whole.outline().polygon[: q + 1], [(0.0, 0.0)]])
-        return Outline(poly, frozenset({q}))
 
 
 @dataclass(frozen=True)
@@ -226,33 +173,6 @@ class ReuleauxTriangle:
 
 
 @dataclass(frozen=True)
-class HalfReuleauxTriangle(ReuleauxTriangle):
-    """Right half of the Reuleaux triangle with an even n_arc, cut with a
-    Neumann condition along its vertical mirror axis, from the bottom arc's
-    midpoint (outline vertex 2 n_arc + n_arc/2 of the whole) to the top
-    corner (vertex n_arc).
-
-    Its mesh is the right half of the whole triangle's centroid fan (see
-    `_fan_part`), so it carries the triangle's modes that are even about the
-    cut; see `experiments.cmd_table_mu1` for why its mu_1 is the triangle's.
-    """
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.n_arc % 2:
-            raise ValueError("half Reuleaux triangle needs an even arc chord count")
-
-    @property
-    def whole(self) -> ReuleauxTriangle:
-        return ReuleauxTriangle(self.width, self.n_arc)
-
-    def outline(self) -> Outline:
-        n = self.n_arc
-        poly = self.whole.outline().polygon
-        return Outline(np.vstack([poly[2 * n + n // 2 :], poly[: n + 1]]))
-
-
-@dataclass(frozen=True)
 class ConvexHullPolygon:
     """Explicit convex polygon, vertices counterclockwise."""
 
@@ -287,17 +207,83 @@ class ConvexHullPolygon:
         return Outline(np.array(self.vertices))
 
 
+@dataclass(frozen=True)
+class Part:
+    """A symmetry cell of a whole domain (never itself a part): the convex
+    region of it between mirror axes, and the indices i of the region's
+    outline edges i -> i+1 that are Dirichlet cuts (the others are Neumann).
+
+    Its mesh is the whole domain's base mesh cut to the region (see
+    `triangulate`), and the whole mesh is the cell's plus its mirror images,
+    so the whole domain's pencil splits into the cell's under each choice of
+    Neumann (even) or Dirichlet (odd) cuts.
+    """
+
+    whole: DomainSpec
+    region: ConvexHullPolygon
+    dirichlet: frozenset = frozenset()
+
+    def __post_init__(self):
+        if isinstance(self.whole, Part):
+            raise ValueError("a part's whole domain must not itself be a part")
+        object.__setattr__(self, "dirichlet", frozenset(self.dirichlet))
+        n = len(self.region.vertices)
+        if not self.dirichlet <= set(range(n)):
+            raise ValueError(f"cut indices must name edges 0..{n - 1} of the region")
+
+    def outline(self) -> Outline:
+        return Outline(self.region.outline().polygon, self.dirichlet)
+
+
+def half_rhombus(D: float, theta: float, cut: str = DIRICHLET) -> Part:
+    """Upper half of Rhombus(D, theta), cut along the long diagonal (region
+    edge 0): a Dirichlet cut (the default) carries the rhombus's modes that
+    are odd about it, a Neumann cut the even ones."""
+    whole = Rhombus(D, theta)
+    if cut not in (NEUMANN, DIRICHLET):
+        raise ValueError(f"half rhombus cut must be {NEUMANN!r} or {DIRICHLET!r}")
+    region = ConvexHullPolygon(whole.outline().polygon[[0, 2, 3]])
+    return Part(whole, region, {0} if cut == DIRICHLET else ())
+
+
+def quarter_regular_polygon(n: int, R: float) -> Part:
+    """Quarter of RegularPolygon(n, R), n divisible by 4: vertices 0..n/4 and
+    the centre, cut along the axis through vertex 0 (the x axis, region edge
+    n/4 + 1) with a Neumann condition and along the axis through vertex n/4
+    (the y axis, region edge n/4) with a Dirichlet one.  It carries the
+    polygon's modes that are even about the x axis and odd about the y axis,
+    among them cos(theta)."""
+    whole = RegularPolygon(n, R)
+    if n % 4:
+        raise ValueError("quarter regular polygon needs a vertex count divisible by 4")
+    q = n // 4
+    region = ConvexHullPolygon(np.vstack([whole.outline().polygon[: q + 1], [(0.0, 0.0)]]))
+    return Part(whole, region, {q})
+
+
+def half_reuleaux_triangle(width: float, n_arc: int = 64) -> Part:
+    """Right half of ReuleauxTriangle(width, n_arc), n_arc even, cut with a
+    Neumann condition along its vertical mirror axis, from the bottom arc's
+    midpoint (whole outline vertex 2 n_arc + n_arc/2) to the top corner
+    (vertex n_arc).  It carries the triangle's modes that are even about the
+    cut."""
+    whole = ReuleauxTriangle(width, n_arc)
+    if n_arc % 2:
+        raise ValueError("half Reuleaux triangle needs an even arc chord count")
+    n = n_arc
+    poly = whole.outline().polygon
+    return Part(whole, ConvexHullPolygon(np.vstack([poly[2 * n + n // 2 :], poly[: n + 1]])))
+
+
 DomainSpec = Union[
     Rhombus,
-    HalfRhombus,
     Rectangle,
     EquilateralTriangle,
     RegularPolygon,
-    QuarterRegularPolygon,
     Sector,
     ReuleauxTriangle,
-    HalfReuleauxTriangle,
     ConvexHullPolygon,
+    Part,
 ]
 
 
@@ -464,12 +450,7 @@ class Mesh:
             raise ValueError(f"triangles must be a nonempty (n, 3) array, got shape {t.shape}")
         if t.min() < 0 or t.max() >= len(v):
             raise ValueError("triangle vertex index out of range")
-        p = v[t]
-        areas = 0.5 * (
-            (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-            - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])
-        )
-        if not np.all(areas > 0):  # a NaN area fails too
+        if not np.all(_triangle_areas(v, t) > 0):  # a NaN area fails too
             raise ValueError("mesh has non-positive triangle orientation")
         boundary = _boundary_edges_of(t)
         marked = np.sort(np.asarray(self.boundary_edges, dtype=np.int64).reshape(-1, 2), axis=1)
@@ -480,6 +461,15 @@ class Mesh:
         degree = np.bincount(boundary.ravel())
         if np.any(degree[degree > 0] != 2):
             raise ValueError("boundary edges do not form closed loops")
+
+
+def _triangle_areas(verts: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """Signed area of each triangle, positive when it is counterclockwise."""
+    p = verts[tris]
+    return 0.5 * (
+        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+        - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])
+    )
 
 
 def _boundary_edges_of(triangles: np.ndarray) -> np.ndarray:
@@ -519,21 +509,18 @@ def _keep_inside(verts: np.ndarray, tris: np.ndarray, poly: np.ndarray):
     return verts[used], remap[tris]
 
 
-def _rhombus_grid(spec, poly: np.ndarray):
-    """The rhombus (D, theta) as the affine image of the 8 x 8 unit-square
-    grid, keeping the triangles inside poly (for a half rhombus, those above
-    the long diagonal, which the grid resolves).
+def _rhombus_grid(poly: np.ndarray):
+    """The rhombus outline poly, vertices (-D/2, 0), (0, -h), (D/2, 0) and
+    (0, h), as the affine image of the 8 x 8 unit-square grid.
 
     The grid map (u, v) -> (1 - v, 1 - u) maps every cell and its split onto
-    another's and is the mirror y -> -y across the long diagonal; with
-    power-of-two grid coordinates the image is exact in floating point, so
-    at every refinement the rhombus mesh is the half mesh plus its mirror
-    image, bit for bit."""
-    D = spec.D
-    h = 0.5 * D * math.tan(spec.theta)
+    another's and is the mirror y -> -y across the long diagonal, a line of
+    grid edges; with power-of-two grid coordinates the image is exact in
+    floating point, so at every refinement the rhombus mesh is its upper
+    half's (`half_rhombus`) plus that mesh's mirror image, bit for bit."""
+    half_d, h = poly[2, 0], poly[3, 1]
     uv, tris = _structured_grid(8, 8)
-    verts = np.column_stack([(uv[:, 0] - uv[:, 1]) * (0.5 * D), (uv[:, 0] + uv[:, 1] - 1.0) * h])
-    return _keep_inside(verts, tris, poly)
+    return np.column_stack([(uv[:, 0] - uv[:, 1]) * half_d, (uv[:, 0] + uv[:, 1] - 1.0) * h]), tris
 
 
 def _centroid_fan(poly: np.ndarray):
@@ -544,16 +531,7 @@ def _centroid_fan(poly: np.ndarray):
     return verts, np.column_stack([i, (i + 1) % n, np.full(n, n)])
 
 
-def _fan_part(spec, poly: np.ndarray):
-    """The triangles of the whole domain's (`spec.whole`) centroid fan that
-    lie inside the part's outline poly.  They are built from the whole
-    domain's vertices and centroid, and a midpoint is the same sum whatever
-    the numbering, so at every refinement the part's mesh is the whole
-    domain's triangles inside it, bit for bit."""
-    return _keep_inside(*_centroid_fan(spec.whole.outline().polygon), poly)
-
-
-def _rectangle_grid(spec, poly: np.ndarray):
+def _rectangle_grid(poly: np.ndarray):
     """Aspect-aware structured grid on [0,a]x[0,b], (a, b) the corner poly[2],
     with cells of side at most a quarter of the longer side."""
     a, b = map(float, poly[2])
@@ -612,30 +590,40 @@ def refine_mesh(mesh: Mesh) -> Mesh:
 
 
 # Structured grids keep their quality under the anisotropy of thin rhombi and
-# rectangles, and a symmetry part is cut from its whole domain's fan; every
-# spec type not listed is fan-triangulated.
-_GRID_MESHES = {
-    Rhombus: _rhombus_grid,
-    HalfRhombus: _rhombus_grid,
-    Rectangle: _rectangle_grid,
-    QuarterRegularPolygon: _fan_part,
-    HalfReuleauxTriangle: _fan_part,
-}
+# rectangles; every other whole domain is fan-triangulated.
+_GRID_MESHES = {Rhombus: _rhombus_grid, Rectangle: _rectangle_grid}
 
 
 def triangulate(spec: DomainSpec, dirichlet: bool = False) -> Mesh:
-    """The base mesh of the spec's family, with boundary markers.
+    """The base mesh of the spec, with boundary markers.
 
-    Finer meshes are uniform refinements of it (`refine_mesh`).  dirichlet
-    marks every boundary edge 'D' (the Dirichlet Laplacian).  Otherwise an
-    edge is 'D' when it lies on an outline edge that the domain declares
-    Dirichlet (the base of a Dirichlet-cut half rhombus, the y-axis cut of a
-    quarter regular polygon) and 'N' elsewhere.
+    A whole domain's base mesh is its family's (`_GRID_MESHES`, else the
+    centroid fan of its outline).  A `Part`'s is its whole domain's base mesh
+    cut to the region (`_keep_inside`); ValueError when the kept triangles'
+    area differs from the region's by more than 1e-12 relative, as it does
+    when the region does not run along the base mesh's edges.  Finer meshes
+    are uniform refinements of it (`refine_mesh`).
+
+    dirichlet marks every boundary edge 'D' (the Dirichlet Laplacian).
+    Otherwise an edge is 'D' when it lies on an outline edge that the
+    domain declares Dirichlet (a part's Dirichlet cuts) and 'N' elsewhere.
     """
     outline = spec.outline()
     poly = outline.polygon
-    grid = _GRID_MESHES.get(type(spec))
-    verts, tris = _centroid_fan(poly) if grid is None else grid(spec, poly)
+    part = isinstance(spec, Part)
+    whole = spec.whole if part else spec
+    base = _GRID_MESHES.get(type(whole), _centroid_fan)
+    verts, tris = base(whole.outline().polygon if part else poly)
+    if part:
+        verts, tris = _keep_inside(verts, tris, poly)
+        # the kept triangles tile the region to rounding when it runs along
+        # mesh edges, and miss or overhang it by whole triangles otherwise
+        kept, target = float(_triangle_areas(verts, tris).sum()), area(poly)
+        if not abs(kept - target) <= 1e-12 * target:
+            raise ValueError(
+                f"part region does not run along the edges of the {type(whole).__name__} "
+                f"base mesh: its kept triangles cover {kept:.12g} of its area {target:.12g}"
+            )
     edges = _boundary_edges_of(tris)
     nearest = _nearest_outline_edge(poly, 0.5 * (verts[edges[:, 0]] + verts[edges[:, 1]]))
     markers = [DIRICHLET if dirichlet or i in outline.dirichlet else NEUMANN for i in nearest]

@@ -375,7 +375,7 @@ def _pair_0001_inner_hull(spec):
         ),
         (
             ["table-mu1", "--refinements=3"],
-            lambda spec: isinstance(spec, geometry.HalfRhombus) and spec.theta == math.radians(5.0),
+            lambda spec: spec == geometry.half_rhombus(2.0, math.radians(5.0), geometry.NEUMANN),
             ["fem_converged_optimal_bound", "table_optimal_bound", "table_optimal_bound_ratio",
              "table_optimal_bound_symmetric_lowest"],
             ["square", "optimal_sector", "equilateral_triangle", "reuleaux_triangle", "disk",
@@ -384,7 +384,7 @@ def _pair_0001_inner_hull(spec):
         ),
         (
             ["table-mu1", "--refinements=3"],
-            lambda spec: isinstance(spec, geometry.QuarterRegularPolygon),
+            lambda spec: spec == geometry.quarter_regular_polygon(256, 1.0),
             ["fem_converged_disk", "table_disk", "table_disk_ratio", "table_disk_symmetric_lowest"],
             ["optimal_bound", "square", "optimal_sector", "equilateral_triangle",
              "reuleaux_triangle", "segment"],
@@ -392,7 +392,7 @@ def _pair_0001_inner_hull(spec):
         ),
         (
             ["table-mu1", "--refinements=3"],
-            lambda spec: isinstance(spec, geometry.HalfReuleauxTriangle),
+            lambda spec: spec == geometry.half_reuleaux_triangle(2.0, 64),
             ["fem_converged_reuleaux_triangle", "table_reuleaux_triangle",
              "table_reuleaux_triangle_ratio", "table_reuleaux_triangle_symmetric_lowest"],
             ["optimal_bound", "square", "optimal_sector", "equilateral_triangle", "disk",
@@ -402,9 +402,7 @@ def _pair_0001_inner_hull(spec):
         (
             # the antisymmetric (Dirichlet-cut) half of the 10-degree rhombus fails
             ["rhombus-sweep", "--theta-deg-list=20,10,5", "--refinements=3"],
-            lambda spec: isinstance(spec, geometry.HalfRhombus)
-            and spec.theta == math.radians(10.0)
-            and spec.cut == geometry.DIRICHLET,
+            lambda spec: spec == geometry.half_rhombus(2.0, math.radians(10.0), geometry.DIRICHLET),
             ["fem_converged_theta_10", "squeeze_band_theta_10", "antisymmetric_lower_theta_10",
              "symmetric_lowest_theta_10", "monotone_approach",
              "antisymmetric_divergence_20_to_10", "antisymmetric_divergence_10_to_5"],
@@ -414,9 +412,7 @@ def _pair_0001_inner_hull(spec):
         (
             # the symmetric (Neumann-cut) half, which gives the row its mu_1
             ["rhombus-sweep", "--theta-deg-list=20,10,5", "--refinements=3"],
-            lambda spec: isinstance(spec, geometry.HalfRhombus)
-            and spec.theta == math.radians(5.0)
-            and spec.cut == geometry.NEUMANN,
+            lambda spec: spec == geometry.half_rhombus(2.0, math.radians(5.0), geometry.NEUMANN),
             ["fem_converged_theta_5", "squeeze_band_theta_5", "antisymmetric_lower_theta_5",
              "symmetric_lowest_theta_5", "monotone_approach", "antisymmetric_divergence_10_to_5"],
             ["20", "10"],

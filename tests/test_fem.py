@@ -1,6 +1,5 @@
 """Tests for P1 assembly, the eigensolver, and Richardson extrapolation."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -13,28 +12,18 @@ from speclab import constants, fem, geometry as geo, spectra
 PI2 = math.pi**2
 
 
-def with_dirichlet(spec, mesh, edges):
-    """The mesh with 'D' on each boundary edge whose midpoint is nearest to
-    an outline edge i -> i+1 of spec, i in edges, as if the domain declared
-    those edges Dirichlet.  refine_mesh carries markers down, so marking a
-    base mesh marks every mesh refined from it."""
-    midpoints = mesh.vertices[mesh.boundary_edges].mean(axis=1)
-    nearest = geo._nearest_outline_edge(spec.outline().polygon, midpoints)
-    markers = [geo.DIRICHLET if i in edges else m for i, m in zip(nearest, mesh.boundary_markers)]
-    return dataclasses.replace(mesh, boundary_markers=markers)
-
-
 # a rectangle's outline edges, from the bottom counterclockwise
 BOTTOM, RIGHT, TOP, LEFT = range(4)
 
 
 def refined(spec, times, dirichlet=False):
     """The spec's base mesh after `times` uniform refinements.  dirichlet is
-    triangulate's flag, or a set of outline edges for `with_dirichlet`."""
-    if isinstance(dirichlet, bool):
-        mesh = geo.triangulate(spec, dirichlet)
-    else:
-        mesh = with_dirichlet(spec, geo.triangulate(spec), dirichlet)
+    triangulate's flag, or a set of outline edges i -> i+1 that the spec
+    declares Dirichlet as the part that is all of it."""
+    if not isinstance(dirichlet, bool):
+        spec = geo.Part(spec, geo.ConvexHullPolygon(spec.outline().polygon), dirichlet)
+        dirichlet = False
+    mesh = geo.triangulate(spec, dirichlet)
     for _ in range(times):
         mesh = geo.refine_mesh(mesh)
     return mesh
@@ -365,7 +354,7 @@ def _first_sparse_rung(spec):
         geo.RegularPolygon(256, 1.0),  # double mu_1
         geo.EquilateralTriangle(2.0),  # double mu_1
         geo.Rhombus(2.0, math.radians(10.0)),
-        geo.HalfRhombus(2.0, math.radians(10.0)),  # Dirichlet base
+        geo.half_rhombus(2.0, math.radians(10.0)),  # Dirichlet base
         geo.Rectangle(1.9, 0.02),  # thin: ill-conditioned mass matrix
     ],
 )
@@ -501,7 +490,7 @@ def test_half_rhombus_mixed_lower_bound():
     # Dirichlet on the long diagonal: tau_1 >= pi^2 / (4 M^2), M = (D/2) tan(theta)
     for deg in (30.0, 10.0, 5.0):
         theta = math.radians(deg)
-        res = fem.mu_k(geo.HalfRhombus(2.0, theta), 1, refinements=4)
+        res = fem.mu_k(geo.half_rhombus(2.0, theta), 1, refinements=4)
         M = math.tan(theta)
         assert res.value >= 0.995 * PI2 / (4.0 * M * M)
 
@@ -513,8 +502,8 @@ def test_rhombus_spectrum_is_merge_of_mirror_halves(deg):
     # (odd) halves' pencils
     theta = math.radians(deg)
     full = fem.solve_mesh(refined(geo.Rhombus(2.0, theta), 2), 5).eigenvalues[1:]
-    even = fem.solve_mesh(refined(geo.HalfRhombus(2.0, theta, geo.NEUMANN), 2), 5).eigenvalues[1:]
-    odd = fem.solve_mesh(refined(geo.HalfRhombus(2.0, theta), 2), 4).eigenvalues
+    even = fem.solve_mesh(refined(geo.half_rhombus(2.0, theta, geo.NEUMANN), 2), 5).eigenvalues[1:]
+    odd = fem.solve_mesh(refined(geo.half_rhombus(2.0, theta), 2), 4).eigenvalues
     merged = np.sort(np.concatenate([even, odd]))[:4]
     assert np.allclose(full, merged, rtol=1e-9, atol=0.0)
     if deg == 40.0:
@@ -523,22 +512,14 @@ def test_rhombus_spectrum_is_merge_of_mirror_halves(deg):
         assert full[1] == pytest.approx(odd[0], rel=1e-9)
 
 
-def fan_part(whole, poly, dirichlet, times):
-    """The whole spec's centroid-fan triangles inside the ccw convex polygon
-    poly, 'D' on the boundary edges nearest to poly's outline edges i -> i+1,
-    i in dirichlet, and 'N' elsewhere, after `times` uniform refinements."""
-    verts, tris = geo._keep_inside(*geo._centroid_fan(whole.outline().polygon), poly)
-    edges = geo._boundary_edges_of(tris)
-    nearest = geo._nearest_outline_edge(poly, verts[edges].mean(axis=1))
-    mesh = make_mesh(verts, tris, [geo.DIRICHLET if i in dirichlet else geo.NEUMANN for i in nearest])
-    for _ in range(times):
-        mesh = geo.refine_mesh(mesh)
-    return mesh
-
-
 # the quarter 256-gon's cuts: outline edge 64 is the y axis, 65 the x axis
-QUARTER = geo.QuarterRegularPolygon(256, 1.0)
+QUARTER = geo.quarter_regular_polygon(256, 1.0)
 Y_CUT, X_CUT = 64, 65
+
+
+def quarter_with_cuts(cuts):
+    """The table's quarter with Dirichlet cuts on the axes in cuts."""
+    return geo.Part(QUARTER.whole, QUARTER.region, cuts)
 
 
 def test_polygon_spectrum_is_merge_of_mirror_halves():
@@ -546,24 +527,18 @@ def test_polygon_spectrum_is_merge_of_mirror_halves():
     # rounding, so its spectrum is the merge of the quarter's four problems:
     # Neumann (even) or Dirichlet (odd) on each cut
     full = fem.solve_mesh(refined(QUARTER.whole, 2), 10).eigenvalues
-    quarter = QUARTER.outline().polygon
     problems = {
-        cuts: fem.solve_mesh(fan_part(QUARTER.whole, quarter, cuts, 2), 10).eigenvalues
+        cuts: fem.solve_mesh(refined(quarter_with_cuts(cuts), 2), 10).eigenvalues
         for cuts in map(frozenset, ((), {Y_CUT}, {X_CUT}, {X_CUT, Y_CUT}))
     }
     merged = np.sort(np.concatenate(list(problems.values())))[:10]
     assert abs(full[0]) < 1e-9 and abs(merged[0]) < 1e-9  # the constant mode
     assert np.allclose(full[1:], merged[1:], rtol=1e-9, atol=0.0)
     # mu_1 is double: cos(theta) solves the quarter with the Dirichlet y cut
-    # (the table's QuarterRegularPolygon), sin(theta) the one with the
-    # Dirichlet x cut
+    # (the table's quarter), sin(theta) the one with the Dirichlet x cut
     cos, sin = problems[frozenset({Y_CUT})][0], problems[frozenset({X_CUT})][0]
     assert full[1] == pytest.approx(cos, rel=1e-9, abs=0.0) == sin
-    # the Dirichlet-y problem is the table's own mesh
-    mesh, table = fan_part(QUARTER.whole, quarter, {Y_CUT}, 0), geo.triangulate(QUARTER)
-    assert np.array_equal(mesh.vertices, table.vertices)
-    assert np.array_equal(mesh.triangles, table.triangles)
-    assert mesh.boundary_markers == table.boundary_markers
+    assert quarter_with_cuts({Y_CUT}) == QUARTER
 
 
 def test_neumann_quarter_lies_above_payne_weinberger():
@@ -572,9 +547,7 @@ def test_neumann_quarter_lies_above_payne_weinberger():
     # at least mu_1 (min-max); j'_{2,1}^2 = 9.33 of the quarter disk is close
     floor = constants.payne_weinberger_lower(geo.diameter(QUARTER.outline().polygon))
     assert floor == pytest.approx(PI2 / 2.0, rel=1e-15)
-    quarter = QUARTER.outline().polygon
-    rungs = [fem.solve_mesh(fan_part(QUARTER.whole, quarter, set(), r), 2).eigenvalues[1]
-             for r in (1, 2, 3)]
+    rungs = [fem.solve_mesh(refined(quarter_with_cuts(()), r), 2).eigenvalues[1] for r in (1, 2, 3)]
     assert all(floor < mu < 10.1 for mu in rungs)
     assert rungs[0] > rungs[1] > rungs[2]
 
@@ -589,14 +562,14 @@ def test_reuleaux_sixth_lies_above_fibre_bound():
     sixth = np.vstack([centre, whole.outline().polygon[32:65]])  # arc 0, 30 to 60 degrees
     floor = PI2 / ((math.sqrt(3.0) - 1.0) * 2.0) ** 2
     assert floor == pytest.approx(4.6042, abs=1e-4)
-    rays = {0, len(sixth) - 1}
-    rungs = [fem.solve_mesh(fan_part(whole, sixth, rays, r), 1).eigenvalues[0] for r in (2, 3, 4)]
+    part = geo.Part(whole, geo.ConvexHullPolygon(sixth), {0, len(sixth) - 1})  # both rays
+    rungs = [fem.solve_mesh(refined(part, r), 1).eigenvalues[0] for r in (2, 3, 4)]
     assert all(floor < tau < 23.0 for tau in rungs)
 
 
 @pytest.mark.parametrize(
     "part",
-    [QUARTER, geo.HalfReuleauxTriangle(2.0, 64)],
+    [QUARTER, geo.half_reuleaux_triangle(2.0, 64)],
     ids=["QuarterRegularPolygon", "HalfReuleauxTriangle"],
 )
 def test_symmetry_part_gives_whole_mu1(part):
@@ -609,7 +582,7 @@ def test_symmetry_part_gives_whole_mu1(part):
 def test_mu_spectrum_indexes_constrained_problems_from_one():
     # the half rhombus's Dirichlet base makes it a constrained problem: its
     # spectrum is tau_1, tau_2, ... exactly as mu_k indexes it
-    spec = geo.HalfRhombus(2.0, math.radians(30.0))
+    spec = geo.half_rhombus(2.0, math.radians(30.0))
     spectrum = fem.mu_spectrum(spec, 3, refinements=2)
     for k, res in enumerate(spectrum, start=1):
         assert res.value == pytest.approx(fem.mu_k(spec, k, refinements=2).value, rel=1e-9)

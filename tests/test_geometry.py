@@ -24,15 +24,15 @@ def refined(spec, times):
     return mesh
 
 
-def with_dirichlet(spec, mesh, edges):
-    """The mesh with 'D' on each boundary edge whose midpoint is nearest to
-    an outline edge i -> i+1 of spec, i in edges, as if the domain declared
-    those edges Dirichlet.  refine_mesh carries markers down, so marking a
-    base mesh marks every mesh refined from it."""
-    midpoints = mesh.vertices[mesh.boundary_edges].mean(axis=1)
-    nearest = geo._nearest_outline_edge(spec.outline().polygon, midpoints)
-    markers = [geo.DIRICHLET if i in edges else m for i, m in zip(nearest, mesh.boundary_markers)]
-    return dataclasses.replace(mesh, boundary_markers=markers)
+def declaring(spec, edges):
+    """spec with its outline edges i -> i+1, i in edges, declared Dirichlet
+    too: a part gains them as cuts, and a whole domain becomes the part that
+    is all of it."""
+    if not edges:
+        return spec
+    if isinstance(spec, geo.Part):
+        return dataclasses.replace(spec, dirichlet=spec.dirichlet | edges)
+    return geo.Part(spec, geo.ConvexHullPolygon(spec.outline().polygon), edges)
 
 
 # outline edge indices: a rectangle's sides from the bottom counterclockwise,
@@ -82,24 +82,31 @@ def test_sector_vertices_on_circle():
     assert np.allclose(radii, 1.5, atol=1e-14)
 
 
-# one example of every spec type; a type added to DomainSpec must be added here
+# an example of every spec type and of each cell that the experiments solve,
+# keyed by the test ids
 EXAMPLES = {
-    geo.Rhombus: geo.Rhombus(2.0, 0.1),
-    geo.HalfRhombus: geo.HalfRhombus(2.0, 0.3),
-    geo.Rectangle: geo.Rectangle(1.0, 0.01),
-    geo.EquilateralTriangle: geo.EquilateralTriangle(2.0),
-    geo.RegularPolygon: geo.RegularPolygon(7, 1.0),
-    geo.QuarterRegularPolygon: geo.QuarterRegularPolygon(8, 1.0),
-    geo.Sector: geo.Sector(1.0, 1.654, 16),
-    geo.ReuleauxTriangle: geo.ReuleauxTriangle(1.0, 8),
-    geo.HalfReuleauxTriangle: geo.HalfReuleauxTriangle(1.0, 8),
-    geo.ConvexHullPolygon: geo.ConvexHullPolygon(((0, 0), (1, 0), (1.2, 0.7), (0.3, 0.9))),
+    "Rhombus": geo.Rhombus(2.0, 0.1),
+    "HalfRhombus": geo.half_rhombus(2.0, 0.3),
+    "Rectangle": geo.Rectangle(1.0, 0.01),
+    "EquilateralTriangle": geo.EquilateralTriangle(2.0),
+    "RegularPolygon": geo.RegularPolygon(7, 1.0),
+    "QuarterRegularPolygon": geo.quarter_regular_polygon(8, 1.0),
+    "Sector": geo.Sector(1.0, 1.654, 16),
+    "ReuleauxTriangle": geo.ReuleauxTriangle(1.0, 8),
+    "HalfReuleauxTriangle": geo.half_reuleaux_triangle(1.0, 8),
+    "ConvexHullPolygon": geo.ConvexHullPolygon(((0, 0), (1, 0), (1.2, 0.7), (0.3, 0.9))),
 }
 
 
-@pytest.mark.parametrize("spec_type", typing.get_args(geo.DomainSpec), ids=lambda t: t.__name__)
-def test_build_polygons_ccw_convex(spec_type):
-    spec = EXAMPLES[spec_type]
+def test_examples_cover_every_spec_type():
+    # a type added to DomainSpec must be added to EXAMPLES
+    assert {type(spec) for spec in EXAMPLES.values()} == set(typing.get_args(geo.DomainSpec))
+    assert len(typing.get_args(geo.DomainSpec)) == 8
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_build_polygons_ccw_convex(name):
+    spec = EXAMPLES[name]
     outline = spec.outline()
     poly = outline.polygon
     assert outline.dirichlet <= set(range(len(poly)))
@@ -221,7 +228,7 @@ def test_rhombus_mesh_default_neumann():
 
 
 def test_half_rhombus_base_dirichlet():
-    mesh = geo.triangulate(geo.HalfRhombus(2.0, 0.3))
+    mesh = geo.triangulate(geo.half_rhombus(2.0, 0.3))
     mesh.validate()
     base_edges = [
         (e, m)
@@ -238,17 +245,17 @@ def test_half_rhombus_base_dirichlet():
 
 
 def test_half_rhombus_cut_condition():
-    assert geo.HalfRhombus(2.0, 0.3).cut == geo.DIRICHLET
-    mesh = geo.triangulate(geo.HalfRhombus(2.0, 0.3, geo.NEUMANN))
+    assert geo.half_rhombus(2.0, 0.3).dirichlet == {0}  # the base
+    mesh = geo.triangulate(geo.half_rhombus(2.0, 0.3, geo.NEUMANN))
     mesh.validate()
     assert set(mesh.boundary_markers) == {"N"}
     with pytest.raises(ValueError, match="cut"):
-        geo.HalfRhombus(2.0, 0.3, "*")
+        geo.half_rhombus(2.0, 0.3, "*")
 
 
-# every spec family, and the half rhombus with each cut
-MARKER_EXAMPLES = {t.__name__: spec for t, spec in EXAMPLES.items()}
-MARKER_EXAMPLES["HalfRhombus-Neumann-cut"] = geo.HalfRhombus(2.0, 0.3, geo.NEUMANN)
+# every example, and the half rhombus with each cut
+MARKER_EXAMPLES = dict(EXAMPLES)
+MARKER_EXAMPLES["HalfRhombus-Neumann-cut"] = geo.half_rhombus(2.0, 0.3, geo.NEUMANN)
 
 
 def refinements_0_to_2(mesh):
@@ -266,9 +273,10 @@ def on_declared_edge(spec, p, q):
     """Whether the boundary edge pq lies on an outline edge that spec declares
     Dirichlet: the base (y = 0) of a Dirichlet-cut half rhombus, or the y-axis
     cut of a quarter regular polygon (whose ends are rounded off x = 0)."""
-    if isinstance(spec, geo.HalfRhombus) and spec.cut == geo.DIRICHLET:
+    whole = spec.whole if isinstance(spec, geo.Part) else None
+    if isinstance(whole, geo.Rhombus) and spec.dirichlet:
         return p[1] == q[1] == 0.0
-    if isinstance(spec, geo.QuarterRegularPolygon):
+    if isinstance(whole, geo.RegularPolygon):
         return max(abs(p[0]), abs(q[0])) < 1e-12
     return False
 
@@ -291,7 +299,7 @@ def test_rhombus_mesh_is_half_mesh_and_its_mirror_image(deg):
     # y -> -y, so the rhombus mesh is the half mesh plus that mesh's mirror
     # image, with bit-exact coordinates, at every refinement
     full = geo.triangulate(geo.Rhombus(2.0, math.radians(deg)))
-    half = geo.triangulate(geo.HalfRhombus(2.0, math.radians(deg), geo.NEUMANN))
+    half = geo.triangulate(geo.half_rhombus(2.0, math.radians(deg), geo.NEUMANN))
 
     def triangles(mesh, sign=1.0):
         points = mesh.vertices * (1.0, sign)
@@ -309,15 +317,19 @@ def test_rhombus_mesh_is_half_mesh_and_its_mirror_image(deg):
     "part, parts, inside",
     [
         # the quarter of the 256-gon between the positive x and y axes
-        (geo.QuarterRegularPolygon(256, 1.0), 4, lambda c: (c[:, 0] > 0.0) & (c[:, 1] > 0.0)),
+        (geo.quarter_regular_polygon(256, 1.0), 4, lambda c: (c[:, 0] > 0.0) & (c[:, 1] > 0.0)),
         # the half of the Reuleaux triangle right of its vertical axis x = w/2
-        (geo.HalfReuleauxTriangle(2.0, 64), 2, lambda c: c[:, 0] > 1.0),
+        (geo.half_reuleaux_triangle(2.0, 64), 2, lambda c: c[:, 0] > 1.0),
+        # the half of the rhombus above its long diagonal, with each cut
+        (geo.half_rhombus(2.0, math.radians(20.0), geo.NEUMANN), 2, lambda c: c[:, 1] > 0.0),
+        (geo.half_rhombus(2.0, math.radians(20.0)), 2, lambda c: c[:, 1] > 0.0),
     ],
-    ids=["QuarterRegularPolygon", "HalfReuleauxTriangle"],
+    ids=["QuarterRegularPolygon", "HalfReuleauxTriangle", "half_rhombus-N", "half_rhombus-D"],
 )
 def test_part_mesh_is_the_whole_fans_triangles_inside_it(part, parts, inside):
-    # the part is cut from its whole domain's fan, so at every refinement its
-    # mesh is the whole mesh's triangles inside it, bit-exact up to numbering
+    # the part is cut from its whole domain's base mesh (a fan or the rhombus
+    # grid), so at every refinement its mesh is the whole mesh's triangles
+    # inside it, bit-exact up to numbering
     whole, mesh = geo.triangulate(part.whole), geo.triangulate(part)
 
     def triangles(mesh, keep):
@@ -332,22 +344,63 @@ def test_part_mesh_is_the_whole_fans_triangles_inside_it(part, parts, inside):
 
 def test_quarter_polygon_needs_vertex_count_divisible_by_four():
     # vertices 0..n/4 and the centre; the cuts are the last two outline edges
-    outline = geo.QuarterRegularPolygon(8, 1.0).outline()
+    outline = geo.quarter_regular_polygon(8, 1.0).outline()
     assert len(outline.polygon) == 4 and outline.dirichlet == {2}
     assert np.array_equal(outline.polygon[-1], (0.0, 0.0))
     for n in (6, 7, 10):
         with pytest.raises(ValueError, match="divisible by 4"):
-            geo.QuarterRegularPolygon(n, 1.0)
+            geo.quarter_regular_polygon(n, 1.0)
 
 
 def test_half_reuleaux_needs_even_arc_count():
     # from the bottom arc's midpoint through the right corner to the top one
-    poly = geo.HalfReuleauxTriangle(2.0, 4).outline().polygon
+    poly = geo.half_reuleaux_triangle(2.0, 4).outline().polygon
     assert len(poly) == 7
     assert poly[0] == pytest.approx((1.0, math.sqrt(3.0) - 2.0), abs=1e-15)
     assert poly[-1] == pytest.approx((1.0, math.sqrt(3.0)), abs=1e-15)
     with pytest.raises(ValueError, match="even"):
-        geo.HalfReuleauxTriangle(2.0, 5)
+        geo.half_reuleaux_triangle(2.0, 5)
+
+
+OCTAGON = geo.RegularPolygon(8, 1.0)
+OCTAGON_HALF = geo.ConvexHullPolygon(OCTAGON.outline().polygon[:5])  # vertices 0..4
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda: geo.Part(geo.quarter_regular_polygon(8, 1.0), OCTAGON_HALF), "itself be a part"),
+        (lambda: geo.Part(OCTAGON, OCTAGON_HALF, {5}), "edges 0..4"),
+        (lambda: geo.Part(OCTAGON, OCTAGON_HALF, {-1}), "edges 0..4"),
+        (
+            lambda: geo.Part(OCTAGON, geo.ConvexHullPolygon(OCTAGON_HALF.vertices[::-1])),
+            "counterclockwise",
+        ),
+        (
+            lambda: geo.Part(OCTAGON, geo.ConvexHullPolygon(((1, 0), (0, 1), (0.1, 0.1), (-1, 0)))),
+            "convex position",
+        ),
+    ],
+    ids=["whole-is-a-part", "cut-past-last-edge", "negative-cut", "clockwise", "nonconvex"],
+)
+def test_invalid_part_is_rejected(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
+def test_part_off_the_base_mesh_is_rejected():
+    # the half of the 16-gon between the midpoints of edges 0 and 8 cuts the
+    # fan's triangles 0 and 8 through their centroids: both are dropped, and
+    # the kept triangles miss 1/8 of the half's area
+    whole = geo.RegularPolygon(16, 1.0)
+    poly = whole.outline().polygon
+    mids = 0.5 * (poly[[0, 8]] + poly[[1, 9]])
+    half = geo.Part(whole, geo.ConvexHullPolygon(np.vstack([mids[0], poly[1:9], mids[1]])))
+    with pytest.raises(ValueError, match="does not run along"):
+        geo.triangulate(half)
+    # on the mesh, the half through vertices 0 and 8 tiles to rounding
+    on_mesh = geo.triangulate(geo.Part(whole, geo.ConvexHullPolygon(poly[:9])))
+    assert area_sum(on_mesh) == pytest.approx(geo.area(poly) / 2.0, rel=1e-14)
 
 
 def max_edge(mesh):
@@ -399,13 +452,13 @@ def reference_refine(mesh):
     [
         (geo.RegularPolygon(256, 1.0), None),
         (geo.Rhombus(2.0, math.radians(5.0)), None),
-        (geo.HalfRhombus(2.0, 0.3), None),
+        (geo.half_rhombus(2.0, 0.3), None),
         (geo.Rectangle(1.0, 1.0), frozenset({LEFT})),
         (geo.Sector(1.0, math.pi / 3, 32), arc(geo.Sector(1.0, math.pi / 3, 32))),
     ],
 )
 def test_refine_mesh_matches_reference(spec, dirichlet):
-    mesh = ref = with_dirichlet(spec, geo.triangulate(spec), dirichlet or ())
+    mesh = ref = geo.triangulate(declaring(spec, dirichlet))
     for _ in range(3):
         mesh, ref = geo.refine_mesh(mesh), reference_refine(ref)
         for field in ("vertices", "triangles", "boundary_edges"):
@@ -444,15 +497,17 @@ def reference_structured_grid(nx, ny):
 def reference_grid_mesh(spec, refinements, dirichlet):
     """Rhombus and rectangle meshes with 2^refinements times the base mesh's
     cells per side, built one cell, triangle and edge at a time, each type by
-    its own branch (oracle for triangulate and refine_mesh).  An edge is 'D'
-    on the base of a Dirichlet-cut half rhombus and on the outline edges
-    whose indices are in dirichlet."""
+    its own branch (oracle for triangulate and refine_mesh).  A half rhombus
+    keeps the cells above the long diagonal.  An edge is 'D' on the outline
+    edges that a half rhombus declares and on those whose indices are in
+    dirichlet."""
     dirichlet = set(dirichlet or ())
     scale = 2**refinements
-    if isinstance(spec, geo.Rhombus):
-        half = isinstance(spec, geo.HalfRhombus)
-        D = spec.D
-        h = 0.5 * D * math.tan(spec.theta)
+    half = isinstance(spec, geo.Part)
+    rhombus = spec.whole if half else spec
+    if isinstance(rhombus, geo.Rhombus):
+        D = rhombus.D
+        h = 0.5 * D * math.tan(rhombus.theta)
         uv, tris = reference_structured_grid(8 * scale, 8 * scale)
         verts = np.column_stack([(uv[:, 0] - uv[:, 1]) * (0.5 * D), (uv[:, 0] + uv[:, 1] - 1.0) * h])
         if half:
@@ -462,8 +517,7 @@ def reference_grid_mesh(spec, refinements, dirichlet):
             remap = -np.ones(len(verts), dtype=np.int64)
             remap[used] = np.arange(len(used))
             verts, tris = verts[used], remap[tris]
-            if spec.cut == geo.DIRICHLET:
-                dirichlet.add(0)
+            dirichlet |= spec.dirichlet
         sides = {}
         for a, b in reference_boundary_edges(tris):
             on_base = abs(verts[a, 1]) < 1e-12 * D and abs(verts[b, 1]) < 1e-12 * D
@@ -497,15 +551,15 @@ def reference_grid_mesh(spec, refinements, dirichlet):
     [
         (geo.Rhombus(2.0, math.radians(5.0)), 0, None),
         (geo.Rhombus(2.0, 1.2), 1, frozenset(range(4))),
-        (geo.HalfRhombus(2.0, 0.3), 0, None),
-        (geo.HalfRhombus(2.0, math.radians(5.0)), 0, None),
-        (geo.HalfRhombus(2.0, 1.3), 0, frozenset({1, 2})),
+        (geo.half_rhombus(2.0, 0.3), 0, None),
+        (geo.half_rhombus(2.0, math.radians(5.0)), 0, None),
+        (geo.half_rhombus(2.0, 1.3), 0, frozenset({1, 2})),
         (geo.Rectangle(1.9, 0.02), 0, None),
         (geo.Rectangle(1.0, 0.01), 3, frozenset({LEFT})),
         (geo.Rectangle(1.0, 1.0), 0, frozenset({TOP})),
         (geo.Rectangle(math.sqrt(2.0), math.sqrt(2.0)), 1, frozenset({BOTTOM, RIGHT})),
         (geo.Rhombus(2.0, math.radians(5.0)), 2, None),
-        (geo.HalfRhombus(2.0, math.radians(5.0)), 2, frozenset({1, 2})),
+        (geo.half_rhombus(2.0, math.radians(5.0)), 2, frozenset({1, 2})),
     ],
 )
 def test_grid_meshes_match_reference(spec, r, dirichlet):
@@ -514,7 +568,7 @@ def test_grid_meshes_match_reference(spec, r, dirichlet):
     finer mesh of these families is a refinement of the base mesh, and this
     is the grid it stands for.  The outline edges in dirichlet are marked on
     the base mesh and carried down."""
-    mesh = with_dirichlet(spec, geo.triangulate(spec), dirichlet or ())
+    mesh = geo.triangulate(declaring(spec, dirichlet))
     for _ in range(r):
         mesh = geo.refine_mesh(mesh)
     verts, tris, edges, markers = reference_grid_mesh(spec, r, dirichlet)
@@ -561,7 +615,7 @@ def test_thin_rectangle_mesh_quality():
 
 def test_mesh_io_roundtrip(tmp_path):
     spec = geo.Sector(1.0, 1.0, 8)
-    mesh = with_dirichlet(spec, geo.triangulate(spec), arc(spec))
+    mesh = geo.triangulate(declaring(spec, arc(spec)))
     assert mesh.boundary_markers.count(geo.DIRICHLET) == spec.n_arc
     path = tmp_path / "mesh.txt"
     geo.write_mesh(mesh, path)
