@@ -381,7 +381,7 @@ def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
             # each sector's mu_1 rescaled to diameter 2; the row is the largest
             scaled = []
             for spec, res in zip(specs, results):
-                scale = (geometry.diameter(spec.outline().polygon) / 2.0) ** 2
+                scale = (geometry.diameter(spec.outline()) / 2.0) ** 2
                 scaled.append((res.value * scale, res.error_estimate * scale, spec.opening))
             computed, err, opening = max(scaled, key=lambda item: item[0])
             note = f"extremal opening {opening:g} rad over grid {SECTOR_OPENING_GRID}"
@@ -459,7 +459,7 @@ def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
     # quarter is convex, so Payne-Weinberger puts its mu_1 at or above
     # pi^2/D^2, D its diameter, on every mesh (min-max)
     spokes = (quarter.whole.n_vertices / (2.0 * quarter.whole.circumradius)) ** 2
-    convex = constants.payne_weinberger_lower(geometry.diameter(quarter.outline().polygon))
+    convex = constants.payne_weinberger_lower(geometry.diameter(quarter.outline()))
     (disk_ladder,) = solved.get("disk", [NAN_LADDER])
     verdicts.append(
         Verdict(

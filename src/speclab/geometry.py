@@ -5,9 +5,8 @@ boundaries (sector arcs, constant-width arcs) are approximated by inscribed
 chords, so the polygon is always a subset of the true domain and mesh
 vertices never leave it.
 
-Each spec describes itself by its `outline()`: the polygon and the edges
-that are Dirichlet by definition of the domain (the Dirichlet cuts of a
-symmetry cell, a `Part`).
+Each spec's `outline()` is that polygon, an (n, 2) array.  Only a
+symmetry cell, a `Part`, declares edges of it Dirichlet (`Part.dirichlet`).
 
 Meshing: each whole domain has one base mesh.  Rhombi and rectangles are
 meshed as affine images of a structured triangulated reference square
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -41,15 +40,6 @@ DIRICHLET = "D"
 
 # ---------------------------------------------------------------------------
 # domain specifications
-
-
-class Outline(NamedTuple):
-    """What a domain spec says about itself: a counterclockwise convex polygon
-    (inscribed in the domain) and the indices i of its edges i -> i+1 that
-    are Dirichlet by definition of the domain (only a `Part` declares any)."""
-
-    polygon: np.ndarray
-    dirichlet: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
@@ -65,10 +55,9 @@ class Rhombus:
         if not 0 < self.theta < math.pi / 2:
             raise ValueError("rhombus half-opening must lie in (0, pi/2)")
 
-    def outline(self) -> Outline:
+    def outline(self) -> np.ndarray:
         h = 0.5 * self.D * math.tan(self.theta)
-        poly = np.array([(-0.5 * self.D, 0.0), (0.0, -h), (0.5 * self.D, 0.0), (0.0, h)])
-        return Outline(poly)
+        return np.array([(-0.5 * self.D, 0.0), (0.0, -h), (0.5 * self.D, 0.0), (0.0, h)])
 
 
 @dataclass(frozen=True)
@@ -80,10 +69,9 @@ class Rectangle:
         if not (self.a > 0 and self.b > 0):
             raise ValueError("rectangle sides must be positive")
 
-    def outline(self) -> Outline:
+    def outline(self) -> np.ndarray:
         a, b = self.a, self.b
-        poly = np.array([(0.0, 0.0), (a, 0.0), (a, b), (0.0, b)])
-        return Outline(poly)
+        return np.array([(0.0, 0.0), (a, 0.0), (a, b), (0.0, b)])
 
 
 @dataclass(frozen=True)
@@ -94,10 +82,9 @@ class EquilateralTriangle:
         if not self.side > 0:
             raise ValueError("triangle side must be positive")
 
-    def outline(self) -> Outline:
+    def outline(self) -> np.ndarray:
         s = self.side
-        poly = np.array([(0.0, 0.0), (s, 0.0), (0.5 * s, 0.5 * math.sqrt(3.0) * s)])
-        return Outline(poly)
+        return np.array([(0.0, 0.0), (s, 0.0), (0.5 * s, 0.5 * math.sqrt(3.0) * s)])
 
 
 @dataclass(frozen=True)
@@ -111,17 +98,17 @@ class RegularPolygon:
         if not self.circumradius > 0:
             raise ValueError("circumradius must be positive")
 
-    def outline(self) -> Outline:
+    def outline(self) -> np.ndarray:
         n, R = self.n_vertices, self.circumradius
         ang = 2.0 * math.pi * np.arange(n) / n
-        poly = np.column_stack([R * np.cos(ang), R * np.sin(ang)])
-        return Outline(poly)
+        return np.column_stack([R * np.cos(ang), R * np.sin(ang)])
 
 
 @dataclass(frozen=True)
 class Sector:
-    """Circular sector of radius R and opening angle `opening`, apex at the
-    origin, symmetric about the x axis; the arc is inscribed with n_arc chords."""
+    """Circular sector of radius R and opening angle `opening` in (0, pi],
+    apex at the origin, symmetric about the x axis; the arc is inscribed with
+    n_arc chords.  A wider sector is not convex: its apex turns clockwise."""
 
     R: float
     opening: float
@@ -130,17 +117,16 @@ class Sector:
     def __post_init__(self):
         if not self.R > 0:
             raise ValueError("sector radius must be positive")
-        if not 0 < self.opening < 2 * math.pi:
-            raise ValueError("sector opening must lie in (0, 2 pi)")
+        if not 0 < self.opening <= math.pi:
+            raise ValueError("sector opening must lie in (0, pi]")
         if self.n_arc < 1:
             raise ValueError("need at least one arc chord")
 
-    def outline(self) -> Outline:
+    def outline(self) -> np.ndarray:
         half = 0.5 * self.opening
         ang = np.linspace(-half, half, self.n_arc + 1)
         arc = np.column_stack([self.R * np.cos(ang), self.R * np.sin(ang)])
-        poly = np.vstack([[0.0, 0.0], arc])
-        return Outline(poly)
+        return np.vstack([[0.0, 0.0], arc])
 
 
 @dataclass(frozen=True)
@@ -156,7 +142,7 @@ class ReuleauxTriangle:
         if self.n_arc < 1:
             raise ValueError("need at least one arc chord")
 
-    def outline(self) -> Outline:
+    def outline(self) -> np.ndarray:
         w = self.width
         corners = np.array(
             [(0.0, 0.0), (w, 0.0), (0.5 * w, 0.5 * math.sqrt(3.0) * w)]
@@ -169,7 +155,7 @@ class ReuleauxTriangle:
             for t in range(self.n_arc):
                 a = a0 + (t / self.n_arc) * (math.pi / 3.0)
                 pts.append(center + w * np.array([math.cos(a), math.sin(a)]))
-        return Outline(np.array(pts))
+        return np.array(pts)
 
 
 @dataclass(frozen=True)
@@ -186,25 +172,22 @@ class ConvexHullPolygon:
         arr = np.array(verts)
         if not _signed_area(arr) > 0:  # a NaN coordinate fails too
             raise ValueError("polygon vertices must be counterclockwise")
-        n = len(verts)
-        for i in range(n):
-            a, b, c = arr[i], arr[(i + 1) % n], arr[(i + 2) % n]
-            if verts[i] == verts[(i + 1) % n]:
-                raise ValueError(f"polygon vertex {verts[i]} repeats consecutively")
-            if not _cross(b - a, c - b) >= 0:
-                raise ValueError("polygon vertices must be in convex position")
-        # every turn is convex, so the turns add up to 2 pi times the winding
-        # number, and a polygon that goes round twice passes the tests above
         edge = np.roll(arr, -1, axis=0) - arr
         after = np.roll(edge, -1, axis=0)
-        turn = np.arctan2(
-            edge[:, 0] * after[:, 1] - edge[:, 1] * after[:, 0], np.sum(edge * after, axis=1)
-        ).sum()
+        cross = edge[:, 0] * after[:, 1] - edge[:, 1] * after[:, 0]
+        repeats = np.flatnonzero(~edge.any(axis=1))
+        if len(repeats):
+            raise ValueError(f"polygon vertex {verts[repeats[0]]} repeats consecutively")
+        if not np.all(cross >= 0):  # a NaN turn fails too
+            raise ValueError("polygon vertices must be in convex position")
+        # every turn is convex, so the turns add up to 2 pi times the winding
+        # number, and a polygon that goes round twice passes the tests above
+        turn = np.arctan2(cross, np.sum(edge * after, axis=1)).sum()
         if not abs(turn - 2.0 * math.pi) < math.pi:
             raise ValueError(f"polygon must wind once, its total turn is {turn:.6g}")
 
-    def outline(self) -> Outline:
-        return Outline(np.array(self.vertices))
+    def outline(self) -> np.ndarray:
+        return np.array(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -231,8 +214,8 @@ class Part:
         if not self.dirichlet <= set(range(n)):
             raise ValueError(f"cut indices must name edges 0..{n - 1} of the region")
 
-    def outline(self) -> Outline:
-        return Outline(self.region.outline().polygon, self.dirichlet)
+    def outline(self) -> np.ndarray:
+        return self.region.outline()
 
 
 def half_rhombus(D: float, theta: float, cut: str = DIRICHLET) -> Part:
@@ -242,7 +225,7 @@ def half_rhombus(D: float, theta: float, cut: str = DIRICHLET) -> Part:
     whole = Rhombus(D, theta)
     if cut not in (NEUMANN, DIRICHLET):
         raise ValueError(f"half rhombus cut must be {NEUMANN!r} or {DIRICHLET!r}")
-    region = ConvexHullPolygon(whole.outline().polygon[[0, 2, 3]])
+    region = ConvexHullPolygon(whole.outline()[[0, 2, 3]])
     return Part(whole, region, {0} if cut == DIRICHLET else ())
 
 
@@ -257,7 +240,7 @@ def quarter_regular_polygon(n: int, R: float) -> Part:
     if n % 4:
         raise ValueError("quarter regular polygon needs a vertex count divisible by 4")
     q = n // 4
-    region = ConvexHullPolygon(np.vstack([whole.outline().polygon[: q + 1], [(0.0, 0.0)]]))
+    region = ConvexHullPolygon(np.vstack([whole.outline()[: q + 1], [(0.0, 0.0)]]))
     return Part(whole, region, {q})
 
 
@@ -271,7 +254,7 @@ def half_reuleaux_triangle(width: float, n_arc: int = 64) -> Part:
     if n_arc % 2:
         raise ValueError("half Reuleaux triangle needs an even arc chord count")
     n = n_arc
-    poly = whole.outline().polygon
+    poly = whole.outline()
     return Part(whole, ConvexHullPolygon(np.vstack([poly[2 * n + n // 2 :], poly[: n + 1]])))
 
 
@@ -367,15 +350,19 @@ def convex_hull(points: Sequence[Sequence[float]]) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1], dtype=float)
 
 
+def _edge_sides(poly: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The (m, n) crosses of each edge i -> i+1 of the polygon with each of the
+    m points taken relative to vertex i: positive left of the edge's line and
+    zero on it, so a point lies in a ccw convex polygon when its row is >= 0."""
+    edge = np.concatenate([poly[1:], poly[:1]]) - poly
+    rel = points[:, None, :] - poly[None]
+    return edge[:, 0] * rel[..., 1] - edge[:, 1] * rel[..., 0]
+
+
 def point_in_convex(poly: np.ndarray, p) -> bool:
-    """Half-plane test against all edges of a ccw convex polygon."""
-    n = len(poly)
-    for i in range(n):
-        a = poly[i]
-        b = poly[(i + 1) % n]
-        if _cross(b - a, np.subtract(p, a)) < 0.0:
-            return False
-    return True
+    """Half-plane test against all edges of a ccw convex polygon; a point on
+    the boundary is inside, one with a NaN coordinate outside."""
+    return bool(np.all(_edge_sides(poly, np.array([p], dtype=float)) >= 0))
 
 
 def inclusion_pair(seed: int, n_outer: int, n_inner: int):
@@ -416,7 +403,7 @@ def inclusion_pair(seed: int, n_outer: int, n_inner: int):
         inner = convex_hull(inner_pts)
         if len(inner) < 3 or abs(_signed_area(inner)) <= 1e-4:
             continue
-        if not all(point_in_convex(outer, p) for p in inner):
+        if not np.all(_edge_sides(outer, inner) >= 0):
             raise AssertionError("containment violated; construction bug")
         return inner, outer
     raise RuntimeError(f"no nondegenerate inclusion pair after 100 attempts (seed {seed})")
@@ -499,10 +486,7 @@ def _structured_grid(nx: int, ny: int):
 def _keep_inside(verts: np.ndarray, tris: np.ndarray, poly: np.ndarray):
     """The triangles whose centroid lies strictly inside the ccw convex poly,
     in their order, on the vertices they use, renumbered in their order."""
-    edge = np.roll(poly, -1, axis=0) - poly
-    rel = verts[tris].mean(axis=1)[:, None, :] - poly[None]
-    inside = np.all(edge[:, 0] * rel[..., 1] - edge[:, 1] * rel[..., 0] > 0, axis=1)
-    tris = tris[inside]
+    tris = tris[np.all(_edge_sides(poly, verts[tris].mean(axis=1)) > 0, axis=1)]
     used = np.unique(tris)
     remap = np.empty(len(verts), dtype=np.int64)
     remap[used] = np.arange(len(used))
@@ -608,12 +592,11 @@ def triangulate(spec: DomainSpec, dirichlet: bool = False) -> Mesh:
     Otherwise an edge is 'D' when it lies on an outline edge that the
     domain declares Dirichlet (a part's Dirichlet cuts) and 'N' elsewhere.
     """
-    outline = spec.outline()
-    poly = outline.polygon
+    poly = spec.outline()
     part = isinstance(spec, Part)
     whole = spec.whole if part else spec
     base = _GRID_MESHES.get(type(whole), _centroid_fan)
-    verts, tris = base(whole.outline().polygon if part else poly)
+    verts, tris = base(whole.outline() if part else poly)
     if part:
         verts, tris = _keep_inside(verts, tris, poly)
         # the kept triangles tile the region to rounding when it runs along
@@ -626,7 +609,8 @@ def triangulate(spec: DomainSpec, dirichlet: bool = False) -> Mesh:
             )
     edges = _boundary_edges_of(tris)
     nearest = _nearest_outline_edge(poly, 0.5 * (verts[edges[:, 0]] + verts[edges[:, 1]]))
-    markers = [DIRICHLET if dirichlet or i in outline.dirichlet else NEUMANN for i in nearest]
+    cuts = spec.dirichlet if part else frozenset()
+    markers = [DIRICHLET if dirichlet or i in cuts else NEUMANN for i in nearest]
     return Mesh(
         vertices=verts,
         triangles=tris,

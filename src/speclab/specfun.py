@@ -18,10 +18,11 @@ safeguarded Halley loop, which takes J_nu and J_{nu+1} at each iterate and
 J'' from the Bessel equation.  A new zero costs about 4 evaluations of J
 (4.29 over the 11,919 zeros of a 200 x 120 constant table).  Against
 mpmath the zeros are within 6.5e-16 relative over 152 (nu, k) cases with
-nu <= 60 and k <= 10**4.  Every zero is computed once: the zeros of J_nu
-are kept in a list per order and the derivative zeros in a dict per order,
-so a repeated request evaluates nothing, and the first request for index k
-computes zeros 1..k of that order.
+nu <= 60 and k <= 10**4.  Every zero of J_nu is computed once: the zeros
+are kept in a list per order, so a repeated request evaluates nothing, and
+the first request for index k computes zeros 1..k of that order.  A
+derivative zero is refined afresh on each request, between two cached
+zeros of J_nu.
 """
 
 from __future__ import annotations
@@ -223,10 +224,6 @@ def _zeros(nu: float, k: int) -> list[float]:
         return zeros
 
 
-# Keyed by index, not appended to: a race only stores the same root twice.
-_prime_zero_cache: dict[float, dict[int, float]] = {}
-
-
 def bessel_j_prime_zero(nu: float, k: int) -> float:
     """k-th positive zero of J_nu' in the standard convention.
 
@@ -235,7 +232,7 @@ def bessel_j_prime_zero(nu: float, k: int) -> float:
     and the k-th (k >= 2) in (j_{nu,k-1}, j_{nu,k}); each such interval
     contains exactly one stationary point, where J_nu' changes sign from
     (-1)^(k-1) to (-1)^k.  It is refined by `_refine_root` from the
-    interval's midpoint and memoized by (nu, k).
+    interval's midpoint.  It is not cached: a call costs a few Halley steps.
     """
     _validate_order(nu)
     k = as_index(k, "zero index")
@@ -245,10 +242,6 @@ def bessel_j_prime_zero(nu: float, k: int) -> float:
         )
     if nu == 0.0:
         return bessel_j_zero(1.0, k)
-
-    cache = _prime_zero_cache.setdefault(nu, {})
-    if k in cache:
-        return cache[k]
 
     def gd(x: float) -> tuple[float, float, float]:
         # J''' from the differentiated Bessel equation
@@ -265,6 +258,4 @@ def bessel_j_prime_zero(nu: float, k: int) -> float:
     # nudge off the endpoints, where J_nu' is nonzero
     width = hi - lo
     lo_in, hi_in = lo + 1e-9 * width, hi - 1e-9 * width
-    root = _refine_root(gd, lo_in, hi_in, k % 2 == 0, 0.5 * (lo_in + hi_in))
-    cache[k] = root
-    return root
+    return _refine_root(gd, lo_in, hi_in, k % 2 == 0, 0.5 * (lo_in + hi_in))

@@ -8,8 +8,6 @@ COLORS = ("#1f6fb2", "#d1495b", "#3a7d44", "#8d5a97", "#c77d1e", "#4a4a4a")
 
 
 def _ticks(lo: float, hi: float, n: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
     span = hi - lo
     return [lo + span * i / (n - 1) for i in range(n)]
 

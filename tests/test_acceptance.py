@@ -178,7 +178,7 @@ def test_criterion_7_inequality_suites():
     ]
     ok = True
     for spec in suite:
-        diam = geometry.diameter(spec.outline().polygon)
+        diam = geometry.diameter(spec.outline())
         mus = fem.mu_spectrum(spec, 5, refinements=4)
         lams = fem.dirichlet_spectrum(spec, 5, refinements=4)
         ok &= mus[0].value >= 0.995 * constants.payne_weinberger_lower(diam)

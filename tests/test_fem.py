@@ -21,7 +21,7 @@ def refined(spec, times, dirichlet=False):
     triangulate's flag, or a set of outline edges i -> i+1 that the spec
     declares Dirichlet as the part that is all of it."""
     if not isinstance(dirichlet, bool):
-        spec = geo.Part(spec, geo.ConvexHullPolygon(spec.outline().polygon), dirichlet)
+        spec = geo.Part(spec, geo.ConvexHullPolygon(spec.outline()), dirichlet)
         dirichlet = False
     mesh = geo.triangulate(spec, dirichlet)
     for _ in range(times):
@@ -69,7 +69,7 @@ def test_mass_sums_to_area():
         mesh = refined(spec, times)
         _, M = fem.assemble(mesh)
         assert M.sum() == pytest.approx(
-            geo.area(spec.outline().polygon), rel=1e-12
+            geo.area(spec.outline()), rel=1e-12
         )
 
 
@@ -453,7 +453,7 @@ SUITE_SPECS = [
 def suite_results():
     out = {}
     for spec in SUITE_SPECS:
-        poly = spec.outline().polygon
+        poly = spec.outline()
         diam = geo.diameter(poly)
         out[spec] = (
             diam,
@@ -545,7 +545,7 @@ def test_neumann_quarter_lies_above_payne_weinberger():
     # the certificate of table_disk_symmetric_lowest: the all-Neumann quarter
     # is convex, so its mu_1 is at least pi^2/D^2 = pi^2/2, and each rung is
     # at least mu_1 (min-max); j'_{2,1}^2 = 9.33 of the quarter disk is close
-    floor = constants.payne_weinberger_lower(geo.diameter(QUARTER.outline().polygon))
+    floor = constants.payne_weinberger_lower(geo.diameter(QUARTER.outline()))
     assert floor == pytest.approx(PI2 / 2.0, rel=1e-15)
     rungs = [fem.solve_mesh(refined(quarter_with_cuts(()), r), 2).eigenvalues[1] for r in (1, 2, 3)]
     assert all(floor < mu < 10.1 for mu in rungs)
@@ -559,7 +559,7 @@ def test_reuleaux_sixth_lies_above_fibre_bound():
     # eigenvalue is at least pi^2/((sqrt(3) - 1)^2 w^2) = 4.6042 at w = 2
     whole = geo.ReuleauxTriangle(2.0, 64)
     centre = (1.0, 1.0 / math.sqrt(3.0))
-    sixth = np.vstack([centre, whole.outline().polygon[32:65]])  # arc 0, 30 to 60 degrees
+    sixth = np.vstack([centre, whole.outline()[32:65]])  # arc 0, 30 to 60 degrees
     floor = PI2 / ((math.sqrt(3.0) - 1.0) * 2.0) ** 2
     assert floor == pytest.approx(4.6042, abs=1e-4)
     part = geo.Part(whole, geo.ConvexHullPolygon(sixth), {0, len(sixth) - 1})  # both rays

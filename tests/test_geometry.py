@@ -32,7 +32,7 @@ def declaring(spec, edges):
         return spec
     if isinstance(spec, geo.Part):
         return dataclasses.replace(spec, dirichlet=spec.dirichlet | edges)
-    return geo.Part(spec, geo.ConvexHullPolygon(spec.outline().polygon), edges)
+    return geo.Part(spec, geo.ConvexHullPolygon(spec.outline()), edges)
 
 
 # outline edge indices: a rectangle's sides from the bottom counterclockwise,
@@ -58,28 +58,38 @@ def rotate(poly, angle, center=(0.3, -0.7)):
 
 
 def test_rhombus_build():
-    poly = geo.Rhombus(2.0, math.pi / 4).outline().polygon
+    poly = geo.Rhombus(2.0, math.pi / 4).outline()
     ref = {(-1.0, 0.0), (0.0, -1.0), (1.0, 0.0), (0.0, 1.0)}
     assert {tuple(np.round(p, 12)) for p in poly} == ref
 
 
 def test_square_diameter_normalization():
-    poly = geo.Rectangle(math.sqrt(2.0), math.sqrt(2.0)).outline().polygon
+    poly = geo.Rectangle(math.sqrt(2.0), math.sqrt(2.0)).outline()
     assert geo.diameter(poly) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_reuleaux_constant_width():
-    poly = geo.ReuleauxTriangle(2.0, 64).outline().polygon
+    poly = geo.ReuleauxTriangle(2.0, 64).outline()
     d2 = np.sum((poly[:, None] - poly[None, :]) ** 2, axis=2)
     assert math.sqrt(d2.max()) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_sector_vertices_on_circle():
     spec = geo.Sector(1.5, math.pi / 3, 32)
-    poly = spec.outline().polygon
+    poly = spec.outline()
     assert len(poly) == 34  # apex + 33 arc points
     radii = np.linalg.norm(poly[1:], axis=1)
     assert np.allclose(radii, 1.5, atol=1e-14)
+
+
+def test_sector_opening_is_at_most_pi():
+    # past pi the apex turns clockwise: the outline is not convex
+    for opening in (4.0, math.pi + 1e-9, 0.0):
+        with pytest.raises(ValueError, match="opening"):
+            geo.Sector(1.0, opening, 16)
+    half_disk = geo.Sector(1.0, math.pi, 16)
+    geo.ConvexHullPolygon(half_disk.outline())
+    refined(half_disk, 2).validate()
 
 
 # an example of every spec type and of each cell that the experiments solve,
@@ -107,14 +117,14 @@ def test_examples_cover_every_spec_type():
 @pytest.mark.parametrize("name", EXAMPLES)
 def test_build_polygons_ccw_convex(name):
     spec = EXAMPLES[name]
-    outline = spec.outline()
-    poly = outline.polygon
-    assert outline.dirichlet <= set(range(len(poly)))
+    poly = spec.outline()
+    assert poly.ndim == 2 and poly.shape[1] == 2
+    if isinstance(spec, geo.Part):
+        assert spec.dirichlet <= set(range(len(poly)))
     assert geo._signed_area(poly) > 0
-    n = len(poly)
-    for i in range(n):
-        a, b, c = poly[i], poly[(i + 1) % n], poly[(i + 2) % n]
-        assert geo._cross(b - a, c - b) >= -1e-12
+    edge = np.roll(poly, -1, axis=0) - poly
+    after = np.roll(edge, -1, axis=0)
+    assert np.all(edge[:, 0] * after[:, 1] - edge[:, 1] * after[:, 0] >= -1e-12)
     mesh = geo.triangulate(spec)
     mesh.validate()
     for _ in range(3):
@@ -128,31 +138,31 @@ def test_build_polygons_ccw_convex(name):
 
 def test_diameter_rhombus_long_diagonal():
     for theta in (0.1, 0.4, math.pi / 4 - 0.01):
-        assert geo.diameter(geo.Rhombus(3.0, theta).outline().polygon) == pytest.approx(3.0)
+        assert geo.diameter(geo.Rhombus(3.0, theta).outline()) == pytest.approx(3.0)
 
 
 def test_diameter_regular_polygon_bounds():
-    poly = geo.RegularPolygon(64, 1.0).outline().polygon
+    poly = geo.RegularPolygon(64, 1.0).outline()
     d = geo.diameter(poly)
     assert d == pytest.approx(brute_diameter([tuple(p) for p in poly]), rel=1e-14)
     assert 2.0 * math.cos(math.pi / 64) <= d <= 2.0
 
 
 def test_area_values():
-    assert geo.area(geo.Rectangle(1.0, 1.0).outline().polygon) == pytest.approx(1.0, rel=1e-14)
+    assert geo.area(geo.Rectangle(1.0, 1.0).outline()) == pytest.approx(1.0, rel=1e-14)
     for theta in (0.2, 0.7):
-        assert geo.area(geo.Rhombus(2.0, theta).outline().polygon) == pytest.approx(
+        assert geo.area(geo.Rhombus(2.0, theta).outline()) == pytest.approx(
             2.0 * math.tan(theta), rel=1e-13
         )
     n = 256
-    assert geo.area(geo.RegularPolygon(n, 1.0).outline().polygon) == pytest.approx(
+    assert geo.area(geo.RegularPolygon(n, 1.0).outline()) == pytest.approx(
         0.5 * n * math.sin(2 * math.pi / n), rel=1e-13
     )
-    assert abs(geo.area(geo.RegularPolygon(256, 1.0).outline().polygon) - math.pi) < 1e-3
+    assert abs(geo.area(geo.RegularPolygon(256, 1.0).outline()) - math.pi) < 1e-3
 
 
 def test_measures_rigid_motion_invariant():
-    poly = geo.RegularPolygon(9, 1.3).outline().polygon
+    poly = geo.RegularPolygon(9, 1.3).outline()
     for angle in (0.3, 1.1, 2.9):
         rot = rotate(poly, angle)
         assert geo.diameter(rot) == pytest.approx(geo.diameter(poly), abs=1e-12)
@@ -174,6 +184,19 @@ def test_inclusion_pair_containment_and_determinism():
     # golden values frozen from the first implementation run (seed 1)
     assert geo.area(inner) == pytest.approx(0.3426896399347, rel=1e-12)
     assert geo.area(outer) == pytest.approx(1.30824846090748, rel=1e-12)
+
+
+def test_point_in_convex_counts_the_boundary_as_inside():
+    poly = geo.ConvexHullPolygon(((0, 0), (1, 0), (1.2, 0.7), (0.3, 0.9))).outline()
+    # every vertex, and the midpoint of edge 0, which lies exactly on it
+    for p in [*poly, (0.5, 0.0)]:
+        assert geo.point_in_convex(poly, p)
+    # 1e-9 off the midpoint of each edge, along its outward normal or against it
+    for a, b in zip(poly, np.roll(poly, -1, axis=0)):
+        normal = np.array([b[1] - a[1], a[0] - b[0]]) / math.dist(a, b)
+        assert not geo.point_in_convex(poly, 0.5 * (a + b) + 1e-9 * normal)
+        assert geo.point_in_convex(poly, 0.5 * (a + b) - 1e-9 * normal)
+    assert not geo.point_in_convex(poly, (math.nan, 0.5))
 
 
 def test_inclusion_pair_seeds_differ():
@@ -290,7 +313,7 @@ def test_neumann_problem_marks_only_the_edges_the_domain_declares(name):
             for p, q in mesh.vertices[mesh.boundary_edges]
         ]
         assert mesh.boundary_markers == expected
-        assert (geo.DIRICHLET in expected) == bool(spec.outline().dirichlet)
+        assert (geo.DIRICHLET in expected) == (isinstance(spec, geo.Part) and bool(spec.dirichlet))
 
 
 @pytest.mark.parametrize("deg", [5.0, 20.0, 45.0])
@@ -344,9 +367,10 @@ def test_part_mesh_is_the_whole_fans_triangles_inside_it(part, parts, inside):
 
 def test_quarter_polygon_needs_vertex_count_divisible_by_four():
     # vertices 0..n/4 and the centre; the cuts are the last two outline edges
-    outline = geo.quarter_regular_polygon(8, 1.0).outline()
-    assert len(outline.polygon) == 4 and outline.dirichlet == {2}
-    assert np.array_equal(outline.polygon[-1], (0.0, 0.0))
+    quarter = geo.quarter_regular_polygon(8, 1.0)
+    poly = quarter.outline()
+    assert len(poly) == 4 and quarter.dirichlet == {2}
+    assert np.array_equal(poly[-1], (0.0, 0.0))
     for n in (6, 7, 10):
         with pytest.raises(ValueError, match="divisible by 4"):
             geo.quarter_regular_polygon(n, 1.0)
@@ -354,7 +378,7 @@ def test_quarter_polygon_needs_vertex_count_divisible_by_four():
 
 def test_half_reuleaux_needs_even_arc_count():
     # from the bottom arc's midpoint through the right corner to the top one
-    poly = geo.half_reuleaux_triangle(2.0, 4).outline().polygon
+    poly = geo.half_reuleaux_triangle(2.0, 4).outline()
     assert len(poly) == 7
     assert poly[0] == pytest.approx((1.0, math.sqrt(3.0) - 2.0), abs=1e-15)
     assert poly[-1] == pytest.approx((1.0, math.sqrt(3.0)), abs=1e-15)
@@ -363,7 +387,7 @@ def test_half_reuleaux_needs_even_arc_count():
 
 
 OCTAGON = geo.RegularPolygon(8, 1.0)
-OCTAGON_HALF = geo.ConvexHullPolygon(OCTAGON.outline().polygon[:5])  # vertices 0..4
+OCTAGON_HALF = geo.ConvexHullPolygon(OCTAGON.outline()[:5])  # vertices 0..4
 
 
 @pytest.mark.parametrize(
@@ -393,7 +417,7 @@ def test_part_off_the_base_mesh_is_rejected():
     # fan's triangles 0 and 8 through their centroids: both are dropped, and
     # the kept triangles miss 1/8 of the half's area
     whole = geo.RegularPolygon(16, 1.0)
-    poly = whole.outline().polygon
+    poly = whole.outline()
     mids = 0.5 * (poly[[0, 8]] + poly[[1, 9]])
     half = geo.Part(whole, geo.ConvexHullPolygon(np.vstack([mids[0], poly[1:9], mids[1]])))
     with pytest.raises(ValueError, match="does not run along"):
@@ -684,8 +708,11 @@ def test_convex_hull_polygon_validation():
     with pytest.raises(ValueError):
         geo.ConvexHullPolygon(((0, 0), (1, 0), (math.nan, 1)))
     # a zero-length edge makes no turn, so the convexity test alone passes it
-    for verts in (((0, 0), (1, 0), (1, 0), (0, 1)), ((0, 0), (1, 0), (0, 1), (0, 0))):
-        with pytest.raises(ValueError, match="repeats"):
+    for verts, vertex in (
+        (((0, 0), (1, 0), (1, 0), (0, 1)), r"\(1\.0, 0\.0\)"),
+        (((0, 0), (1, 0), (0, 1), (0, 0)), r"\(0\.0, 0\.0\)"),
+    ):
+        with pytest.raises(ValueError, match=f"vertex {vertex} repeats"):
             geo.ConvexHullPolygon(verts)
     # collinear vertices make a straight angle, not a repeat
     geo.triangulate(geo.ConvexHullPolygon(((0, 0), (0.5, 0), (1, 0), (0, 1)))).validate()

@@ -201,9 +201,8 @@ def test_zero_indices_accept_numpy_integers_only():
                 fn(0.0, bad)
 
 
-def _clear_zero_caches():
+def _clear_zero_cache():
     specfun._zero_cache.clear()
-    specfun._prime_zero_cache.clear()
 
 
 # orders of the constant table (nu = d/2 - 1), from nu = 59, where Halley
@@ -227,7 +226,7 @@ def _count_j_calls(monkeypatch):
 
 def test_zero_evaluation_budget(monkeypatch):
     calls = _count_j_calls(monkeypatch)
-    _clear_zero_caches()
+    _clear_zero_cache()
     try:
         for nu in BUDGET_ORDERS:
             calls[0] = 0
@@ -242,20 +241,20 @@ def test_zero_evaluation_budget(monkeypatch):
                 specfun.bessel_j_zero(nu, k)
             assert calls[0] == 0, f"order {nu}: repeat requests evaluated J"
     finally:
-        _clear_zero_caches()
+        _clear_zero_cache()
 
 
 def test_constant_table_evaluation_count(monkeypatch):
     # a noise-free regression guard on the cost of the zero march: the 589
     # zeros of a 40 x 30 constant table take 3,043 evaluations of J
     calls = _count_j_calls(monkeypatch)
-    _clear_zero_caches()
+    _clear_zero_cache()
     try:
         constants.emit_constant_table(40, 30)
         assert sum(len(z) for z in specfun._zero_cache.values()) == 589
         assert calls[0] == 3043
     finally:
-        _clear_zero_caches()
+        _clear_zero_cache()
 
 
 @pytest.mark.parametrize("nu", BUDGET_ORDERS)
@@ -278,7 +277,7 @@ def test_zero_request_order_does_not_matter():
     pairs = [(nu, k) for nu in BUDGET_ORDERS + (2.5, 41.5) for k in BUDGET_K]
 
     def fill(order):
-        _clear_zero_caches()
+        _clear_zero_cache()
         return {pair: specfun.bessel_j_zero(*pair) for pair in order}
 
     try:
@@ -288,7 +287,7 @@ def test_zero_request_order_does_not_matter():
         assert fill(reversed(pairs)) == ascending
         assert fill(shuffled) == ascending
     finally:
-        _clear_zero_caches()
+        _clear_zero_cache()
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 10, 41, 120])
@@ -307,13 +306,13 @@ def test_zero_cache_concurrent_fill():
     # tiny switch interval makes two threads that start together interleave
     # inside it
     orders = [20.0 + i for i in range(30)]
-    _clear_zero_caches()
+    _clear_zero_cache()
     expected = {nu: [specfun.bessel_j_zero(nu, k) for k in (4, 1, 2, 3)] for nu in orders}
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for nu in orders:
-            _clear_zero_caches()
+            _clear_zero_cache()
             barrier = threading.Barrier(2)
             results = [None, None]
 
@@ -330,7 +329,7 @@ def test_zero_cache_concurrent_fill():
             assert results == [expected[nu], expected[nu]], f"order {nu}"
     finally:
         sys.setswitchinterval(old_interval)
-        _clear_zero_caches()
+        _clear_zero_cache()
 
 
 # ---------------------------------------------------------------------------
