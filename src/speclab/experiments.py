@@ -204,15 +204,19 @@ ORDER_BAND = (1.5, 2.5)
 
 def _ladder_checks(ladders) -> dict:
     """The largest eigenpair backward error (fem.EigResult.residuals; scale-free,
-    at most fem.DEFAULT_TOL) over every mesh of the report's ladders, and counts
+    at most fem.DEFAULT_TOL) over every mesh of the report's ladders, counts
     of their Richardson self-checks: fitted order outside ORDER_BAND (NaN
-    counts as outside) and non-monotone."""
+    counts as outside) and non-monotone, and counts of finest meshes solved
+    by spectrum slicing and of slices rejected for the dense eigensolve
+    (fem.EigResult.slicing)."""
     lo, hi = ORDER_BAND
     return {
         "max_residual": max((r.residual for r in ladders), default=math.nan),
         "ladders": len(ladders),
         "fitted_order_out_of_band": sum(not lo <= r.fitted_order <= hi for r in ladders),
         "non_monotone": sum(not r.monotone for r in ladders),
+        "sliced_rungs": sum(r.slicing == fem.SLICED for r in ladders),
+        "slice_fallbacks": sum(r.slicing.startswith("fallback") for r in ladders),
     }
 
 

@@ -12,6 +12,16 @@ accuracy.  The Rayleigh-Ritz pass, one inverse-iteration step plus a
 projected solve, squares the eigenvector error and so carries the last
 digits, and every pair must still pass the backward-error check.
 
+A dense pencil given an upper bound for its largest wanted eigenvalue (the
+finest mesh of a ladder, bounded by the middle mesh's value) is solved by
+spectrum slicing instead: one LDL^T factorization at the bound, whose
+inertia counts the eigenvalues below it (Sylvester's law; Parlett, The
+Symmetric Eigenvalue Problem, 1980), then subspace iteration with that
+factor (Ericsson and Ruhe, Math. Comp. 35, 1980).  The slice is accepted
+only if the Ritz values below the bound match the count and every pair
+passes the backward-error check; otherwise the dense eigensolve gives the
+pairs, and the result records why.
+
 Dirichlet degrees of freedom are eliminated by row/column deletion.  Both
 the pure Neumann zero mode and the constrained problems are handled by
 solving with the definite pencil K + sigma*M, sigma = 1/|Omega| with
@@ -20,7 +30,7 @@ the natural eigenvalue scale of the domain and does not grow under
 refinement, so the wanted modes stay well separated from the rest of the
 spectrum on fine meshes and subtracting the shift from the computed
 eigenvalues cancels few digits.  Iteration starts from a fixed
-deterministic vector, so repeated runs give bit-identical results.
+deterministic vector or block, so repeated runs give bit-identical results.
 
 Discrete eigenvalues of the conforming method approach the continuum from
 above at rate O(h^2); the refinement drivers solve on meshes h, h/2, h/4
@@ -43,7 +53,8 @@ from . import geometry
 from .geometry import DomainSpec, Mesh
 
 # Largest accepted eigenpair backward error (EigResult): ~100 times the largest
-# measured, 9.0e-15 over the FEM commands and 1.5e-14 over the tests.
+# measured by the unsliced solvers, 9.0e-15 over the FEM commands and 1.5e-14
+# over the tests.  A sliced solve iterates until its pairs reach a tenth of it.
 DEFAULT_TOL = 1e-12
 MAXITER_PER_EIG = 500
 N_EIGS_MAX = 20
@@ -53,6 +64,10 @@ _DENSE_CUTOFF = 400
 # machine precision, digits the Rayleigh-Ritz pass supplies anyway.
 _KRYLOV_VECTORS_PER_EIG = 2
 _LANCZOS_TOL = 1e-11
+# Spectrum slicing (solve_smallest's slice_at) gives up after this many
+# subspace steps; the scan's finest rungs take about five.
+_SLICE_MAXITER = 30
+SLICED = "sliced"
 
 
 class NonConvergenceError(RuntimeError):
@@ -140,14 +155,18 @@ def dirichlet_dofs(mesh: Mesh) -> np.ndarray:
 class EigResult:
     """Eigenvalues of the constrained pencil with solver diagnostics; residuals
     holds each pair's backward error ||K u - mu M u||_2 / ((||K||_1 + |mu|
-    ||M||_1) ||u||_2), which does not change when the domain is scaled."""
+    ||M||_1) ||u||_2), which does not change when the domain is scaled.
+    slicing is "" when the solve was not sliced (no slice_at, or a sparse
+    pencil), SLICED when the certified slice gave the pairs, and "fallback:
+    <reason>" when the slice was rejected and the dense eigensolve gave them."""
 
     eigenvalues: np.ndarray
     residuals: np.ndarray
     dof_count: int
+    slicing: str = ""
 
 
-def solve_smallest(K, M, constrained_dofs, n_eigs: int) -> EigResult:
+def solve_smallest(K, M, constrained_dofs, n_eigs: int, slice_at=None) -> EigResult:
     """n_eigs smallest generalized eigenvalues of the constrained pencil.
 
     K and M are both dense arrays or both scipy.sparse matrices, and the
@@ -164,6 +183,19 @@ def solve_smallest(K, M, constrained_dofs, n_eigs: int) -> EigResult:
     stop leaves out.  Every pair's backward error (EigResult.residuals) must
     not exceed DEFAULT_TOL.  Every failure of either solver raises
     NonConvergenceError.
+
+    slice_at, if given, is an upper bound for the n_eigs-th eigenvalue of the
+    constrained pencil (K, M), such as its value on the next coarser mesh of a
+    uniform refinement ladder.  A dense pencil is then solved by spectrum
+    slicing: K - slice_at M is factored once as L D L^T (LAPACK ?sytrf), and
+    the negative eigenvalues of the 1x1 and 2x2 blocks of D count the c
+    eigenvalues below slice_at (Sylvester's law of inertia).  Subspace
+    iteration with that factor, from a fixed block of c + 2 vectors that is
+    orthonormalized and Rayleigh-Ritz projected each step, runs until every
+    wanted pair's backward error is at most DEFAULT_TOL / 10.  The result is
+    accepted only if exactly c Ritz values lie below slice_at and every pair
+    passes the backward-error check; otherwise the dense eigensolve gives the
+    pairs, and EigResult.slicing says why.  A sparse pencil ignores slice_at.
     """
     if n_eigs < 1 or n_eigs > N_EIGS_MAX:
         raise ValueError(f"n_eigs must be 1..{N_EIGS_MAX}")
@@ -181,15 +213,15 @@ def solve_smallest(K, M, constrained_dofs, n_eigs: int) -> EigResult:
     sigma = 1.0 / M.sum()
 
     Kc, Mc = K, M
+    slicing = ""
     if not sparse.issparse(K):
         if dim < n_full:  # a fancy-indexed copy costs ~1 ms at 400 unknowns
             Kc, Mc = K[np.ix_(keep, keep)], M[np.ix_(keep, keep)]
-        try:
-            vals, vecs = scipy.linalg.eigh(
-                Kc + sigma * Mc, Mc, subset_by_index=[0, n_eigs - 1]
-            )
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise NonConvergenceError(f"dense eigensolve failed: {exc}") from exc
+        norms = _one_norms(Kc, Mc)
+        if slice_at is not None:
+            mu, vecs, slicing = _slice(Kc, Mc, float(slice_at), n_eigs, norms)
+        if slicing != SLICED:
+            mu, vecs = _dense_pairs(Kc, Mc, sigma, n_eigs)
     else:
         if dim < n_full:
             Kc, Mc = K[keep][:, keep], M[keep][:, keep]
@@ -218,18 +250,99 @@ def solve_smallest(K, M, constrained_dofs, n_eigs: int) -> EigResult:
             raise NonConvergenceError(f"shift-invert iteration failed: {exc}") from exc
         vecs = vecs[:, np.argsort(vals)]
         vals, vecs = _rayleigh_ritz_refine(lu.solve, A, Mc, vecs)
+        mu = vals - sigma
+        norms = _one_norms(Kc, Mc)
 
-    mu = vals - sigma
-    # normwise backward error: Higham and Higham, SIAM J. Matrix Anal. Appl. 20 (1998)
-    k_norm, m_norm = (abs(X).sum(axis=0).max() for X in (Kc, Mc))
-    residuals = np.linalg.norm(Kc @ vecs - (Mc @ vecs) * mu, axis=0) / (
-        (k_norm + np.abs(mu) * m_norm) * np.linalg.norm(vecs, axis=0)
-    )
+    residuals = _backward_errors(Kc @ vecs, Mc @ vecs, mu, vecs, norms)
+    if slicing == SLICED and not np.all(residuals <= DEFAULT_TOL):
+        slicing = f"fallback: backward error {residuals.max():.3e}"
+        mu, vecs = _dense_pairs(Kc, Mc, sigma, n_eigs)
+        residuals = _backward_errors(Kc @ vecs, Mc @ vecs, mu, vecs, norms)
     if not np.all(residuals <= DEFAULT_TOL):  # a NaN residual fails too
         raise NonConvergenceError(
             f"eigenpair backward error {residuals.max():.3e} exceeds tolerance {DEFAULT_TOL:.1e}"
         )
-    return EigResult(eigenvalues=mu, residuals=residuals, dof_count=dim)
+    return EigResult(eigenvalues=mu, residuals=residuals, dof_count=dim, slicing=slicing)
+
+
+def _one_norms(Kc, Mc):
+    """||Kc||_1 and ||Mc||_1, the scales of the backward error."""
+    return tuple(abs(X).sum(axis=0).max() for X in (Kc, Mc))
+
+
+def _backward_errors(KX, MX, mu, X, norms):
+    """Each pair's normwise backward error ||K x - mu M x||_2 / ((||K||_1 +
+    |mu| ||M||_1) ||x||_2), from the products KX = K X and MX = M X (Higham
+    and Higham, SIAM J. Matrix Anal. Appl. 20 (1998))."""
+    k_norm, m_norm = norms
+    return np.linalg.norm(KX - MX * mu, axis=0) / (
+        (k_norm + np.abs(mu) * m_norm) * np.linalg.norm(X, axis=0)
+    )
+
+
+def _dense_pairs(Kc, Mc, sigma, n_eigs):
+    """The n_eigs smallest pairs of the dense pencil from one generalized
+    eigensolve of the definite (Kc + sigma Mc, Mc)."""
+    try:
+        vals, vecs = scipy.linalg.eigh(Kc + sigma * Mc, Mc, subset_by_index=[0, n_eigs - 1])
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise NonConvergenceError(f"dense eigensolve failed: {exc}") from exc
+    return vals - sigma, vecs
+
+
+def _negative_pivots(ldu, ipiv) -> int:
+    """Negative eigenvalues of D in a lower ?sytrf factor (ldu, ipiv), which
+    are those of the factored matrix by Sylvester's law of inertia.  A 1x1
+    block counts by its sign.  A 2x2 block is marked by equal negative ipiv
+    entries at rows k and k + 1; Bunch-Kaufman pivoting takes one, [a b; b
+    c], only when |a c| < 0.41 b^2, so its determinant is negative and it
+    holds exactly one negative eigenvalue."""
+    one_by_one = ipiv > 0
+    negative_1x1 = np.count_nonzero(ldu.diagonal()[one_by_one] < 0)
+    return int(negative_1x1 + np.count_nonzero(~one_by_one) // 2)
+
+
+def _slice(Kc, Mc, shift, n_eigs, norms):
+    """The n_eigs smallest pairs of the dense pencil (Kc, Mc) by spectrum
+    slicing at `shift`, an upper bound for the n_eigs-th eigenvalue:
+    (eigenvalues, eigenvectors, SLICED), or (None, None, "fallback:
+    <reason>") when the count is out of range, a projected solve fails, the
+    iteration does not converge or the Ritz values below the shift do not
+    match the count.  See solve_smallest."""
+    n = Kc.shape[0]
+    shifted = Mc * -shift
+    shifted += Kc
+    sytrf, sytrs = scipy.linalg.lapack.get_lapack_funcs(("sytrf", "sytrs"), (shifted,))
+    # shifted is symmetric, so its transpose is the Fortran-ordered array
+    # that sytrf overwrites with the factor instead of copying it
+    ldu, ipiv, info = sytrf(shifted.T, lower=1, overwrite_a=1)
+    if info != 0:
+        return None, None, f"fallback: singular factor at pivot {info}"
+    count = _negative_pivots(ldu, ipiv)
+    if not n_eigs <= count <= min(N_EIGS_MAX, n - 2):
+        return None, None, f"fallback: count {count} outside {n_eigs}..{min(N_EIGS_MAX, n - 2)}"
+    # fixed start block, so that repeated runs give bit-identical results
+    X = np.cos(np.outer(np.linspace(0.0, math.pi, n), np.arange(count + 2)))
+    MX = Mc @ X
+    want = slice(n_eigs)
+    for _ in range(_SLICE_MAXITER):
+        W, _ = sytrs(ldu, ipiv, MX, lower=1)
+        Q = np.linalg.qr(W)[0]
+        KQ, MQ = Kc @ Q, Mc @ Q
+        try:
+            mu, Y = scipy.linalg.eigh(Q.T @ KQ, Q.T @ MQ)
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            return None, None, f"fallback: projected solve failed: {exc}"
+        X, MX = Q @ Y, MQ @ Y
+        eta = _backward_errors(KQ @ Y[:, want], MX[:, want], mu[want], X[:, want], norms)
+        if np.all(eta <= 0.1 * DEFAULT_TOL):
+            break
+    else:
+        return None, None, f"fallback: backward error {eta.max():.3e} after {_SLICE_MAXITER} steps"
+    below = int(np.count_nonzero(mu < shift))
+    if below != count:
+        return None, None, f"fallback: {below} Ritz values below the shift, count {count}"
+    return mu[want], X[:, want], SLICED
 
 
 def _rayleigh_ritz_refine(solve, A, Mc, vecs):
@@ -254,18 +367,19 @@ def _rayleigh_ritz_refine(solve, A, Mc, vecs):
     return small_vals, refined
 
 
-def solve_mesh(mesh: Mesh, n_eigs: int) -> EigResult:
+def solve_mesh(mesh: Mesh, n_eigs: int, slice_at=None) -> EigResult:
     """Assemble and solve one mesh, honoring its boundary markers.
 
     The one place that applies the size rule: up to _DENSE_CUTOFF unknowns
-    the pencil is dense and never builds a scipy.sparse matrix.
+    the pencil is dense and never builds a scipy.sparse matrix.  slice_at is
+    solve_smallest's.
     """
     constrained = dirichlet_dofs(mesh)
     if len(mesh.vertices) - len(constrained) <= _DENSE_CUTOFF:
         K, M = _assemble_dense(mesh)
     else:
         K, M = assemble(mesh)
-    return solve_smallest(K, M, constrained, n_eigs)
+    return solve_smallest(K, M, constrained, n_eigs, slice_at)
 
 
 @dataclass
@@ -278,6 +392,7 @@ class ExtrapolationResult:
     residual: float
     fitted_order: float
     monotone: bool
+    slicing: str = ""  # the finest mesh's EigResult.slicing
 
 
 def _extrapolate(spec: DomainSpec, ks, refinements: int, dirichlet: bool) -> list:
@@ -286,7 +401,9 @@ def _extrapolate(spec: DomainSpec, ks, refinements: int, dirichlet: bool) -> lis
     The ladder is triangulated first (`geometry.triangulate(spec,
     dirichlet)`): its markers decide whether k counts from 0 (pure Neumann)
     or from 1 (any Dirichlet edge), and every mesh is solved for exactly the
-    pairs up to the largest k.
+    pairs up to the largest k.  Uniform refinement nests the P1 spaces, so
+    each discrete eigenvalue can only fall from one mesh to the next: the
+    finest mesh is sliced at the middle mesh's largest wanted eigenvalue.
     """
     if refinements < 2:
         raise ValueError("need at least 2 refinements for h, h/2, h/4 meshes")
@@ -303,7 +420,9 @@ def _extrapolate(spec: DomainSpec, ks, refinements: int, dirichlet: bool) -> lis
             f"eigenvalue indices {ks} must start at {offset}: Neumann problems "
             "index from k = 0, constrained problems from k = 1"
         )
-    results = [solve_mesh(m, max(ks) + 1 - offset) for m in ladder]
+    n_eigs = max(ks) + 1 - offset
+    results = [solve_mesh(m, n_eigs) for m in ladder[:2]]
+    results.append(solve_mesh(ladder[2], n_eigs, slice_at=results[1].eigenvalues[-1]))
     out = []
     for k in ks:
         vals = tuple(float(r.eigenvalues[k - offset]) for r in results)
@@ -322,6 +441,7 @@ def _extrapolate(spec: DomainSpec, ks, refinements: int, dirichlet: bool) -> lis
                 residual=max(float(r.residuals.max()) for r in results),
                 fitted_order=fitted,
                 monotone=monotone,
+                slicing=results[2].slicing,
             )
         )
     return out

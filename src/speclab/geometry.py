@@ -108,7 +108,9 @@ class RegularPolygon:
 class Sector:
     """Circular sector of radius R and opening angle `opening` in (0, pi],
     apex at the origin, symmetric about the x axis; the arc is inscribed with
-    n_arc chords.  A wider sector is not convex: its apex turns clockwise."""
+    n_arc chords.  A wider sector is not convex: its apex turns clockwise.
+    A half disk (opening pi) needs at least two chords: its one chord would
+    pass through the apex and enclose no area."""
 
     R: float
     opening: float
@@ -119,8 +121,8 @@ class Sector:
             raise ValueError("sector radius must be positive")
         if not 0 < self.opening <= math.pi:
             raise ValueError("sector opening must lie in (0, pi]")
-        if self.n_arc < 1:
-            raise ValueError("need at least one arc chord")
+        if self.n_arc < (2 if self.opening == math.pi else 1):
+            raise ValueError("need at least one arc chord, two for an opening of pi")
 
     def outline(self) -> np.ndarray:
         half = 0.5 * self.opening

@@ -249,10 +249,11 @@ def test_ratio_scan_reports_ladder_checks(tmp_path):
 
 def test_ladder_checks_count_nan_order_out_of_band():
     ladders = [
-        fem.ExtrapolationResult(1.0, 0.0, (1.0, 1.0, 1.0), residual, order, monotone)
-        for residual, order, monotone in [
-            (1e-12, 2.0, True), (4e-12, 1.5, True), (2e-12, 2.5, False), (0.0, 1.49, True),
-            (3e-12, math.nan, False),
+        fem.ExtrapolationResult(1.0, 0.0, (1.0, 1.0, 1.0), residual, order, monotone, slicing)
+        for residual, order, monotone, slicing in [
+            (1e-12, 2.0, True, fem.SLICED), (4e-12, 1.5, True, ""),
+            (2e-12, 2.5, False, "fallback: count 1 outside 2..20"), (0.0, 1.49, True, fem.SLICED),
+            (3e-12, math.nan, False, fem.SLICED),
         ]
     ]
     assert experiments._ladder_checks(ladders) == {
@@ -260,6 +261,8 @@ def test_ladder_checks_count_nan_order_out_of_band():
         "ladders": 5,
         "fitted_order_out_of_band": 2,
         "non_monotone": 2,
+        "sliced_rungs": 3,
+        "slice_fallbacks": 1,
     }
 
 
@@ -454,16 +457,25 @@ def test_failed_fem_row_is_not_written_and_fails_its_readers(
 
 def test_dense_solve_failure_is_a_failed_verdict(monkeypatch, tmp_path):
     # a dense eigensolve that fails is a failed fem_converged verdict, as a
-    # sparse one is: the 5th dense solve is the second square of ref_identical
-    eigh = fem.scipy.linalg.eigh
+    # sparse one is.  Each square solves its two coarser meshes by the dense
+    # eigensolve (the eigh calls given subset_by_index) and slices its finest,
+    # so the 3rd dense eigensolve is the second square of ref_identical
+    eigh, solve = fem.scipy.linalg.eigh, fem.solve_smallest
     calls = iter(range(1, 1000))
+    solves, failed_at = [], []
 
-    def failing_fifth(*args, **kwargs):
-        if next(calls) == 5:
+    def counted_solve(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    def failing_third(*args, **kwargs):
+        if "subset_by_index" in kwargs and next(calls) == 3:
+            failed_at.append(len(solves))
             raise np.linalg.LinAlgError("forced dense failure")
         return eigh(*args, **kwargs)
 
-    monkeypatch.setattr(fem.scipy.linalg, "eigh", failing_fifth)
+    monkeypatch.setattr(fem, "solve_smallest", counted_solve)
+    monkeypatch.setattr(fem.scipy.linalg, "eigh", failing_third)
     out = tmp_path / "o"
     assert cli.main(["ratio-scan", "--n-pairs=3", "--refinements=2", "--out", str(out)]) == 1
     payload = read_verdicts(out / "ratio_scan_verdicts.json")
@@ -473,6 +485,7 @@ def test_dense_solve_failure_is_a_failed_verdict(monkeypatch, tmp_path):
         "monotonicity_failure_witnessed", "identical_pair_ratio_one",
     ]
     assert "forced dense failure" in failed[0]["detail"]
+    assert failed_at == [4]  # the 4th mesh solved is the second square's coarsest
     ids = [line.split(",")[0] for line in (out / "ratio_scan.csv").read_text().splitlines()[1:]]
     assert ids == ["pair_0000", "pair_0001", "pair_0002"]
 
@@ -863,7 +876,10 @@ def test_empty_list_parameter_is_rejected(command, runner, params, tmp_path, cap
 # the command runner
 
 VERSION_KEYS = ["speclab_version", "numpy_version", "scipy_version", "python_version"]
-LADDER_KEYS = ["max_residual", "ladders", "fitted_order_out_of_band", "non_monotone"]
+LADDER_KEYS = [
+    "max_residual", "ladders", "fitted_order_out_of_band", "non_monotone",
+    "sliced_rungs", "slice_fallbacks",
+]
 OWN_KEYS = {
     "constants": [],
     "table-mu1": LADDER_KEYS,

@@ -203,6 +203,22 @@ def test_dense_solve_builds_no_sparse_matrix_and_calls_eigh_once(monkeypatch):
         assert res.residuals.max() <= fem.DEFAULT_TOL
 
 
+def test_sliced_dense_solve_builds_no_sparse_matrix(monkeypatch):
+    def no_sparse(*args, **kwargs):
+        raise AssertionError("a sliced solve built a scipy.sparse matrix")
+
+    for dirichlet, n_eigs in ((False, 2), (True, 1)):
+        coarse = refined(geo.RegularPolygon(9, 1.0), 2, dirichlet)
+        shift = fem.solve_mesh(coarse, n_eigs).eigenvalues[-1]
+        mesh = geo.refine_mesh(coarse)
+        assert len(mesh.vertices) <= 400
+        with monkeypatch.context() as patch:
+            patch.setattr(fem.sparse, "csr_matrix", no_sparse)
+            res = fem.solve_mesh(mesh, n_eigs, slice_at=shift)
+        assert res.slicing == fem.SLICED
+        assert res.residuals.max() <= 0.1 * fem.DEFAULT_TOL
+
+
 def test_dense_residuals_without_rayleigh_ritz():
     # the dense solve is not refined: its backward errors must stay a tenth of
     # the tolerance on the scan's meshes, thin reference rectangle included
@@ -268,6 +284,7 @@ def test_thin_hull_passes_the_eigenpair_check():
     res = fem.mu_k(hull, 1, 3)
     assert res.residual <= fem.DEFAULT_TOL
     assert res.monotone and 0.0 < res.value < res.values[2]
+    assert res.slicing == fem.SLICED  # its finest mesh (217 unknowns) is dense
 
 
 def _perturbed(vals, vecs, M):
@@ -294,6 +311,133 @@ def test_perturbed_eigenvector_is_rejected(side, times, monkeypatch):
     )
     with pytest.raises(fem.NonConvergenceError, match="backward error"):
         fem.solve_mesh(mesh, 2)
+
+
+# ---------------------------------------------------------------------------
+# spectrum slicing of a dense mesh
+
+
+@pytest.mark.parametrize("zero_diagonal", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_sytrf_count_matches_eigh(seed, zero_diagonal):
+    # Sylvester's law of inertia: the negative eigenvalues of the block
+    # diagonal D are those of A.  A zero diagonal forces 2x2 pivots.
+    rng = np.random.default_rng(seed)
+    n = 40 + 7 * seed
+    B = rng.standard_normal((n, n))
+    A = B + B.T - rng.uniform(-3.0, 3.0) * np.eye(n)
+    if zero_diagonal:
+        np.fill_diagonal(A, 0.0)
+    sytrf = scipy.linalg.lapack.get_lapack_funcs("sytrf", (A,))
+    ldu, ipiv, info = sytrf(A, lower=1)
+    assert info == 0
+    assert np.any(ipiv < 0) or not zero_diagonal
+    assert fem._negative_pivots(ldu, ipiv) == np.count_nonzero(np.linalg.eigvalsh(A) < 0)
+
+
+def _sliced(spec, n_eigs, refinements=2, shift=None):
+    """The finest mesh of the spec's Neumann ladder, sliced at the middle
+    mesh's n_eigs-th eigenvalue (or at `shift`): the mesh, the shift, the
+    sliced EigResult and the mesh's full spectrum from one dense eigh."""
+    middle = refined(spec, refinements - 1)
+    mesh = geo.refine_mesh(middle)
+    assert len(mesh.vertices) <= 400
+    if shift is None:
+        shift = fem.solve_mesh(middle, n_eigs).eigenvalues[-1]
+    full = scipy.linalg.eigh(*fem._assemble_dense(mesh), eigvals_only=True)
+    return mesh, shift, fem.solve_mesh(mesh, n_eigs, shift), full
+
+
+def _same_pairs(sliced, full):
+    # the zero mode is exact only to ~1e-11 absolute in the full solve
+    assert sliced.slicing == fem.SLICED
+    mu = sliced.eigenvalues
+    n = len(mu)
+    assert np.allclose(mu[1:], full[1:n], rtol=1e-12, atol=0.0)
+    assert abs(mu[0]) <= 1e-12 * mu[-1] and abs(full[0]) <= 1e-9 * mu[-1]
+    assert sliced.residuals.max() <= 0.1 * fem.DEFAULT_TOL
+
+
+def test_slicing_double_eigenvalue_of_the_square():
+    # the sqrt(2) square's mu_1 is double (split by 1.4e-7 on its mesh):
+    # sliced at the middle mesh's mu_2, the finest mesh has three eigenvalues
+    # below the shift (mu_0 and both copies of mu_1), all three returned
+    square = geo.Rectangle(math.sqrt(2.0), math.sqrt(2.0))
+    mesh, shift, sliced, full = _sliced(square, 3)
+    K, M = fem._assemble_dense(mesh)
+    sytrf = scipy.linalg.lapack.get_lapack_funcs("sytrf", (K,))
+    ldu, ipiv, _ = sytrf(K - shift * M, lower=1)
+    assert fem._negative_pivots(ldu, ipiv) == 3
+    assert full[2] == pytest.approx(full[1], rel=1e-6)
+    _same_pairs(sliced, full)
+
+
+def test_slicing_near_degenerate_hull_pair():
+    # a regular hexagon (double mu_1) with one vertex moved by 1e-3: mu_1 and
+    # mu_2 lie 1e-3 apart, and slicing still separates them
+    hexagon = geo.RegularPolygon(6, 1.0).outline()
+    hexagon[0] *= 1.001
+    hull = geo.ConvexHullPolygon(tuple(map(tuple, hexagon)))
+    _, _, sliced, full = _sliced(hull, 3, refinements=3)
+    assert 1e-5 < full[2] / full[1] - 1.0 < 1e-2
+    _same_pairs(sliced, full)
+
+
+def test_slicing_above_the_next_eigenvalue_still_returns_mu1():
+    # a shift above mu_2^h counts three eigenvalues below it; mu_1 is still
+    # the second of the two pairs returned
+    hull = geo.ConvexHullPolygon(tuple(map(tuple, geo.inclusion_pair(1, 12, 6)[1])))
+    shift = fem.solve_mesh(refined(hull, 2), 3).eigenvalues[2]
+    _, _, sliced, full = _sliced(hull, 2, refinements=3, shift=shift)
+    assert full[2] < shift < full[3]
+    _same_pairs(sliced, full)
+
+
+def test_slicing_fallback_is_the_dense_solve():
+    # below mu_1^h the count (1) cannot cover the two wanted pairs: the slice
+    # is rejected and the dense eigensolve gives the pairs, bit for bit
+    hull = geo.ConvexHullPolygon(tuple(map(tuple, geo.inclusion_pair(2, 12, 6)[0])))
+    mesh, _, _, full = _sliced(hull, 2, refinements=3)
+    low = fem.solve_mesh(mesh, 2, slice_at=0.5 * full[1])
+    dense = fem.solve_mesh(mesh, 2)
+    assert low.slicing == "fallback: count 1 outside 2..20" and dense.slicing == ""
+    assert np.array_equal(low.eigenvalues, dense.eigenvalues)
+    assert np.array_equal(low.residuals, dense.residuals)
+
+
+def test_sliced_pairs_must_pass_the_eigenpair_check(monkeypatch):
+    # sliced eigenvectors moved by 1e-10 fail the backward-error check: the
+    # slice is rejected for the dense eigensolve, not raised
+    hull = geo.ConvexHullPolygon(tuple(map(tuple, geo.inclusion_pair(2, 12, 6)[0])))
+    mesh, shift, _, _ = _sliced(hull, 2, refinements=3)
+    cut = fem._slice
+
+    def perturbed_slice(Kc, Mc, *args):
+        mu, vecs, slicing = cut(Kc, Mc, *args)
+        return (*_perturbed(mu, vecs, Mc), slicing)
+
+    monkeypatch.setattr(fem, "_slice", perturbed_slice)
+    res = fem.solve_mesh(mesh, 2, slice_at=shift)
+    assert res.slicing.startswith("fallback: backward error")
+    assert np.array_equal(res.eigenvalues, fem.solve_mesh(mesh, 2).eigenvalues)
+
+
+def test_slicing_fallbacks_are_counted(monkeypatch):
+    # one subspace step never reaches the backward-error target: every dense
+    # finest mesh of the scan falls back, is counted, and gives the dense
+    # solve's values, so the report matches an unsliced one
+    from speclab import experiments
+
+    sliced = experiments.cmd_ratio_scan(n_pairs=2, refinements=2)
+    assert sliced.metadata["sliced_rungs"] == sliced.metadata["ladders"] == 7
+    monkeypatch.setattr(fem, "_SLICE_MAXITER", 1)
+    report = experiments.cmd_ratio_scan(n_pairs=2, refinements=2)
+    assert report.all_passed
+    assert report.metadata["sliced_rungs"] == 0
+    assert report.metadata["slice_fallbacks"] == 7
+    monkeypatch.setattr(fem, "_slice", lambda *args: (None, None, "fallback: forced"))
+    unsliced = experiments.cmd_ratio_scan(n_pairs=2, refinements=2)
+    assert unsliced.rows == report.rows
 
 
 class _NoIndexing(sparse.csr_matrix):

@@ -92,6 +92,17 @@ def test_sector_opening_is_at_most_pi():
     refined(half_disk, 2).validate()
 
 
+def test_sector_encloses_a_positive_area():
+    # one chord across a half disk passes through the apex: a zero-area sliver
+    with pytest.raises(ValueError, match="two for an opening of pi"):
+        geo.Sector(1.0, math.pi, 1)
+    # two chords make the half disk's inscribed square; one chord a triangle
+    for opening, n_arc, expected in ((math.pi, 2, 1.0), (3.0, 1, 0.5 * math.sin(3.0)),
+                                     (1e-3, 1, 0.5 * math.sin(1e-3))):
+        sector = geo.Sector(1.0, opening, n_arc)
+        assert geo.area(sector.outline()) == pytest.approx(expected, rel=1e-12)
+
+
 # an example of every spec type and of each cell that the experiments solve,
 # keyed by the test ids
 EXAMPLES = {
