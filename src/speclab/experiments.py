@@ -415,68 +415,22 @@ def cmd_table_mu1(refinements: int = 4) -> ExperimentReport:
             )
         )
 
-    # Poincare on the vertical fibres of the Dirichlet-cut half, of height at
-    # most h = (D/2) tan(theta), gives tau_1 >= pi^2/(4 h^2), and every
-    # discrete tau_1 is at least the continuous one (min-max)
-    floors = [PI2 / (4.0 * (0.5 * r.whole.D * math.tan(r.whole.theta)) ** 2) for r in rhombi]
-    ladders = solved.get("optimal_bound", [NAN_LADDER] * len(rhombi))
-    verdicts.append(
-        Verdict(
-            "table_optimal_bound_symmetric_lowest",
-            "fem: each rhombus mu_1 is its Neumann-cut half's, as on every rung it lies "
-            "below the antisymmetric floor pi^2/(4 h^2) <= tau_1",
-            smallest(_symmetric_lowest(res, [floor] * 3) for res, floor in zip(ladders, floors)),
-            f"floors {', '.join(f'{floor:.6g}' for floor in floors)}",
+    # a row solved on symmetry cells that all state a floor carries the whole
+    # domains' mu_1 when, on every rung, each cell's mu_1 lies below its floor
+    for name, specs, *_ in table:
+        floors = [getattr(spec, "floor", None) for spec in specs]
+        if None in floors:
+            continue
+        ladders = solved.get(name, [NAN_LADDER] * len(specs))
+        verdicts.append(
+            Verdict(
+                f"table_{name}_symmetric_lowest",
+                "fem: the domain's mu_1 is its symmetry cell's, as on every rung it lies below "
+                "the cell's floor, a bound on each eigenvalue the cell does not carry (Part.floor)",
+                smallest(_symmetric_lowest(res, [floor] * 3) for res, floor in zip(ladders, floors)),
+                f"floors {', '.join(f'{floor:.6g}' for floor in floors)}",
+            )
         )
-    )
-    # The fan mesh of the Reuleaux triangle is invariant under its three
-    # mirrors (the dihedral group D3).  A mode odd about the cut either lies in
-    # the 2-dimensional representation, and shares its eigenvalue with an even
-    # mode, or is odd about all three axes.  Then on the sixth between the rays
-    # to the top corner and to the 30-degree arc midpoint, which are fan
-    # spokes, it vanishes on both rays; every horizontal fibre of the sixth
-    # starts on the vertical ray and is at most (sqrt(3) - 1) w/2 long, so the
-    # 1-D Poincare inequality puts its eigenvalue at or above
-    # pi^2/((sqrt(3) - 1)^2 w^2), on every mesh (min-max)
-    fibres = PI2 / ((math.sqrt(3.0) - 1.0) * reuleaux.whole.width) ** 2
-    (reuleaux_ladder,) = solved.get("reuleaux_triangle", [NAN_LADDER])
-    verdicts.append(
-        Verdict(
-            "table_reuleaux_triangle_symmetric_lowest",
-            "fem: the Reuleaux triangle's mu_1 is its Neumann-cut half's, as on every rung it "
-            "lies below pi^2/((sqrt(3)-1)^2 w^2) <= each eigenvalue of a mode odd about all "
-            "three mirror axes (1-D Poincare on fibres of its sixth that start on a "
-            "Dirichlet ray); every other odd mode shares its eigenvalue with an even one",
-            _symmetric_lowest(reuleaux_ladder, [fibres] * 3),
-            f"floor {fibres:.6g}",
-        )
-    )
-    # The rotation by 2 pi/n maps the n-gon's fan mesh onto itself.  A mode
-    # odd about the x axis either shares its eigenvalue with an even one (a
-    # 2-dimensional representation of the dihedral group) or is odd about
-    # every vertex axis, so it vanishes on all n spokes, and on each circle of
-    # radius r <= R the angular Poincare inequality gives it
-    # |grad u|^2 >= (n/(2r))^2 u^2 in the mean: its eigenvalue is at least
-    # (n/(2R))^2 on every mesh (min-max).  The upper half's even modes split in
-    # turn, about the y axis, into the quarter's with a Neumann cut there and
-    # those with a Dirichlet cut, which the table solves.  The all-Neumann
-    # quarter is convex, so Payne-Weinberger puts its mu_1 at or above
-    # pi^2/D^2, D its diameter, on every mesh (min-max)
-    spokes = (quarter.whole.n_vertices / (2.0 * quarter.whole.circumradius)) ** 2
-    convex = constants.payne_weinberger_lower(geometry.diameter(quarter.outline()))
-    (disk_ladder,) = solved.get("disk", [NAN_LADDER])
-    verdicts.append(
-        Verdict(
-            "table_disk_symmetric_lowest",
-            "fem: the 256-gon's mu_1 is its quarter's (Neumann cut on the x axis, Dirichlet "
-            "on the y axis), as on every rung it lies below (n/(2R))^2 <= each eigenvalue of "
-            "a mode odd about every vertex axis, and below pi^2/D^2 <= mu_1 of the "
-            "all-Neumann quarter (Payne-Weinberger: convex, diameter D)",
-            _symmetric_lowest(disk_ladder, [min(spokes, convex)] * 3),
-            f"floors {spokes:.6g} (odd modes), {convex:.6g} (Neumann quarter)",
-        )
-    )
-
     seg = spectra.segment_spectrum(2.0, "neumann", 2).values[1]
     dev = abs(seg - SEGMENT_MU1_D2)
     rows.append(("segment", seg, SEGMENT_MU1_D2, dev, 1.0, 1.0, 0.0, "analytic"))
@@ -530,15 +484,10 @@ def cmd_rhombus_sweep(
     j01sq = spectra.cone_tau1(1.0, 2)
 
     cuts = (geometry.NEUMANN, geometry.DIRICHLET)
-    jobs = [
-        (
-            f"theta_{deg:g}",
-            [geometry.half_rhombus(2.0, math.radians(deg), cut) for cut in cuts],
-            refinements,
-        )
-        for deg in thetas
-    ]
-    solved, verdicts = _solve_rows(jobs)
+    halves = {
+        deg: [geometry.half_rhombus(2.0, math.radians(deg), cut) for cut in cuts] for deg in thetas
+    }
+    solved, verdicts = _solve_rows([(f"theta_{deg:g}", halves[deg], refinements) for deg in thetas])
 
     columns = [
         "theta_deg",
@@ -556,7 +505,7 @@ def cmd_rhombus_sweep(
         normalized = symmetric.value  # D = 2 so mu_1 D^2/4 = mu_1
         lo = math.cos(theta) ** 2 * j01sq
         eps = symmetric.error_estimate
-        tau_bound = PI2 / (4.0 * math.tan(theta) ** 2)
+        tau_bound = halves[deg][0].floor  # the Neumann-cut half's: pi^2/(4 h^2) <= tau_1
         angles.append((deg, normalized, lo, j01sq, eps, anti.value, tau_bound))
         verdicts.append(
             Verdict(

@@ -6,7 +6,8 @@ chords, so the polygon is always a subset of the true domain and mesh
 vertices never leave it.
 
 Each spec's `outline()` is that polygon, an (n, 2) array.  Only a
-symmetry cell, a `Part`, declares edges of it Dirichlet (`Part.dirichlet`).
+symmetry cell, a `Part`, declares edges of it Dirichlet (`Part.dirichlet`),
+and states the floor that lets it stand for its domain's mu_1 (`Part.floor`).
 
 Meshing: each whole domain has one base mesh.  Rhombi and rectangles are
 meshed as affine images of a structured triangulated reference square
@@ -33,6 +34,9 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
+
+from .constants import payne_weinberger_lower
+from .specfun import as_index
 
 NEUMANN = "N"
 DIRICHLET = "D"
@@ -93,6 +97,7 @@ class RegularPolygon:
     circumradius: float
 
     def __post_init__(self):
+        as_index(self.n_vertices, "vertex count")
         if self.n_vertices < 3:
             raise ValueError("need at least 3 vertices")
         if not self.circumradius > 0:
@@ -121,6 +126,7 @@ class Sector:
             raise ValueError("sector radius must be positive")
         if not 0 < self.opening <= math.pi:
             raise ValueError("sector opening must lie in (0, pi]")
+        as_index(self.n_arc, "arc chord count")
         if self.n_arc < (2 if self.opening == math.pi else 1):
             raise ValueError("need at least one arc chord, two for an opening of pi")
 
@@ -141,6 +147,7 @@ class ReuleauxTriangle:
     def __post_init__(self):
         if not self.width > 0:
             raise ValueError("width must be positive")
+        as_index(self.n_arc, "arc chord count")
         if self.n_arc < 1:
             raise ValueError("need at least one arc chord")
 
@@ -195,18 +202,22 @@ class ConvexHullPolygon:
 @dataclass(frozen=True)
 class Part:
     """A symmetry cell of a whole domain (never itself a part): the convex
-    region of it between mirror axes, and the indices i of the region's
-    outline edges i -> i+1 that are Dirichlet cuts (the others are Neumann).
+    region of it between mirror axes, the indices i of the region's outline
+    edges i -> i+1 that are Dirichlet cuts (the others are Neumann), its floor.
 
     Its mesh is the whole domain's base mesh cut to the region (see
     `triangulate`), and the whole mesh is the cell's plus its mirror images,
     so the whole domain's pencil splits into the cell's under each choice of
-    Neumann (even) or Dirichlet (odd) cuts.
+    Neumann (even) or Dirichlet (odd) cuts.  floor bounds from below, on
+    every mesh, each positive eigenvalue of the whole domain that is not also
+    the cell's (None: no claim), so a cell's mu_1 below it is the domain's.
+    Each factory below derives it from its arguments and proves it there.
     """
 
     whole: DomainSpec
     region: ConvexHullPolygon
     dirichlet: frozenset = frozenset()
+    floor: float | None = None
 
     def __post_init__(self):
         if isinstance(self.whole, Part):
@@ -223,12 +234,22 @@ class Part:
 def half_rhombus(D: float, theta: float, cut: str = DIRICHLET) -> Part:
     """Upper half of Rhombus(D, theta), cut along the long diagonal (region
     edge 0): a Dirichlet cut (the default) carries the rhombus's modes that
-    are odd about it, a Neumann cut the even ones."""
+    are odd about it, a Neumann cut the even ones.
+
+    The Neumann-cut half's floor is pi^2/(4 h^2), h = (D/2) tan(theta) its
+    height.  The modes it drops are the Dirichlet-cut half's, and Poincare
+    on that half's vertical fibres, Dirichlet at the cut and of height at
+    most h, puts its tau_1 at or above pi^2/(4 h^2), on every mesh (min-max).
+    The Dirichlet-cut half drops the even modes, mu_1 among them, and has no
+    floor."""
     whole = Rhombus(D, theta)
     if cut not in (NEUMANN, DIRICHLET):
         raise ValueError(f"half rhombus cut must be {NEUMANN!r} or {DIRICHLET!r}")
     region = ConvexHullPolygon(whole.outline()[[0, 2, 3]])
-    return Part(whole, region, {0} if cut == DIRICHLET else ())
+    if cut == DIRICHLET:
+        return Part(whole, region, {0})
+    h = 0.5 * whole.D * math.tan(whole.theta)
+    return Part(whole, region, floor=math.pi**2 / (4.0 * h**2))
 
 
 def quarter_regular_polygon(n: int, R: float) -> Part:
@@ -237,13 +258,25 @@ def quarter_regular_polygon(n: int, R: float) -> Part:
     n/4 + 1) with a Neumann condition and along the axis through vertex n/4
     (the y axis, region edge n/4) with a Dirichlet one.  It carries the
     polygon's modes that are even about the x axis and odd about the y axis,
-    among them cos(theta)."""
+    among them cos(theta).
+
+    Its floor is min((n/(2R))^2, pi^2/D^2), D the quarter's diameter.  The
+    rotation by 2 pi/n maps the fan mesh onto itself, so a mode odd about the
+    x axis either shares its eigenvalue with an even one (a 2-dimensional
+    representation of the dihedral group) or is odd about every vertex axis:
+    it vanishes on all n spokes, and on each circle of radius r <= R the
+    angular Poincare inequality gives |grad u|^2 >= (n/(2r))^2 u^2 in the
+    mean.  The even modes that this quarter drops are the all-Neumann
+    quarter's, a convex domain, so Payne-Weinberger (1960; Bebendorf 2003
+    corrected the proof) puts the positive ones at or above pi^2/D^2.  Both
+    bounds hold on every mesh (min-max)."""
     whole = RegularPolygon(n, R)
     if n % 4:
         raise ValueError("quarter regular polygon needs a vertex count divisible by 4")
     q = n // 4
     region = ConvexHullPolygon(np.vstack([whole.outline()[: q + 1], [(0.0, 0.0)]]))
-    return Part(whole, region, {q})
+    spokes = (whole.n_vertices / (2.0 * whole.circumradius)) ** 2
+    return Part(whole, region, {q}, min(spokes, payne_weinberger_lower(diameter(region.outline()))))
 
 
 def half_reuleaux_triangle(width: float, n_arc: int = 64) -> Part:
@@ -251,13 +284,23 @@ def half_reuleaux_triangle(width: float, n_arc: int = 64) -> Part:
     Neumann condition along its vertical mirror axis, from the bottom arc's
     midpoint (whole outline vertex 2 n_arc + n_arc/2) to the top corner
     (vertex n_arc).  It carries the triangle's modes that are even about the
-    cut."""
+    cut.
+
+    Its floor is pi^2/((sqrt(3) - 1)^2 w^2).  The fan mesh is invariant under
+    the three mirrors (the dihedral group D3), so a mode odd about the cut
+    either shares its eigenvalue with an even one (the 2-dimensional
+    representation) or is odd about all three axes.  Then it vanishes on the
+    rays to the top corner and to the 30-degree arc midpoint, fan spokes that
+    bound a sixth whose horizontal fibres start on the vertical ray and are
+    at most (sqrt(3) - 1) w/2 long: the 1-D Poincare inequality puts its
+    eigenvalue at or above the floor, on every mesh (min-max)."""
     whole = ReuleauxTriangle(width, n_arc)
     if n_arc % 2:
         raise ValueError("half Reuleaux triangle needs an even arc chord count")
     n = n_arc
     poly = whole.outline()
-    return Part(whole, ConvexHullPolygon(np.vstack([poly[2 * n + n // 2 :], poly[: n + 1]])))
+    region = ConvexHullPolygon(np.vstack([poly[2 * n + n // 2 :], poly[: n + 1]]))
+    return Part(whole, region, floor=math.pi**2 / ((math.sqrt(3.0) - 1.0) * whole.width) ** 2)
 
 
 DomainSpec = Union[

@@ -761,6 +761,29 @@ VERDICT_NAMES = {
 }
 
 
+def test_table_checks_the_floor_of_each_row_solved_on_cells(monkeypatch):
+    # table_<row>_symmetric_lowest is emitted, after every row's own verdicts,
+    # exactly for the rows whose specs all state a floor (geometry.Part.floor)
+    jobs, solve_rows = [], experiments._solve_rows
+
+    def recording(batch):
+        jobs.extend(batch)
+        return solve_rows(batch)
+
+    monkeypatch.setattr(experiments, "_solve_rows", recording)
+    report = experiments.cmd_table_mu1(refinements=2)
+    floors = {row: [getattr(spec, "floor", None) for spec in specs] for row, specs, _ in jobs}
+    floors = {row: cells for row, cells in floors.items() if None not in cells}
+    assert list(floors) == ["optimal_bound", "reuleaux_triangle", "disk"]
+    checks = [v for v in report.verdicts if v.name.endswith("_symmetric_lowest")]
+    assert [v.name for v in checks] == [f"table_{row}_symmetric_lowest" for row in floors]
+    assert [v.detail for v in checks] == [
+        "floors " + ", ".join(f"{floor:.6g}" for floor in row) for row in floors.values()
+    ]
+    names = [v.name for v in report.verdicts]
+    assert names.index(checks[0].name) == len(names) - len(checks) - 1  # then the segment's
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -631,12 +631,14 @@ def test_bracketing_chain(suite_results):
 
 
 def test_half_rhombus_mixed_lower_bound():
-    # Dirichlet on the long diagonal: tau_1 >= pi^2 / (4 M^2), M = (D/2) tan(theta)
+    # the certificate of the Neumann-cut half's floor: with Dirichlet on the
+    # long diagonal, tau_1 >= pi^2 / (4 h^2), h = (D/2) tan(theta), on every rung
     for deg in (30.0, 10.0, 5.0):
         theta = math.radians(deg)
+        floor = geo.half_rhombus(2.0, theta, geo.NEUMANN).floor
         res = fem.mu_k(geo.half_rhombus(2.0, theta), 1, refinements=4)
-        M = math.tan(theta)
-        assert res.value >= 0.995 * PI2 / (4.0 * M * M)
+        assert all(tau > floor for tau in res.values)
+        assert res.value >= 0.995 * floor
 
 
 @pytest.mark.parametrize("deg", [20.0, 40.0, 45.0])
@@ -682,14 +684,17 @@ def test_polygon_spectrum_is_merge_of_mirror_halves():
     # (the table's quarter), sin(theta) the one with the Dirichlet x cut
     cos, sin = problems[frozenset({Y_CUT})][0], problems[frozenset({X_CUT})][0]
     assert full[1] == pytest.approx(cos, rel=1e-9, abs=0.0) == sin
-    assert quarter_with_cuts({Y_CUT}) == QUARTER
+    table = quarter_with_cuts({Y_CUT})
+    assert (table.whole, table.region, table.dirichlet) == (
+        QUARTER.whole, QUARTER.region, QUARTER.dirichlet
+    )
 
 
 def test_neumann_quarter_lies_above_payne_weinberger():
-    # the certificate of table_disk_symmetric_lowest: the all-Neumann quarter
-    # is convex, so its mu_1 is at least pi^2/D^2 = pi^2/2, and each rung is
-    # at least mu_1 (min-max); j'_{2,1}^2 = 9.33 of the quarter disk is close
-    floor = constants.payne_weinberger_lower(geo.diameter(QUARTER.outline()))
+    # the certificate of the quarter's floor: the all-Neumann quarter is
+    # convex, so its mu_1 is at least pi^2/D^2 = pi^2/2, and each rung is at
+    # least mu_1 (min-max); j'_{2,1}^2 = 9.33 of the quarter disk is close
+    floor = QUARTER.floor
     assert floor == pytest.approx(PI2 / 2.0, rel=1e-15)
     rungs = [fem.solve_mesh(refined(quarter_with_cuts(()), r), 2).eigenvalues[1] for r in (1, 2, 3)]
     assert all(floor < mu < 10.1 for mu in rungs)
@@ -697,14 +702,14 @@ def test_neumann_quarter_lies_above_payne_weinberger():
 
 
 def test_reuleaux_sixth_lies_above_fibre_bound():
-    # the certificate of table_reuleaux_triangle_symmetric_lowest: a mode odd
-    # about all three axes solves the sixth between the rays to the top corner
-    # and to the 30-degree arc midpoint with both rays Dirichlet, and its
-    # eigenvalue is at least pi^2/((sqrt(3) - 1)^2 w^2) = 4.6042 at w = 2
-    whole = geo.ReuleauxTriangle(2.0, 64)
+    # the certificate of the Reuleaux half's floor: a mode odd about all three
+    # axes solves the sixth between the rays to the top corner and to the
+    # 30-degree arc midpoint with both rays Dirichlet, and its eigenvalue is
+    # at least pi^2/((sqrt(3) - 1)^2 w^2) = 4.6042 at w = 2
+    half = geo.half_reuleaux_triangle(2.0, 64)
+    whole, floor = half.whole, half.floor
     centre = (1.0, 1.0 / math.sqrt(3.0))
     sixth = np.vstack([centre, whole.outline()[32:65]])  # arc 0, 30 to 60 degrees
-    floor = PI2 / ((math.sqrt(3.0) - 1.0) * 2.0) ** 2
     assert floor == pytest.approx(4.6042, abs=1e-4)
     part = geo.Part(whole, geo.ConvexHullPolygon(sixth), {0, len(sixth) - 1})  # both rays
     rungs = [fem.solve_mesh(refined(part, r), 1).eigenvalues[0] for r in (2, 3, 4)]

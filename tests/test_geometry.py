@@ -7,6 +7,7 @@ import typing
 import numpy as np
 import pytest
 
+from speclab import constants
 from speclab import geometry as geo
 
 
@@ -397,8 +398,61 @@ def test_half_reuleaux_needs_even_arc_count():
         geo.half_reuleaux_triangle(2.0, 5)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: geo.RegularPolygon(4.5, 1.0),
+        lambda: geo.RegularPolygon(8.0, 1.0),
+        lambda: geo.Sector(1.0, 1.0, 2.5),
+        lambda: geo.ReuleauxTriangle(2.0, 2.5),
+        lambda: geo.quarter_regular_polygon(8.0, 1.0),
+        lambda: geo.half_reuleaux_triangle(2.0, 64.0),
+    ],
+    ids=["polygon-4.5", "polygon-8.0", "sector", "reuleaux", "quarter", "half-reuleaux"],
+)
+def test_vertex_and_chord_counts_must_be_integers(make):
+    # a fractional vertex count would build an irregular polygon
+    with pytest.raises(ValueError, match="must be an integer"):
+        make()
+
+
+def test_half_rhombus_floor_is_the_fibre_bound():
+    # pi^2/(4 h^2), h = (D/2) tan(theta); at D = 2 it is the sweep's
+    # tau1_lower_bound pi^2/(4 tan^2(theta)) bit for bit, since D/2 = 1 exactly
+    for deg in np.linspace(2.0, 45.0, 861):
+        theta = math.radians(deg)
+        floor = geo.half_rhombus(2.0, theta, geo.NEUMANN).floor
+        assert floor == math.pi**2 / (4.0 * (0.5 * 2.0 * math.tan(theta)) ** 2)
+        assert floor == math.pi**2 / (4.0 * math.tan(theta) ** 2)
+    wide = geo.half_rhombus(3.0, 0.3, geo.NEUMANN).floor
+    assert wide == math.pi**2 / (4.0 * (1.5 * math.tan(0.3)) ** 2)
+
+
+def test_quarter_and_reuleaux_floors_are_their_closed_forms():
+    # min((n/(2R))^2, pi^2/D^2), D the quarter's diameter: the square's odd
+    # modes set it (4 < pi^2/2 at R = 1), the 256-gon's all-Neumann quarter
+    for n, R, spokes_set_it in ((4, 1.0, True), (256, 1.0, False), (12, 0.7, False)):
+        quarter = geo.quarter_regular_polygon(n, R)
+        spokes = (n / (2.0 * R)) ** 2
+        convex = constants.payne_weinberger_lower(geo.diameter(quarter.outline()))
+        assert quarter.floor == min(spokes, convex)
+        assert quarter.floor == (spokes if spokes_set_it else convex)
+    # pi^2/((sqrt(3) - 1)^2 w^2)
+    for width, n_arc in ((2.0, 64), (1.0, 8)):
+        half = geo.half_reuleaux_triangle(width, n_arc)
+        assert half.floor == math.pi**2 / ((math.sqrt(3.0) - 1.0) * width) ** 2
+
+
 OCTAGON = geo.RegularPolygon(8, 1.0)
 OCTAGON_HALF = geo.ConvexHullPolygon(OCTAGON.outline()[:5])  # vertices 0..4
+
+
+def test_cells_without_a_certificate_have_no_floor():
+    # the Dirichlet-cut half drops the even modes, mu_1 among them
+    assert geo.half_rhombus(2.0, 0.3).floor is None
+    assert geo.half_rhombus(2.0, 0.3, geo.DIRICHLET).floor is None
+    assert geo.Part(OCTAGON, OCTAGON_HALF).floor is None
+    assert geo.Part(OCTAGON, OCTAGON_HALF, {4}).floor is None
 
 
 @pytest.mark.parametrize(
