@@ -5,32 +5,33 @@ mass matrices.  Only `solve_mesh` applies the size rule: systems of at most
 400 unknowns are assembled as dense arrays, larger ones as sparse matrices,
 and the matrix format picks the solver.  A dense pencil gets one dense
 generalized eigensolve for the wanted pairs; a sparse one is solved for the
-smallest modes by shift-invert Lanczos with a direct sparse factorization
-and refined by one Rayleigh-Ritz pass.  The Lanczos run is sized to the
-request: 2k + 2 Krylov vectors for k pairs, stopped at 1e-11 relative Ritz
-accuracy.  The Rayleigh-Ritz pass, one inverse-iteration step plus a
-projected solve, squares the eigenvector error and so carries the last
-digits, and every pair must still pass the backward-error check.
+smallest modes by shift-invert Lanczos with a direct sparse factorization,
+sized to the request: 2k + 2 Krylov vectors for k pairs, stopped at 1e-11
+relative Ritz accuracy.
 
 A dense pencil given an upper bound for its largest wanted eigenvalue (the
 finest mesh of a ladder, bounded by the middle mesh's value) is solved by
 spectrum slicing instead: one LDL^T factorization at the bound, whose
 inertia counts the eigenvalues below it (Sylvester's law; Parlett, The
-Symmetric Eigenvalue Problem, 1980), then subspace iteration with that
-factor (Ericsson and Ruhe, Math. Comp. 35, 1980).  The slice is accepted
-only if the Ritz values below the bound match the count and every pair
-passes the backward-error check; otherwise the dense eigensolve gives the
-pairs, and the result records why.
+Symmetric Eigenvalue Problem, 1980).  The slice is accepted only if the
+Ritz values below the bound match the count and every pair passes the
+backward-error check; otherwise the dense eigensolve gives the pairs, and
+the result records why.
 
-Dirichlet degrees of freedom are eliminated by row/column deletion.  Both
-the pure Neumann zero mode and the constrained problems are handled by
-solving with the definite pencil K + sigma*M, sigma = 1/|Omega| with
-|Omega| = 1^T M 1 the domain area, and back-transforming.  This shift is
-the natural eigenvalue scale of the domain and does not grow under
-refinement, so the wanted modes stay well separated from the rest of the
-spectrum on fine meshes and subtracting the shift from the computed
-eigenvalues cancels few digits.  Iteration starts from a fixed
-deterministic vector or block, so repeated runs give bit-identical results.
+Both factored solves share one Ritz iteration: subspace iteration with the
+factor and Rayleigh-Ritz projection on the unshifted pencil (K, M)
+(Ericsson and Ruhe, Math. Comp. 35, 1980).  It takes the slice's fixed
+start block to convergence, and one step of it squares the eigenvector
+error of the early-stopped Lanczos pairs.
+
+Dirichlet degrees of freedom are eliminated by row/column deletion.  The
+pure Neumann K is singular, so the sparse factorization is of the definite
+K + sigma*M, sigma = 1/|Omega| with |Omega| = 1^T M 1 the domain area, the
+domain's natural eigenvalue scale, which does not grow under refinement.
+The shift serves only that factorization: every eigenvalue comes from the
+unshifted pencil, and no shift is subtracted.  Iteration starts from a
+fixed deterministic vector or block, so repeated runs give bit-identical
+results.
 
 Discrete eigenvalues of the conforming method approach the continuum from
 above at rate O(h^2); the refinement drivers solve on meshes h, h/2, h/4
@@ -51,6 +52,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from . import geometry
 from .geometry import DomainSpec, Mesh
+from .specfun import as_index
 
 # Largest accepted eigenpair backward error (EigResult): ~100 times the largest
 # measured by the unsliced solvers, 9.0e-15 over the FEM commands and 1.5e-14
@@ -172,31 +174,26 @@ def solve_smallest(K, M, constrained_dofs, n_eigs: int, slice_at=None) -> EigRes
     K and M are both dense arrays or both scipy.sparse matrices, and the
     format picks the solver; `solve_mesh` decides it by system size.
     constrained_dofs (indices in 0..n-1) are eliminated by row/column
-    deletion.  The remaining pencil is shifted to (K + sigma M, M) with
-    sigma = 1/|Omega|, where |Omega| = 1^T M 1 sums the full mass matrix
-    before elimination; the shifted operator is definite for Neumann and
-    constrained problems alike.  A dense pencil gives its n_eigs smallest
-    pairs from one dense generalized eigensolve.  A sparse pencil is
-    factorized once, solved by shift-invert Lanczos about zero with
-    min(dim, 2 n_eigs + 2) Krylov vectors and stopping tolerance 1e-11, and
-    refined by one Rayleigh-Ritz pass, which supplies the digits the early
-    stop leaves out.  Every pair's backward error (EigResult.residuals) must
-    not exceed DEFAULT_TOL.  Every failure of either solver raises
-    NonConvergenceError.
+    deletion, which leaves the pencil (Kc, Mc).  A dense pencil gives its
+    n_eigs smallest pairs from one dense generalized eigensolve.  A sparse
+    pencil is factorized once as Kc + sigma Mc, sigma = 1/|Omega| with
+    |Omega| = 1^T M 1 summed before elimination, which is definite for
+    Neumann and constrained problems alike; it is solved by shift-invert
+    Lanczos about zero with min(dim, 2 n_eigs + 2) Krylov vectors and
+    stopping tolerance 1e-11, and one step of _rayleigh_ritz_refine with
+    the same factor supplies the digits the early stop leaves out.  Every
+    pair's backward error (EigResult.residuals) must not exceed DEFAULT_TOL.
+    Every failure of either solver raises NonConvergenceError.
 
-    slice_at, if given, is an upper bound for the n_eigs-th eigenvalue of the
-    constrained pencil (K, M), such as its value on the next coarser mesh of a
-    uniform refinement ladder.  A dense pencil is then solved by spectrum
-    slicing: K - slice_at M is factored once as L D L^T (LAPACK ?sytrf), and
-    the negative eigenvalues of the 1x1 and 2x2 blocks of D count the c
-    eigenvalues below slice_at (Sylvester's law of inertia).  Subspace
-    iteration with that factor, from a fixed block of c + 2 vectors that is
-    orthonormalized and Rayleigh-Ritz projected each step, runs until every
-    wanted pair's backward error is at most DEFAULT_TOL / 10.  The result is
-    accepted only if exactly c Ritz values lie below slice_at and every pair
-    passes the backward-error check; otherwise the dense eigensolve gives the
-    pairs, and EigResult.slicing says why.  A sparse pencil ignores slice_at.
+    slice_at, if given, is an upper bound for the n_eigs-th eigenvalue of
+    (Kc, Mc), such as its value on the next coarser mesh of a uniform
+    refinement ladder.  A dense pencil is then solved by `_slice`; if the
+    slice or the backward-error check of its pairs raises
+    NonConvergenceError, the dense eigensolve gives the pairs and
+    EigResult.slicing records "fallback: <reason>".  A sparse pencil ignores
+    slice_at.
     """
+    n_eigs = as_index(n_eigs, "n_eigs")
     if n_eigs < 1 or n_eigs > N_EIGS_MAX:
         raise ValueError(f"n_eigs must be 1..{N_EIGS_MAX}")
     n_full = K.shape[0]
@@ -210,59 +207,45 @@ def solve_smallest(K, M, constrained_dofs, n_eigs: int, slice_at=None) -> EigRes
         raise ValueError("constraint elimination left an empty system")
     if dim <= n_eigs:
         raise ValueError(f"system of dimension {dim} cannot deliver {n_eigs} eigenpairs")
-    sigma = 1.0 / M.sum()
 
     Kc, Mc = K, M
-    slicing = ""
-    if not sparse.issparse(K):
-        if dim < n_full:  # a fancy-indexed copy costs ~1 ms at 400 unknowns
-            Kc, Mc = K[np.ix_(keep, keep)], M[np.ix_(keep, keep)]
-        norms = _one_norms(Kc, Mc)
-        if slice_at is not None:
-            mu, vecs, slicing = _slice(Kc, Mc, float(slice_at), n_eigs, norms)
-        if slicing != SLICED:
-            mu, vecs = _dense_pairs(Kc, Mc, sigma, n_eigs)
-    else:
+    if sparse.issparse(K):
         if dim < n_full:
             Kc, Mc = K[keep][:, keep], M[keep][:, keep]
         Kc, Mc = Kc.tocsc(), Mc.tocsc()
-        A = (Kc + sigma * Mc).tocsc()
+    elif dim < n_full:  # a fancy-indexed copy costs ~1 ms at 400 unknowns
+        Kc, Mc = K[np.ix_(keep, keep)], M[np.ix_(keep, keep)]
+    norms = _one_norms(Kc, Mc)
+    if sparse.issparse(Kc):
+        A = (Kc + Mc / M.sum()).tocsc()
         try:
             lu = splu(A)
         except RuntimeError as exc:
             raise NonConvergenceError(f"sparse factorization failed: {exc}") from exc
-        op_inv = LinearOperator(A.shape, matvec=lu.solve, dtype=float)
-        v0 = np.linspace(1.0, 2.0, dim)  # fixed start vector: deterministic runs
         try:
-            vals, vecs = eigsh(
+            _, vecs = eigsh(
                 A,
                 k=n_eigs,
                 M=Mc,
                 sigma=0.0,
                 which="LM",
-                v0=v0,
-                OPinv=op_inv,
+                v0=np.linspace(1.0, 2.0, dim),  # fixed start vector: deterministic runs
+                OPinv=LinearOperator(A.shape, matvec=lu.solve, dtype=float),
                 ncv=min(dim, _KRYLOV_VECTORS_PER_EIG * (n_eigs + 1)),
                 maxiter=MAXITER_PER_EIG * n_eigs,
                 tol=_LANCZOS_TOL,
             )
         except ArpackNoConvergence as exc:
             raise NonConvergenceError(f"shift-invert iteration failed: {exc}") from exc
-        vecs = vecs[:, np.argsort(vals)]
-        vals, vecs = _rayleigh_ritz_refine(lu.solve, A, Mc, vecs)
-        mu = vals - sigma
-        norms = _one_norms(Kc, Mc)
-
-    residuals = _backward_errors(Kc @ vecs, Mc @ vecs, mu, vecs, norms)
-    if slicing == SLICED and not np.all(residuals <= DEFAULT_TOL):
-        slicing = f"fallback: backward error {residuals.max():.3e}"
-        mu, vecs = _dense_pairs(Kc, Mc, sigma, n_eigs)
-        residuals = _backward_errors(Kc @ vecs, Mc @ vecs, mu, vecs, norms)
-    if not np.all(residuals <= DEFAULT_TOL):  # a NaN residual fails too
-        raise NonConvergenceError(
-            f"eigenpair backward error {residuals.max():.3e} exceeds tolerance {DEFAULT_TOL:.1e}"
-        )
-    return EigResult(eigenvalues=mu, residuals=residuals, dof_count=dim, slicing=slicing)
+        mu, vecs, _ = _rayleigh_ritz_refine(lu.solve, Kc, Mc, vecs, n_eigs, norms, 1)
+        return _checked(Kc, Mc, mu, vecs, norms)
+    slicing = ""
+    if slice_at is not None:
+        try:
+            return _checked(Kc, Mc, *_slice(Kc, Mc, float(slice_at), n_eigs, norms), norms, SLICED)
+        except NonConvergenceError as exc:
+            slicing = f"fallback: {exc}"
+    return _checked(Kc, Mc, *_dense_pairs(Kc, Mc, n_eigs), norms, slicing)
 
 
 def _one_norms(Kc, Mc):
@@ -280,14 +263,24 @@ def _backward_errors(KX, MX, mu, X, norms):
     )
 
 
-def _dense_pairs(Kc, Mc, sigma, n_eigs):
-    """The n_eigs smallest pairs of the dense pencil from one generalized
-    eigensolve of the definite (Kc + sigma Mc, Mc)."""
+def _checked(Kc, Mc, mu, vecs, norms, slicing="") -> EigResult:
+    """The pairs (mu, vecs) of (Kc, Mc) as an EigResult, if every pair's
+    backward error is at most DEFAULT_TOL; raises NonConvergenceError if not."""
+    residuals = _backward_errors(Kc @ vecs, Mc @ vecs, mu, vecs, norms)
+    if not np.all(residuals <= DEFAULT_TOL):  # a NaN residual fails too
+        raise NonConvergenceError(
+            f"backward error {residuals.max():.3e} exceeds tolerance {DEFAULT_TOL:.1e}"
+        )
+    return EigResult(eigenvalues=mu, residuals=residuals, dof_count=Kc.shape[0], slicing=slicing)
+
+
+def _dense_pairs(Kc, Mc, n_eigs):
+    """The n_eigs smallest pairs of the dense pencil (Kc, Mc) from one
+    generalized eigensolve."""
     try:
-        vals, vecs = scipy.linalg.eigh(Kc + sigma * Mc, Mc, subset_by_index=[0, n_eigs - 1])
+        return scipy.linalg.eigh(Kc, Mc, subset_by_index=[0, n_eigs - 1])
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise NonConvergenceError(f"dense eigensolve failed: {exc}") from exc
-    return vals - sigma, vecs
 
 
 def _negative_pivots(ldu, ipiv) -> int:
@@ -304,11 +297,18 @@ def _negative_pivots(ldu, ipiv) -> int:
 
 def _slice(Kc, Mc, shift, n_eigs, norms):
     """The n_eigs smallest pairs of the dense pencil (Kc, Mc) by spectrum
-    slicing at `shift`, an upper bound for the n_eigs-th eigenvalue:
-    (eigenvalues, eigenvectors, SLICED), or (None, None, "fallback:
-    <reason>") when the count is out of range, a projected solve fails, the
-    iteration does not converge or the Ritz values below the shift do not
-    match the count.  See solve_smallest."""
+    slicing at `shift`, an upper bound for the n_eigs-th eigenvalue.
+
+    Kc - shift Mc is factored once as L D L^T (LAPACK ?sytrf), and the
+    negative eigenvalues of the 1x1 and 2x2 blocks of D count the c
+    eigenvalues below the shift (Sylvester's law of inertia).  Up to
+    _SLICE_MAXITER steps of _rayleigh_ritz_refine with that factor, from a
+    fixed block of c + 2 vectors, bring every wanted pair's backward error
+    to DEFAULT_TOL / 10.  The pairs are accepted only if then exactly c
+    Ritz values lie below the shift.  Raises NonConvergenceError, with the
+    reason, when the factor is singular, the count is out of range, a
+    projected solve fails, the iteration does not converge or the Ritz
+    values below the shift do not match the count."""
     n = Kc.shape[0]
     shifted = Mc * -shift
     shifted += Kc
@@ -317,54 +317,50 @@ def _slice(Kc, Mc, shift, n_eigs, norms):
     # that sytrf overwrites with the factor instead of copying it
     ldu, ipiv, info = sytrf(shifted.T, lower=1, overwrite_a=1)
     if info != 0:
-        return None, None, f"fallback: singular factor at pivot {info}"
+        raise NonConvergenceError(f"singular factor at pivot {info}")
     count = _negative_pivots(ldu, ipiv)
     if not n_eigs <= count <= min(N_EIGS_MAX, n - 2):
-        return None, None, f"fallback: count {count} outside {n_eigs}..{min(N_EIGS_MAX, n - 2)}"
+        raise NonConvergenceError(f"count {count} outside {n_eigs}..{min(N_EIGS_MAX, n - 2)}")
     # fixed start block, so that repeated runs give bit-identical results
     X = np.cos(np.outer(np.linspace(0.0, math.pi, n), np.arange(count + 2)))
-    MX = Mc @ X
+    mu, X, eta = _rayleigh_ritz_refine(
+        lambda B: sytrs(ldu, ipiv, B, lower=1)[0], Kc, Mc, X, n_eigs, norms, _SLICE_MAXITER
+    )
+    if not np.all(eta <= 0.1 * DEFAULT_TOL):
+        raise NonConvergenceError(f"backward error {eta.max():.3e} after {_SLICE_MAXITER} steps")
+    below = int(np.count_nonzero(mu < shift))
+    if below != count:
+        raise NonConvergenceError(f"{below} Ritz values below the shift, count {count}")
+    return mu[:n_eigs], X[:, :n_eigs]
+
+
+def _rayleigh_ritz_refine(solve, Kc, Mc, X, n_eigs, norms, steps):
+    """Subspace iteration with Rayleigh-Ritz projection on the pencil (Kc, Mc).
+
+    `solve` applies the inverse of a factored shifted pencil Kc - s Mc to a
+    block.  Each step orthonormalizes solve(Mc X) by QR and replaces X by
+    the Ritz vectors of the projected pencil, which are Mc-orthonormal.
+    The step damps the block toward the eigenvectors nearest s and, from a
+    converged start, squares the eigenvector error.  The iteration stops
+    once the n_eigs smallest pairs' backward errors are at most DEFAULT_TOL
+    / 10, or after `steps` steps.  Returns every Ritz value in ascending
+    order, the Ritz vectors and the n_eigs smallest pairs' backward errors;
+    a failed projected solve raises NonConvergenceError.
+    """
     want = slice(n_eigs)
-    for _ in range(_SLICE_MAXITER):
-        W, _ = sytrs(ldu, ipiv, MX, lower=1)
-        Q = np.linalg.qr(W)[0]
+    MX = Mc @ X
+    for _ in range(steps):
+        Q = np.linalg.qr(solve(MX))[0]
         KQ, MQ = Kc @ Q, Mc @ Q
         try:
             mu, Y = scipy.linalg.eigh(Q.T @ KQ, Q.T @ MQ)
         except (np.linalg.LinAlgError, ValueError) as exc:
-            return None, None, f"fallback: projected solve failed: {exc}"
+            raise NonConvergenceError(f"projected solve failed: {exc}") from exc
         X, MX = Q @ Y, MQ @ Y
         eta = _backward_errors(KQ @ Y[:, want], MX[:, want], mu[want], X[:, want], norms)
         if np.all(eta <= 0.1 * DEFAULT_TOL):
             break
-    else:
-        return None, None, f"fallback: backward error {eta.max():.3e} after {_SLICE_MAXITER} steps"
-    below = int(np.count_nonzero(mu < shift))
-    if below != count:
-        return None, None, f"fallback: {below} Ritz values below the shift, count {count}"
-    return mu[want], X[:, want], SLICED
-
-
-def _rayleigh_ritz_refine(solve, A, Mc, vecs):
-    """One inverse-iteration pass on the Ritz basis, then a projected solve.
-
-    `solve` applies A^{-1}; the step damps the basis toward the smallest
-    pencil eigenvectors and cuts residuals well below the floor left by the
-    mass-matrix conditioning on high-aspect meshes.  Returns the pairs in
-    ascending order; a failed projected solve raises NonConvergenceError.
-    """
-    W = solve(np.asarray(Mc @ vecs))
-    G = W.T @ (Mc @ W)
-    H = W.T @ (A @ W)
-    try:
-        small_vals, Y = scipy.linalg.eigh(H, G)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise NonConvergenceError(f"Rayleigh-Ritz projected solve failed: {exc}") from exc
-    refined = W @ Y
-    # normalize columns in the M inner product
-    norms = np.sqrt(np.einsum("ij,ij->j", refined, np.asarray(Mc @ refined)))
-    refined /= norms
-    return small_vals, refined
+    return mu, X, eta
 
 
 def solve_mesh(mesh: Mesh, n_eigs: int, slice_at=None) -> EigResult:
@@ -405,7 +401,8 @@ def _extrapolate(spec: DomainSpec, ks, refinements: int, dirichlet: bool) -> lis
     each discrete eigenvalue can only fall from one mesh to the next: the
     finest mesh is sliced at the middle mesh's largest wanted eigenvalue.
     """
-    if refinements < 2:
+    ks = [as_index(k, "eigenvalue index") for k in ks]
+    if as_index(refinements, "refinements") < 2:
         raise ValueError("need at least 2 refinements for h, h/2, h/4 meshes")
     mesh = geometry.triangulate(spec, dirichlet)
     for _ in range(refinements - 2):
@@ -414,7 +411,6 @@ def _extrapolate(spec: DomainSpec, ks, refinements: int, dirichlet: bool) -> lis
     for _ in range(2):
         ladder.append(geometry.refine_mesh(ladder[-1]))
     offset = int(geometry.DIRICHLET in mesh.boundary_markers)
-    ks = list(ks)
     if not ks or min(ks) < offset:
         raise ValueError(
             f"eigenvalue indices {ks} must start at {offset}: Neumann problems "
@@ -459,7 +455,7 @@ def mu_spectrum(spec: DomainSpec, k_max: int, refinements: int = 3) -> list:
     """Extrapolated k = 1..k_max eigenvalues from a single mesh ladder:
     mu_1..mu_k_max for a pure Neumann boundary (mu_0 = 0 is skipped), the
     first k_max constrained eigenvalues when the domain has a Dirichlet edge."""
-    return _extrapolate(spec, range(1, k_max + 1), refinements, False)
+    return _extrapolate(spec, range(1, as_index(k_max, "k_max") + 1), refinements, False)
 
 
 def dirichlet_lambda_k(spec: DomainSpec, k: int, refinements: int = 3) -> ExtrapolationResult:
@@ -469,4 +465,4 @@ def dirichlet_lambda_k(spec: DomainSpec, k: int, refinements: int = 3) -> Extrap
 
 def dirichlet_spectrum(spec: DomainSpec, k_max: int, refinements: int = 3) -> list:
     """Extrapolated lambda_1..lambda_k_max from a single mesh ladder."""
-    return _extrapolate(spec, range(1, k_max + 1), refinements, True)
+    return _extrapolate(spec, range(1, as_index(k_max, "k_max") + 1), refinements, True)

@@ -520,6 +520,12 @@ def test_table_does_not_swallow_bugs(monkeypatch):
         experiments.cmd_table_mu1(refinements=2)
 
 
+def test_table_rejects_a_float_refinement_count():
+    # rejected up front, not by a TypeError inside the first ladder
+    with pytest.raises(ValueError, match="refinements must be an integer"):
+        experiments.cmd_table_mu1(refinements=3.0)
+
+
 def test_ratio_scan_csv_determinism(tmp_path):
     a = experiments.cmd_ratio_scan(n_pairs=4, seed=3, refinements=2)
     b = experiments.cmd_ratio_scan(n_pairs=4, seed=3, refinements=2)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sparse
+import scipy.sparse.linalg
 
 from speclab import constants, fem, geometry as geo, spectra
 
@@ -306,9 +307,12 @@ def test_perturbed_eigenvector_is_rejected(side, times, monkeypatch):
     monkeypatch.setattr(
         fem.scipy.linalg, "eigh", lambda A, B, **kwargs: _perturbed(*eigh(A, B, **kwargs), B)
     )
-    monkeypatch.setattr(
-        fem, "_rayleigh_ritz_refine", lambda solve, A, M, vecs: _perturbed(*refine(solve, A, M, vecs), M)
-    )
+
+    def perturbed_refine(solve, K, M, *args):
+        mu, vecs, eta = refine(solve, K, M, *args)
+        return (*_perturbed(mu, vecs, M), eta)
+
+    monkeypatch.setattr(fem, "_rayleigh_ritz_refine", perturbed_refine)
     with pytest.raises(fem.NonConvergenceError, match="backward error"):
         fem.solve_mesh(mesh, 2)
 
@@ -413,8 +417,7 @@ def test_sliced_pairs_must_pass_the_eigenpair_check(monkeypatch):
     cut = fem._slice
 
     def perturbed_slice(Kc, Mc, *args):
-        mu, vecs, slicing = cut(Kc, Mc, *args)
-        return (*_perturbed(mu, vecs, Mc), slicing)
+        return _perturbed(*cut(Kc, Mc, *args), Mc)
 
     monkeypatch.setattr(fem, "_slice", perturbed_slice)
     res = fem.solve_mesh(mesh, 2, slice_at=shift)
@@ -435,9 +438,41 @@ def test_slicing_fallbacks_are_counted(monkeypatch):
     assert report.all_passed
     assert report.metadata["sliced_rungs"] == 0
     assert report.metadata["slice_fallbacks"] == 7
-    monkeypatch.setattr(fem, "_slice", lambda *args: (None, None, "fallback: forced"))
+
+    def rejected_slice(*args):
+        raise fem.NonConvergenceError("forced")
+
+    monkeypatch.setattr(fem, "_slice", rejected_slice)
     unsliced = experiments.cmd_ratio_scan(n_pairs=2, refinements=2)
     assert unsliced.rows == report.rows
+
+
+def test_projected_solve_failure_rejects_a_slice_but_raises_when_sparse(monkeypatch):
+    # the slice and the sparse refinement share one Ritz iteration: when its
+    # projected solve fails, a slice falls back to the dense eigensolve and is
+    # counted, while the sparse path has no fallback and raises
+    from speclab import experiments
+
+    hull = geo.ConvexHullPolygon(tuple(map(tuple, geo.inclusion_pair(2, 12, 6)[0])))
+    mesh, shift, _, _ = _sliced(hull, 2, refinements=3)
+    dense = fem.solve_mesh(mesh, 2)
+    eigh = scipy.linalg.eigh
+
+    def failing_projection(A, B, **kwargs):
+        if "subset_by_index" not in kwargs:  # every eigh but the dense eigensolve's
+            raise np.linalg.LinAlgError("projected pencil is not definite")
+        return eigh(A, B, **kwargs)
+
+    monkeypatch.setattr(fem.scipy.linalg, "eigh", failing_projection)
+    res = fem.solve_mesh(mesh, 2, slice_at=shift)
+    assert res.slicing.startswith("fallback: projected solve failed")
+    assert np.array_equal(res.eigenvalues, dense.eigenvalues)
+    report = experiments.cmd_ratio_scan(n_pairs=2, refinements=2)
+    assert report.all_passed
+    assert report.metadata["sliced_rungs"] == 0
+    assert report.metadata["slice_fallbacks"] == 7
+    with pytest.raises(fem.NonConvergenceError, match="projected solve failed"):
+        fem.solve_mesh(refined(geo.Rectangle(1.0, 1.0), 4), 2)
 
 
 class _NoIndexing(sparse.csr_matrix):
@@ -520,6 +555,45 @@ def test_sparse_solve_matches_full_dense_spectrum(spec):
         ref = full[:n_eigs]
         # absolute floor of 1 for the Neumann zero mode
         assert np.all(np.abs(res.eigenvalues - ref) <= 1e-9 * np.maximum(np.abs(ref), 1.0))
+
+
+def _converged_eigenvalues(mesh, n_eigs):
+    """The mesh's n_eigs smallest eigenvalues as Rayleigh quotients, summed in
+    long double, of eigenvectors from Lanczos run to machine precision and
+    five further steps of inverse subspace iteration."""
+    K, M = fem.assemble(mesh)
+    keep = np.setdiff1d(np.arange(K.shape[0]), fem.dirichlet_dofs(mesh))
+    Kc, Mc = K[keep][:, keep].tocsc(), M[keep][:, keep].tocsc()
+    A = (Kc + Mc / M.sum()).tocsc()
+    solve = scipy.sparse.linalg.splu(A).solve
+    v0 = np.linspace(1.0, 2.0, len(keep))
+    _, X = scipy.sparse.linalg.eigsh(A, k=n_eigs, M=Mc, sigma=0.0, tol=0.0, v0=v0)
+    for _ in range(5):
+        Q = np.linalg.qr(solve(Mc @ X))[0]
+        X = Q @ scipy.linalg.eigh(Q.T @ (Kc @ Q), Q.T @ (Mc @ Q))[1]
+    X = X.astype(np.longdouble)
+
+    def quadratic_form(B, x):
+        B = B.tocoo()
+        return np.sum(B.data.astype(np.longdouble) * x[B.row] * x[B.col])
+
+    return np.array([float(quadratic_form(Kc, x) / quadratic_form(Mc, x)) for x in X.T])
+
+
+@pytest.mark.parametrize(
+    "spec, times",
+    [
+        (geo.Rectangle(1.9, 0.02), 4),  # 1,105 unknowns
+        (geo.half_rhombus(2.0, math.radians(5.0), geo.NEUMANN), 4),  # the sweep's finest 5 deg mesh
+    ],
+)
+def test_sparse_solve_is_converged(spec, times):
+    # one Ritz step on the unshifted pencil, from the 1e-11 Lanczos block,
+    # gives mu_1 to 1e-11 relative on these high-aspect meshes
+    mesh = refined(spec, times)
+    assert len(mesh.vertices) > 400
+    mu = fem.solve_mesh(mesh, 2).eigenvalues[1]
+    assert mu == pytest.approx(_converged_eigenvalues(mesh, 2)[1], rel=1e-11, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -777,3 +851,22 @@ def test_solve_errors():
     for bad in ([K.shape[0]], [-1]):
         with pytest.raises(ValueError, match="constrained dofs"):
             fem.solve_smallest(K, M, bad, 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec: fem.mu_k(spec, 1.0),
+        lambda spec: fem.mu_k(spec, True),  # a bool is not an index
+        lambda spec: fem.mu_k(spec, 1, refinements=3.0),
+        lambda spec: fem.dirichlet_lambda_k(spec, np.float64(1.0)),
+        lambda spec: fem.mu_spectrum(spec, True),  # a bool is not an index
+        lambda spec: fem.dirichlet_spectrum(spec, 2.0),
+        lambda spec: fem.solve_mesh(geo.triangulate(spec), 2.0),
+    ],
+    ids=["k", "bool k", "refinements", "dirichlet k", "bool k_max", "k_max", "n_eigs"],
+)
+def test_indices_must_be_integers(call):
+    # a float or bool index raises ValueError up front, not TypeError in the ladder
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(geo.Rectangle(1.0, 1.0))
