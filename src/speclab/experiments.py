@@ -34,6 +34,7 @@ import numpy as np
 import scipy
 
 from . import __version__, constants, fem, geometry, spectra, svg
+from .specfun import as_index
 
 PI2 = math.pi**2
 
@@ -594,6 +595,8 @@ def cmd_ratio_scan(
     (ratio below 1, witnessing the monotonicity failure).  Random pairs are
     hulls of uniform points, deterministic from the seed.
     """
+    n_pairs, seed = as_index(n_pairs, "n_pairs"), as_index(seed, "seed")
+    n_outer, n_inner = as_index(n_outer, "n_outer"), as_index(n_inner, "n_inner")
     if not 1 <= n_pairs <= 1000:
         raise ValueError("n_pairs must be 1..1000")
     if n_outer < 3 or n_inner < 3:

@@ -315,10 +315,6 @@ DomainSpec = Union[
 ]
 
 
-def _cross(u, v) -> float:
-    return float(u[0] * v[1] - u[1] * v[0])
-
-
 def _signed_area(poly: np.ndarray) -> float:
     x, y = poly[:, 0], poly[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
@@ -356,7 +352,7 @@ class Xorshift64Star:
     _MULT = 2685821657736338717
 
     def __init__(self, seed: int):
-        state = int(seed) & self._MASK
+        state = as_index(seed, "seed") & self._MASK
         if state == 0:
             state = 0x9E3779B97F4A7C15
         self.state = state
@@ -383,8 +379,11 @@ def convex_hull(points: Sequence[Sequence[float]]) -> np.ndarray:
     def chain(seq):
         out = []
         for p in seq:
-            while len(out) >= 2 and _cross(
-                np.subtract(out[-1], out[-2]), np.subtract(p, out[-1])
+            # pop the last point while out[-2] -> out[-1] -> p does not turn
+            # left (cross product <= 0), in scalar arithmetic
+            while len(out) >= 2 and (
+                (out[-1][0] - out[-2][0]) * (p[1] - out[-1][1])
+                - (out[-1][1] - out[-2][1]) * (p[0] - out[-1][0])
             ) <= 0:
                 out.pop()
             out.append(p)

@@ -332,6 +332,21 @@ def test_ratio_scan_rejects_impossible_hull_sizes(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argument", ["n_pairs", "seed", "n_outer", "n_inner"])
+def test_ratio_scan_counts_and_seed_must_be_integers(argument):
+    # 2.0 once failed inside range(), True ran one pair, and seed 1.5 wrote
+    # pair seeds 1.5 and 2.5 while drawing streams 1 and 2
+    for bad in (2.0, 1.5, True):
+        with pytest.raises(ValueError, match=f"{argument} must be an integer"):
+            experiments.cmd_ratio_scan(**{"n_pairs": 2, "refinements": 2, argument: bad})
+
+
+def test_ratio_scan_accepts_numpy_integers():
+    report = experiments.cmd_ratio_scan(n_pairs=np.int64(1), seed=np.int64(7), refinements=2)
+    assert [row[1] for row in report.rows] == [7, 7, 7]
+    assert all(type(row[1]) is int for row in report.rows)
+
+
 def test_ratio_scan_skips_only_degenerate_draws(monkeypatch):
     # inclusion_pair's RuntimeError (no nondegenerate pair) skips the draw;
     # a ValueError from the solver is a bug and propagates

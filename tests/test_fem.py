@@ -128,6 +128,41 @@ def test_dense_assembly_matches_sparse(monkeypatch, spec, dirichlet):
     assert np.allclose(from_dense.eigenvalues, from_sparse.eigenvalues, rtol=1e-12, atol=1e-12 * scale)
 
 
+def _looped_element_triplets(mesh):
+    """The element triplets built by one pass per entry (i, j), as assembly
+    built them before it broadcast: the oracle for their order and bits."""
+    p = mesh.vertices[mesh.triangles]
+    b = np.stack([p[:, 1, 1] - p[:, 2, 1], p[:, 2, 1] - p[:, 0, 1], p[:, 0, 1] - p[:, 1, 1]], axis=1)
+    c = np.stack([p[:, 2, 0] - p[:, 1, 0], p[:, 0, 0] - p[:, 2, 0], p[:, 1, 0] - p[:, 0, 0]], axis=1)
+    area = 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    rows, cols, k_vals, m_vals = [], [], [], []
+    for i in range(3):
+        for j in range(3):
+            rows.append(mesh.triangles[:, i])
+            cols.append(mesh.triangles[:, j])
+            k_vals.append((b[:, i] * b[:, j] + c[:, i] * c[:, j]) / (4.0 * area))
+            m_vals.append((1.0 / 6.0 if i == j else 1.0 / 12.0) * area)
+    return tuple(map(np.concatenate, (rows, cols, k_vals, m_vals)))
+
+
+@pytest.mark.parametrize(
+    "spec, dirichlet",
+    [
+        (geo.ConvexHullPolygon(tuple(map(tuple, geo.inclusion_pair(3, 12, 6)[1]))), False),  # fan
+        (geo.Rhombus(2.0, math.radians(25.0)), False),  # affine grid
+        (geo.half_reuleaux_triangle(2.0, 8), False),  # a Part
+        (geo.RegularPolygon(9, 1.0), True),  # every edge Dirichlet
+    ],
+    ids=["fan", "grid", "part", "dirichlet"],
+)
+def test_element_triplets_match_the_loop(spec, dirichlet):
+    # K and M stay bit-identical: same entries, same order, same dtypes
+    mesh = refined(spec, 2, dirichlet)
+    for new, old in zip(fem._element_triplets(mesh), _looped_element_triplets(mesh)):
+        assert new.dtype == old.dtype
+        assert np.array_equal(new, old)
+
+
 # ---------------------------------------------------------------------------
 # solve_smallest on closed-form domains
 
@@ -239,14 +274,16 @@ def test_dense_residuals_without_rayleigh_ritz():
     assert rungs >= 3 * len(specs) - 1
 
 
+def _indefinite_sygv(A, B):
+    """?sygv's result for a projected mass matrix that is not definite."""
+    return np.zeros(len(A)), np.eye(len(A)), len(A) + 1
+
+
 def test_rayleigh_ritz_failure_raises(monkeypatch):
     mesh = refined(geo.Rectangle(1.0, 1.0), 4)
     assert len(mesh.vertices) > 400
 
-    def failing_eigh(*args, **kwargs):
-        raise np.linalg.LinAlgError("projected pencil is not definite")
-
-    monkeypatch.setattr(fem.scipy.linalg, "eigh", failing_eigh)
+    monkeypatch.setattr(fem, "_SYGV", _indefinite_sygv)
     with pytest.raises(fem.NonConvergenceError):
         fem.solve_mesh(mesh, 2)
 
@@ -456,14 +493,7 @@ def test_projected_solve_failure_rejects_a_slice_but_raises_when_sparse(monkeypa
     hull = geo.ConvexHullPolygon(tuple(map(tuple, geo.inclusion_pair(2, 12, 6)[0])))
     mesh, shift, _, _ = _sliced(hull, 2, refinements=3)
     dense = fem.solve_mesh(mesh, 2)
-    eigh = scipy.linalg.eigh
-
-    def failing_projection(A, B, **kwargs):
-        if "subset_by_index" not in kwargs:  # every eigh but the dense eigensolve's
-            raise np.linalg.LinAlgError("projected pencil is not definite")
-        return eigh(A, B, **kwargs)
-
-    monkeypatch.setattr(fem.scipy.linalg, "eigh", failing_projection)
+    monkeypatch.setattr(fem, "_SYGV", _indefinite_sygv)  # the dense eigensolve does not call it
     res = fem.solve_mesh(mesh, 2, slice_at=shift)
     assert res.slicing.startswith("fallback: projected solve failed")
     assert np.array_equal(res.eigenvalues, dense.eigenvalues)
@@ -473,6 +503,54 @@ def test_projected_solve_failure_rejects_a_slice_but_raises_when_sparse(monkeypa
     assert report.metadata["slice_fallbacks"] == 7
     with pytest.raises(fem.NonConvergenceError, match="projected solve failed"):
         fem.solve_mesh(refined(geo.Rectangle(1.0, 1.0), 4), 2)
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+def test_projected_pairs_match_eigh(order):
+    rng = np.random.default_rng(order)
+    for _ in range(20):
+        G, H = rng.standard_normal((2, order, order))
+        A = G + G.T
+        B = H @ H.T + order * np.eye(order)
+        mu, Y = fem._projected_pairs(A, B)
+        expected = scipy.linalg.eigh(A, B, eigvals_only=True)
+        assert np.all(np.diff(mu) >= 0)
+        assert np.abs(mu - expected).max() <= 1e-13 * np.abs(expected).max()
+        assert np.abs(Y.T @ B @ Y - np.eye(order)).max() <= 1e-13
+        assert np.abs(A @ Y - B @ Y * mu).max() <= 1e-13 * np.abs(A).max() * np.abs(Y).max()
+
+
+def test_projected_pairs_reject_an_indefinite_mass_and_nan(monkeypatch):
+    A, nan = np.diag([1.0, 2.0, 3.0]), np.diag([1.0, np.nan, 3.0])
+    for pencil in ((A, np.diag([1.0, -1.0, 1.0])), (nan, np.eye(3)), (A, nan)):
+        with pytest.raises(fem.NonConvergenceError, match="projected solve failed"):
+            fem._projected_pairs(*pencil)
+    # a non-finite result is rejected even when ?sygv reports success
+    monkeypatch.setattr(fem, "_SYGV", lambda A, B: (np.array([1.0, np.inf, 3.0]), np.eye(3), 0))
+    with pytest.raises(fem.NonConvergenceError, match="not finite"):
+        fem._projected_pairs(A, np.eye(3))
+
+
+def test_nan_block_fails_at_the_first_step():
+    # a NaN must not iterate for _SLICE_MAXITER steps: the projected solve
+    # sees it on the first and raises
+    K, M = fem._assemble_dense(refined(geo.RegularPolygon(9, 1.0), 1))
+    factor = scipy.linalg.cho_factor(K + M)
+    norms = fem._one_norms(K, M)
+    solves = []
+
+    def solve(B):
+        solves.append(1)
+        return scipy.linalg.cho_solve(factor, B, check_finite=False)
+
+    X = np.cos(np.outer(np.linspace(0.0, math.pi, len(K)), np.arange(3)))
+    mu = fem._rayleigh_ritz_refine(solve, K, M, X, 2, norms, 1)[0]
+    assert np.isfinite(mu).all()
+    X[4, 1] = np.nan
+    solves.clear()
+    with pytest.raises(fem.NonConvergenceError, match="projected solve failed"):
+        fem._rayleigh_ritz_refine(solve, K, M, X, 2, norms, fem._SLICE_MAXITER)
+    assert solves == [1]
 
 
 class _NoIndexing(sparse.csr_matrix):

@@ -232,6 +232,48 @@ def test_xorshift_reference_stream():
     assert [rng2.uniform() for _ in range(4)] == vals
 
 
+def _numpy_convex_hull(points):
+    """convex_hull as it was written with two np.subtract calls per point:
+    the oracle for the scalar cross product."""
+    pts = sorted(set(map(tuple, points)))
+    if len(pts) < 3:
+        return np.array(pts, dtype=float)
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2:
+                u, v = np.subtract(out[-1], out[-2]), np.subtract(p, out[-1])
+                if not float(u[0] * v[1] - u[1] * v[0]) <= 0:
+                    break
+                out.pop()
+            out.append(p)
+        return out
+
+    lower, upper = chain(pts), chain(reversed(pts))
+    return np.array(lower[:-1] + upper[:-1], dtype=float)
+
+
+def test_convex_hull_matches_the_numpy_cross_product():
+    # python floats as the outer draws make them, numpy rows as the inner
+    # draws do, and sets with duplicate and collinear points
+    rng = np.random.default_rng(2)
+    cases = [rng.uniform(-1.0, 1.0, (n, 2)) for n in (6, 12) * 1000]
+    cases += [[tuple(map(float, p)) for p in pts] for pts in cases[:200]]
+    cases += [np.round(rng.uniform(-1.0, 1.0, (12, 2)), 1) for _ in range(200)]
+    cases += [[(0, 0), (1, 0), (2, 0), (1, 1)], [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]]
+    for pts in cases:
+        hull, expected = geo.convex_hull(pts), _numpy_convex_hull(pts)
+        assert hull.shape == expected.shape and np.array_equal(hull, expected)
+
+
+def test_xorshift_seed_must_be_an_integer():
+    for bad in (1.5, 2.0, True, "3"):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            geo.Xorshift64Star(bad)
+    assert geo.Xorshift64Star(np.int64(5)).uniform() == geo.Xorshift64Star(5).uniform()
+
+
 # ---------------------------------------------------------------------------
 # meshing
 
